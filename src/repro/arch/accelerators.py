@@ -48,7 +48,6 @@ from ..core.nra import (
     all_candidates,
     is_mm_like,
     is_streaming,
-    max_feasible_pair,
     streaming_dataflow,
 )
 from .memory import MemorySpec, PAPER_DEFAULT_MEMORY

@@ -18,10 +18,12 @@ cross-*                mixed per-operator classes               red arrows
 (`common` dims are the intermediate tensor's dimensions; `private` dims
 belong to a single operator, e.g. MM1's reduction K and MM2's output N.)
 
-Tile sizes for MAXIMIZE roles are solved by binary search on the exact
-fused buffer footprint -- the same one-shot construction as the intra
-candidates, no design-space search.  Every generated dataflow is validated
-through :func:`repro.dataflow.fusion_nest.fused_memory_access`, which also
+Tile sizes for MAXIMIZE roles are solved in closed form from the integer
+coefficients of the fused buffer footprint (and, for compute-unit fusion,
+of each intermediate's register footprint) -- the same one-shot
+construction as the intra candidates, no search.  Every generated
+dataflow is validated through
+:func:`repro.dataflow.fusion_nest.fused_memory_access`, which also
 enforces the fusability requirement (non-redundant intermediates).
 
 :func:`decide_fusion` compares the best fused dataflow against the sum of
@@ -49,7 +51,7 @@ from ..dataflow.fusion_nest import (
 from ..dataflow.spec import NRAClass
 from ..dataflow.tiling import Tiling
 from .intra import IntraResult, optimize_intra
-from .nra import max_feasible, pair_candidates
+from .nra import TileConstraint, max_tile, pair_candidates
 from .principles import principle4_same_nra
 
 
@@ -326,11 +328,14 @@ def solve_pattern(
             fixed[dim] = 1
         else:
             free.append(dim)
+    if len(free) > 2:
+        raise FusionError(
+            f"pattern {pattern.label!r} has {len(free)} free dims; at most 2 "
+            "supported"
+        )
     if shared_order is None:
         shared_order = _shared_order(chain, roles)
     private_orders = _private_orders(chain)
-    intermediates = tuple(t.name for t in chain.intermediates())
-    excluded = intermediates if medium is FusionMedium.COMPUTE_UNIT else ()
 
     def build(tiles: Mapping[str, int]) -> FusedDataflow:
         return FusedDataflow(
@@ -339,73 +344,62 @@ def solve_pattern(
             tiling=Tiling({**fixed, **tiles}),
         )
 
-    def feasible(dataflow: FusedDataflow) -> bool:
-        if dataflow.buffer_footprint(chain, exclude=excluded) > buffer_elems:
-            return False
-        if medium is FusionMedium.COMPUTE_UNIT:
-            assert register_elems is not None
-            for name in intermediates:
-                if dataflow.tile_elements(chain, name) > register_elems:
-                    return False
-        return True
-
-    def capacity_footprint(dataflow: FusedDataflow) -> int:
-        """Monotone scalar for the binary searches: the binding capacity."""
-        footprint = dataflow.buffer_footprint(chain, exclude=excluded)
-        if medium is FusionMedium.COMPUTE_UNIT:
-            assert register_elems is not None
-            for name in intermediates:
-                tile = dataflow.tile_elements(chain, name)
-                if tile > register_elems:
-                    # Overflowed registers: report past the buffer budget so
-                    # the search backs off.
-                    footprint = max(footprint, buffer_elems + tile)
-        return footprint
-
-    if not free:
-        dataflow = build({})
-        return dataflow if feasible(dataflow) else None
-    if len(free) == 1:
-        dim = free[0]
-
-        def footprint(tile: int) -> int:
-            return capacity_footprint(build({dim: tile}))
-
-        tile = max_feasible(footprint, chain.global_dims[dim], buffer_elems)
-        if tile is None:
-            return None
-        dataflow = build({dim: tile})
-        return dataflow if feasible(dataflow) else None
-    if len(free) == 2:
-        dim_x, dim_y = free
-
-        def footprint2(tile_x: int, tile_y: int) -> int:
-            return capacity_footprint(build({dim_x: tile_x, dim_y: tile_y}))
-
-        pairs = pair_candidates(
-            footprint2,
-            chain.global_dims[dim_x],
-            chain.global_dims[dim_y],
-            buffer_elems,
-        )
-        if not pairs:
-            return None
-        best: Optional[Tuple[int, FusedDataflow]] = None
-        for tile_x, tile_y in pairs:
-            dataflow = build({dim_x: tile_x, dim_y: tile_y})
-            if not feasible(dataflow):
-                continue
-            report = fused_memory_access(chain, dataflow)
-            if not report.fusable:
-                continue
-            if best is None or report.total < best[0]:
-                best = (report.total, dataflow)
-        if best is None:
-            return None
-        return best[1]
-    raise FusionError(
-        f"pattern {pattern.label!r} has {len(free)} free dims; at most 2 supported"
+    dim_x, dim_y = (free + [None, None])[:2]
+    constraints = _capacity_constraints(
+        chain, fixed, dim_x, dim_y, buffer_elems, medium, register_elems
     )
+    if dim_x is None:
+        return build({}) if all(c.fits(1, 1) for c in constraints) else None
+    if dim_y is None:
+        tile = max_tile(constraints, chain.global_dims[dim_x])
+        return None if tile is None else build({dim_x: tile})
+    pairs = pair_candidates(
+        constraints, chain.global_dims[dim_x], chain.global_dims[dim_y]
+    )
+    best: Optional[Tuple[int, FusedDataflow]] = None
+    for tile_x, tile_y in pairs:
+        dataflow = build({dim_x: tile_x, dim_y: tile_y})
+        report = fused_memory_access(chain, dataflow)
+        if not report.fusable:
+            continue
+        if best is None or report.total < best[0]:
+            best = (report.total, dataflow)
+    return None if best is None else best[1]
+
+
+def _capacity_constraints(
+    chain: FusedChain,
+    fixed: Mapping[str, int],
+    dim_x: Optional[str],
+    dim_y: Optional[str],
+    buffer_elems: int,
+    medium: FusionMedium,
+    register_elems: Optional[int],
+) -> Tuple[TileConstraint, ...]:
+    """Every capacity limit on the free tiles, as bilinear constraints.
+
+    Under :attr:`FusionMedium.MEMORY` that is the fused buffer footprint
+    alone.  Under :attr:`FusionMedium.COMPUTE_UNIT` the intermediates leave
+    the buffer footprint and each of their tiles must fit
+    ``register_elems`` instead.
+    """
+
+    if medium is FusionMedium.MEMORY:
+        excluded: Tuple[str, ...] = ()
+    else:
+        excluded = tuple(t.name for t in chain.intermediates())
+    constraints = [
+        TileConstraint.from_footprint(
+            chain.buffered_axes(excluded), fixed, dim_x, dim_y, buffer_elems
+        )
+    ]
+    for name in excluded:
+        constraints.append(
+            TileConstraint.from_footprint(
+                [chain.tensor_axes(name)], fixed, dim_x, dim_y, register_elems
+            )
+        )
+    return tuple(constraints)
 
 
 def per_op_nra_classes(
@@ -466,18 +460,11 @@ def optimize_fused(
     for pattern in patterns:
       for active_medium in media:
        for shared_order in shared_orders:
-        excluded = (
-            tuple(t.name for t in chain.intermediates())
-            if active_medium is FusionMedium.COMPUTE_UNIT
-            else ()
-        )
         dataflow = solve_pattern(
             chain, pattern, buffer_elems, medium=active_medium,
             register_elems=register_elems, shared_order=shared_order,
         )
         if dataflow is None:
-            continue
-        if dataflow.buffer_footprint(chain, exclude=excluded) > buffer_elems:
             continue
         report = fused_memory_access(chain, dataflow, convention)
         if not report.fusable:

@@ -8,9 +8,11 @@ dataflows:
 * 6 Two-NRA   -- one per (untiled dim, maximized dim) pair (Principle 2),
 * 3 Three-NRA -- one per fully-resident tensor choice (Principle 3).
 
-Each constructor solves its tile sizes directly from the buffer constraint
-(a one-dimensional or symmetric two-dimensional monotone problem, solved by
-binary search on the exact integer footprint -- no design-space search).
+Each constructor solves its tile sizes directly from the buffer constraint.
+The footprint (Eq. 2 / Eq. 4) is compiled once into the integer
+coefficients of ``a*x*y + b*x + c*y + d`` over the free tiles
+(:class:`TileConstraint`), so the largest feasible tile for a given partner
+is one integer division -- no search of any kind.
 The intra-operator optimizer evaluates the feasible candidates through the
 shared access counter and keeps the minimum; this *is* the paper's
 principle-based one-shot optimization, since the candidate count is a small
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.operator import TensorOperator
 from ..ir.tensor import Tensor
@@ -91,12 +93,17 @@ def _other_dim(operator: TensorOperator, dims: Tuple[str, ...]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Integer tile solvers (monotone footprint => binary search)
+# Integer tile solvers
 # ----------------------------------------------------------------------
 def max_feasible(
     footprint: Callable[[int], int], upper: int, budget: int
 ) -> Optional[int]:
-    """Largest ``t`` in [1, upper] with ``footprint(t) <= budget``."""
+    """Largest ``t`` in [1, upper] with ``footprint(t) <= budget``.
+
+    Generic bisection over a monotone callable, for footprints that are not
+    a fixed bilinear form (:mod:`repro.core.generic`, square-tile designs).
+    MM-like tiles are solved in closed form through :class:`TileConstraint`.
+    """
     if upper < 1 or footprint(1) > budget:
         return None
     low, high = 1, upper
@@ -113,38 +120,154 @@ def _ceil_div(numerator: int, denominator: int) -> int:
     return -(-numerator // denominator)
 
 
-def pair_candidates(
-    footprint: Callable[[int, int], int],
-    upper_x: int,
-    upper_y: int,
-    budget: int,
-    max_trip_delta: int = 4,
-) -> List[Tuple[int, int]]:
-    """Integer-refined candidate tile pairs under a footprint budget.
+@dataclass(frozen=True)
+class TileConstraint:
+    """Capacity constraint ``a*x*y + b*x + c*y + d <= bound`` on two tiles.
 
-    The continuous optimum of the Single-NRA objective (Eq. 1, minimize
-    ``1/tx + 1/ty``) is a balanced pair, but memory access depends on the
-    *ceiled* trip counts ``ceil(D/t)``; a slightly smaller tile with the
-    same trip count frees footprint that can lower the partner's trip
-    count.  This helper returns the balanced/grown solutions plus
-    trip-count-snapped perturbations of each; callers evaluate all of them
-    through the exact access counter and keep the best (still a constant
-    amount of work -- no design-space search).
+    A buffer footprint is a sum of tile products, one per tensor (Eq. 2 /
+    Eq. 4).  With every dim but the free tiles ``x`` and ``y`` fixed, each
+    tensor adds the product of its fixed tiles to exactly one coefficient,
+    chosen by which free dims index it.  The coefficients are non-negative
+    integers, so the constraint is monotone in both tiles and the largest
+    feasible tile for a given partner is one integer division.
     """
 
-    def balanced(t: int) -> int:
-        return footprint(min(t, upper_x), min(t, upper_y))
+    a: int
+    b: int
+    c: int
+    d: int
+    bound: int
 
-    base = max_feasible(balanced, max(upper_x, upper_y), budget)
-    if base is None:
+    @classmethod
+    def from_footprint(
+        cls,
+        index_sets: Iterable[Sequence[str]],
+        fixed: Mapping[str, int],
+        dim_x: Optional[str],
+        dim_y: Optional[str],
+        bound: int,
+    ) -> "TileConstraint":
+        """Compile ``sum_t prod_{d in index_sets[t]} T_d`` into coefficients.
+
+        Dims other than ``dim_x``/``dim_y`` take their tile from ``fixed``;
+        ``dim_y=None`` (or both ``None``) leaves fewer free tiles, and the
+        missing ones drop out of the form.
+        """
+
+        coefficients = [0, 0, 0, 0]  # x*y, x, y, constant
+        for dims in index_sets:
+            free = [dim for dim in dims if dim in (dim_x, dim_y)]
+            if len(set(free)) != len(free):
+                raise UnsupportedOperatorError(
+                    f"index set {tuple(dims)} repeats a free dim; its "
+                    "footprint is not bilinear"
+                )
+            weight = math.prod(fixed[dim] for dim in dims if dim not in free)
+            coefficients[3 - 2 * (dim_x in free) - (dim_y in free)] += weight
+        return cls(*coefficients, bound)
+
+    def fits(self, x: int, y: int) -> bool:
+        return self.a * x * y + self.b * x + self.c * y + self.d <= self.bound
+
+    def max_x(self, y: int, upper: int) -> Optional[int]:
+        """Largest ``x`` in [1, upper] fitting with ``y`` (``None``: none)."""
+        slope = self.a * y + self.b
+        room = self.bound - self.c * y - self.d
+        if room < slope:
+            return None
+        return upper if slope == 0 else min(upper, room // slope)
+
+    def max_y(self, x: int, upper: int) -> Optional[int]:
+        """Largest ``y`` in [1, upper] fitting with ``x`` (``None``: none)."""
+        slope = self.a * x + self.c
+        room = self.bound - self.b * x - self.d
+        if room < slope:
+            return None
+        return upper if slope == 0 else min(upper, room // slope)
+
+    def max_balanced(self, upper_x: int, upper_y: int) -> Optional[int]:
+        """Largest ``t`` with ``(min(t, upper_x), min(t, upper_y))`` fitting.
+
+        ``t`` ranges over [1, max(upper_x, upper_y)].  Past the smaller
+        extent one tile is pinned and the other grows (affine); below it
+        both grow together, solving ``a*t^2 + (b+c)*t + d <= bound``.
+        """
+
+        edge = min(upper_x, upper_y)
+        if self.fits(edge, edge):
+            if upper_x < upper_y:
+                return self.max_y(upper_x, upper_y)
+            if upper_y < upper_x:
+                return self.max_x(upper_y, upper_x)
+            return edge
+        if not self.fits(1, 1):
+            return None
+        linear = self.b + self.c
+        room = self.bound - self.d
+        if self.a == 0:
+            return room // linear
+        # Integer t fits iff 2*a*t + linear <= sqrt(disc), i.e. <= its isqrt.
+        disc = linear * linear + 4 * self.a * room
+        return (math.isqrt(disc) - linear) // (2 * self.a)
+
+
+def _max_x(
+    constraints: Sequence[TileConstraint], y: int, upper: int
+) -> Optional[int]:
+    for constraint in constraints:
+        upper = constraint.max_x(y, upper)
+        if upper is None:
+            return None
+    return upper
+
+
+def _max_y(
+    constraints: Sequence[TileConstraint], x: int, upper: int
+) -> Optional[int]:
+    for constraint in constraints:
+        upper = constraint.max_y(x, upper)
+        if upper is None:
+            return None
+    return upper
+
+
+def max_tile(constraints: Sequence[TileConstraint], upper: int) -> Optional[int]:
+    """Largest single free tile (``dim_y=None`` constraints) in [1, upper]."""
+    return _max_x(constraints, 1, upper)
+
+
+def pair_candidates(
+    constraints: Sequence[TileConstraint],
+    upper_x: int,
+    upper_y: int,
+    max_trip_delta: int = 4,
+) -> List[Tuple[int, int]]:
+    """Integer-refined candidate tile pairs under capacity constraints.
+
+    A pair is feasible when it fits every constraint (the buffer footprint,
+    plus any per-tile register limits).  The continuous optimum of the
+    Single-NRA objective (Eq. 1, minimize ``1/tx + 1/ty``) is a balanced
+    pair, but memory access depends on the *ceiled* trip counts
+    ``ceil(D/t)``; a slightly smaller tile with the same trip count frees
+    footprint that can lower the partner's trip count.  This helper returns
+    the balanced/grown solutions plus trip-count-snapped perturbations of
+    each, every "largest feasible tile" solved in closed form from the
+    constraint coefficients; callers evaluate all of them through the exact
+    access counter and keep the best (still a constant amount of work -- no
+    design-space search).
+    """
+
+    balanced = [c.max_balanced(upper_x, upper_y) for c in constraints]
+    if None in balanced:
         return []
+    base = min(balanced)
     seeds: List[Tuple[int, int]] = []
     tx = min(base, upper_x)
-    grown_y = max_feasible(lambda t: footprint(tx, t), upper_y, budget)
+    grown_y = _max_y(constraints, tx, upper_y)
     if grown_y is not None:
         seeds.append((tx, grown_y))
     ty = min(base, upper_y)
-    grown_x = max_feasible(lambda t: footprint(t, ty), upper_x, budget)
+    grown_x = _max_x(constraints, ty, upper_x)
     if grown_x is not None:
         seeds.append((grown_x, ty))
     if not seeds:
@@ -159,7 +282,7 @@ def pair_candidates(
     def add(tile_x: int, tile_y: int) -> None:
         tile_x = max(1, min(tile_x, upper_x))
         tile_y = max(1, min(tile_y, upper_y))
-        if footprint(tile_x, tile_y) <= budget:
+        if all(c.fits(tile_x, tile_y) for c in constraints):
             candidates.add((tile_x, tile_y))
 
     for seed_x, seed_y in seeds:
@@ -169,17 +292,13 @@ def pair_candidates(
         for delta in range(max_trip_delta + 1):
             # Coarsen x's trips, regrow and snap y.
             tile_x = _ceil_div(upper_x, trips_x + delta)
-            regrown = max_feasible(
-                lambda t, tx=tile_x: footprint(tx, t), upper_y, budget
-            )
+            regrown = _max_y(constraints, tile_x, upper_y)
             if regrown is not None:
                 add(tile_x, snap(upper_y, regrown))
                 add(tile_x, regrown)
             # Coarsen y's trips, regrow and snap x.
             tile_y = _ceil_div(upper_y, trips_y + delta)
-            regrown_x = max_feasible(
-                lambda t, ty=tile_y: footprint(t, ty), upper_x, budget
-            )
+            regrown_x = _max_x(constraints, tile_y, upper_x)
             if regrown_x is not None:
                 add(snap(upper_x, regrown_x), tile_y)
                 add(regrown_x, tile_y)
@@ -208,40 +327,17 @@ def pair_candidates(
     sweep_cap = 96
     if 2 * math.isqrt(upper_x) + 2 <= sweep_cap:
         for tile_x in distinct_tiles(upper_x, sweep_cap):
-            grown = max_feasible(
-                lambda t, tx=tile_x: footprint(tx, t), upper_y, budget
-            )
+            grown = _max_y(constraints, tile_x, upper_y)
             if grown is not None:
                 add(tile_x, snap(upper_y, grown))
                 add(tile_x, grown)
     if 2 * math.isqrt(upper_y) + 2 <= sweep_cap:
         for tile_y in distinct_tiles(upper_y, sweep_cap):
-            grown_x = max_feasible(
-                lambda t, ty=tile_y: footprint(t, ty), upper_x, budget
-            )
+            grown_x = _max_x(constraints, tile_y, upper_x)
             if grown_x is not None:
                 add(snap(upper_x, grown_x), tile_y)
                 add(grown_x, tile_y)
     return sorted(candidates)
-
-
-def max_feasible_pair(
-    footprint: Callable[[int, int], int],
-    upper_x: int,
-    upper_y: int,
-    budget: int,
-) -> Optional[Tuple[int, int]]:
-    """Largest balanced tile pair under a budget (continuous-objective pick).
-
-    Returns the candidate minimizing ``1/tx + 1/ty`` among
-    :func:`pair_candidates`; callers that can score exactly should iterate
-    over :func:`pair_candidates` instead.
-    """
-
-    candidates = pair_candidates(footprint, upper_x, upper_y, budget)
-    if not candidates:
-        return None
-    return min(candidates, key=lambda pair: 1 / pair[0] + 1 / pair[1])
 
 
 # ----------------------------------------------------------------------
@@ -259,6 +355,10 @@ class NRACandidate:
         return f"{self.label}: {self.dataflow.describe(operator)}"
 
 
+def _index_sets(operator: TensorOperator) -> List[Tuple[str, ...]]:
+    return [operator.dims_of(tensor.name) for tensor in operator.tensors]
+
+
 def _single_nra_impl(
     operator: TensorOperator, stationary: str, buffer_elems: int
 ) -> Optional[NRACandidate]:
@@ -266,12 +366,11 @@ def _single_nra_impl(
     dim_x, dim_y = operator.dims_of(stationary)
     dim_z = _other_dim(operator, (dim_x, dim_y))
 
-    def footprint(tile_x: int, tile_y: int) -> int:
-        tiling = Tiling({dim_x: tile_x, dim_y: tile_y, dim_z: 1})
-        return tiling.buffer_footprint(operator)
-
+    constraint = TileConstraint.from_footprint(
+        _index_sets(operator), {dim_z: 1}, dim_x, dim_y, buffer_elems
+    )
     pairs = pair_candidates(
-        footprint, operator.dims[dim_x], operator.dims[dim_y], buffer_elems
+        (constraint,), operator.dims[dim_x], operator.dims[dim_y]
     )
     if not pairs:
         return None
@@ -301,17 +400,14 @@ def _two_nra_impl(
     _require_mm_like(operator)
     dim_y = _other_dim(operator, (untiled_dim, maximized_dim))
 
-    def footprint(tile_x: int) -> int:
-        tiling = Tiling(
-            {
-                untiled_dim: operator.dims[untiled_dim],
-                maximized_dim: tile_x,
-                dim_y: 1,
-            }
-        )
-        return tiling.buffer_footprint(operator)
-
-    tile_x = max_feasible(footprint, operator.dims[maximized_dim], buffer_elems)
+    constraint = TileConstraint.from_footprint(
+        _index_sets(operator),
+        {untiled_dim: operator.dims[untiled_dim], dim_y: 1},
+        maximized_dim,
+        None,
+        buffer_elems,
+    )
+    tile_x = max_tile((constraint,), operator.dims[maximized_dim])
     if tile_x is None:
         return None
     tiling = Tiling(

@@ -160,6 +160,29 @@ class FusedChain:
         mapping = self.dim_maps[index]
         return tuple(mapping[local] for local in op.dims_of(tensor_name))
 
+    def tensor_axes(self, tensor_name: str) -> Tuple[str, ...]:
+        """Global dims indexing ``tensor_name`` (first operator using it)."""
+        for index, op in enumerate(self.ops):
+            for tensor in op.tensors:
+                if tensor.name == tensor_name:
+                    return self.global_dims_of_tensor(index, tensor_name)
+        raise FusionError(f"chain has no tensor {tensor_name!r}")
+
+    def buffered_axes(self, exclude: Tuple[str, ...] = ()) -> List[Tuple[str, ...]]:
+        """Global dims of every distinct tensor not in ``exclude``, once each.
+
+        The index sets whose tile products sum to a fused buffer footprint.
+        """
+
+        seen: Set[str] = set(exclude)
+        axes: List[Tuple[str, ...]] = []
+        for index, op in enumerate(self.ops):
+            for tensor in op.tensors:
+                if tensor.name not in seen:
+                    seen.add(tensor.name)
+                    axes.append(self.global_dims_of_tensor(index, tensor.name))
+        return axes
+
     def intermediates(self) -> Tuple[Tensor, ...]:
         """Tensors produced and consumed inside the chain."""
         consumed = {
@@ -286,26 +309,15 @@ class FusedDataflow:
         """
 
         tiling = self.resolved_tiling(chain)
-        seen: Set[str] = set(exclude)
-        total = 0
-        for index, op in enumerate(chain.ops):
-            for tensor in op.tensors:
-                if tensor.name in seen:
-                    continue
-                seen.add(tensor.name)
-                axes = chain.global_dims_of_tensor(index, tensor.name)
-                total += math.prod(tiling[dim] for dim in axes)
-        return total
+        return sum(
+            math.prod(tiling[dim] for dim in axes)
+            for axes in chain.buffered_axes(exclude)
+        )
 
     def tile_elements(self, chain: FusedChain, tensor_name: str) -> int:
         """Elements of one tensor's tile under this dataflow's tiling."""
         tiling = self.resolved_tiling(chain)
-        for index, op in enumerate(chain.ops):
-            for tensor in op.tensors:
-                if tensor.name == tensor_name:
-                    axes = chain.global_dims_of_tensor(index, tensor.name)
-                    return math.prod(tiling[dim] for dim in axes)
-        raise FusionError(f"chain has no tensor {tensor_name!r}")
+        return math.prod(tiling[dim] for dim in chain.tensor_axes(tensor_name))
 
     def describe(self, chain: FusedChain) -> str:
         tiling = self.resolved_tiling(chain)

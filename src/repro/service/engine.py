@@ -223,6 +223,20 @@ class EngineConfig:
         )
 
 
+def _encode_record(record: Dict[str, Any]) -> bytes:
+    """Compact JSON form of a result record, as held in the result cache.
+
+    A parsed record costs several times its JSON size in Python objects,
+    and forked pool workers inherit every cached page; bytes keep a full
+    cache small.
+    """
+    return json.dumps(record, separators=(",", ":")).encode("utf-8")
+
+
+def _decode_record(blob: bytes) -> Dict[str, Any]:
+    return json.loads(blob)
+
+
 class BatchEngine:
     """Parallel, cached, metered, fault-tolerant evaluation of requests."""
 
@@ -320,9 +334,11 @@ class BatchEngine:
                 # lookup counts as a hit, as it would when run serially.
                 self.counters.increment("deduplicated")
                 deduplicated += 1
-                record = self.cache.get(key)
-                if record is None:  # unreachable: no puts during this pass
+                blob = self.cache.get(key)
+                if blob is None:  # unreachable: no puts during this pass
                     record = seen_records[key]
+                else:
+                    record = _decode_record(blob)
                 entries[index] = self._entry_from_record(
                     index, key, record, cached=True, seconds=0.0
                 )
@@ -344,14 +360,15 @@ class BatchEngine:
                 replayed += 1
                 seen_records[key] = record
                 if self._cacheable(record):
-                    self.cache.put(key, record)
+                    self.cache.put(key, _encode_record(record))
                 entries[index] = self._entry_from_record(
                     index, key, record, cached=False, seconds=0.0,
                     replayed=True,
                 )
                 continue
-            hit = self.cache.get(key)
-            if hit is not None:
+            blob = self.cache.get(key)
+            if blob is not None:
+                hit = _decode_record(blob)
                 seen_records[key] = hit
                 entries[index] = self._entry_from_record(
                     index, key, hit, cached=True, seconds=0.0
@@ -389,7 +406,7 @@ class BatchEngine:
                 # "infeasible buffer" are as deterministic as any optimum.
                 # Transient errors (timeouts, crashes, open circuits) are
                 # infrastructure outcomes, not answers -- never cached.
-                self.cache.put(key, record)
+                self.cache.put(key, _encode_record(record))
             first, *rest = pending_indices[key]
             entries[first] = self._entry_from_record(
                 first, key, record, cached=False, seconds=seconds
@@ -995,7 +1012,7 @@ class BatchEngine:
         """
 
         items: List[Tuple[str, Dict[str, Any]]] = [
-            (key, value) for key, value in self.cache.items()
+            (key, _decode_record(blob)) for key, blob in self.cache.items()
         ]
         payload = {"version": CACHE_SCHEMA_VERSION, "entries": items}
         target = os.path.abspath(path)
@@ -1040,5 +1057,5 @@ class BatchEngine:
         if not isinstance(entries, list):
             raise ValueError(f"malformed cache file {path!r}")
         return self.cache.load(
-            (str(key), value) for key, value in entries
+            (str(key), _encode_record(value)) for key, value in entries
         )

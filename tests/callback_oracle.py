@@ -1,0 +1,298 @@
+"""Callback-based tile solvers: the reference oracle for the closed forms.
+
+Before the footprints were compiled into integer coefficients
+(:class:`repro.core.nra.TileConstraint`), every "largest feasible tile"
+probe bisected over a footprint callable that built and resolved a
+:class:`~repro.dataflow.tiling.Tiling`.  That solver is kept here, verbatim
+in behaviour, so the property tests can assert the closed forms return
+exactly the same candidate lists, NRA tiles and fused dataflows.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
+
+from repro.core.fusion import (
+    FusedPattern,
+    FusionMedium,
+    Role,
+    _private_orders,
+    _shared_order,
+)
+from repro.core.nra import NRACandidate, _evaluate, _other_dim
+from repro.dataflow.fusion_nest import FusedChain, FusedDataflow, fused_memory_access
+from repro.dataflow.scheduling import Schedule, stationary_schedule
+from repro.dataflow.spec import Dataflow, NRAClass
+from repro.dataflow.tiling import Tiling
+from repro.ir.operator import TensorOperator
+
+
+def max_feasible(
+    footprint: Callable[[int], int], upper: int, budget: int
+) -> Optional[int]:
+    """Largest ``t`` in [1, upper] with ``footprint(t) <= budget`` (bisection)."""
+    if upper < 1 or footprint(1) > budget:
+        return None
+    low, high = 1, upper
+    while low < high:
+        mid = (low + high + 1) // 2
+        if footprint(mid) <= budget:
+            low = mid
+        else:
+            high = mid - 1
+    return low
+
+
+def _ceil_div(numerator: int, denominator: int) -> int:
+    return -(-numerator // denominator)
+
+
+def pair_candidates(
+    footprint: Callable[[int, int], int],
+    upper_x: int,
+    upper_y: int,
+    budget: int,
+    max_trip_delta: int = 4,
+) -> List[Tuple[int, int]]:
+    """Candidate tile pairs, every probe a bisection over ``footprint``."""
+
+    def balanced(t: int) -> int:
+        return footprint(min(t, upper_x), min(t, upper_y))
+
+    base = max_feasible(balanced, max(upper_x, upper_y), budget)
+    if base is None:
+        return []
+    seeds: List[Tuple[int, int]] = []
+    tx = min(base, upper_x)
+    grown_y = max_feasible(lambda t: footprint(tx, t), upper_y, budget)
+    if grown_y is not None:
+        seeds.append((tx, grown_y))
+    ty = min(base, upper_y)
+    grown_x = max_feasible(lambda t: footprint(t, ty), upper_x, budget)
+    if grown_x is not None:
+        seeds.append((grown_x, ty))
+    if not seeds:
+        return []
+
+    candidates: set = set()
+
+    def snap(extent: int, tile: int) -> int:
+        return _ceil_div(extent, _ceil_div(extent, tile))
+
+    def add(tile_x: int, tile_y: int) -> None:
+        tile_x = max(1, min(tile_x, upper_x))
+        tile_y = max(1, min(tile_y, upper_y))
+        if footprint(tile_x, tile_y) <= budget:
+            candidates.add((tile_x, tile_y))
+
+    for seed_x, seed_y in seeds:
+        add(seed_x, seed_y)
+        trips_x = _ceil_div(upper_x, seed_x)
+        trips_y = _ceil_div(upper_y, seed_y)
+        for delta in range(max_trip_delta + 1):
+            tile_x = _ceil_div(upper_x, trips_x + delta)
+            regrown = max_feasible(
+                lambda t, tx=tile_x: footprint(tx, t), upper_y, budget
+            )
+            if regrown is not None:
+                add(tile_x, snap(upper_y, regrown))
+                add(tile_x, regrown)
+            tile_y = _ceil_div(upper_y, trips_y + delta)
+            regrown_x = max_feasible(
+                lambda t, ty=tile_y: footprint(t, ty), upper_x, budget
+            )
+            if regrown_x is not None:
+                add(snap(upper_x, regrown_x), tile_y)
+                add(regrown_x, tile_y)
+
+    def distinct_tiles(extent: int, cap: int):
+        values = []
+        trips = 1
+        while len(values) < cap:
+            tile = _ceil_div(extent, trips)
+            values.append(tile)
+            if tile == 1:
+                break
+            trips = _ceil_div(extent, tile - 1)
+        return values
+
+    sweep_cap = 96
+    if 2 * math.isqrt(upper_x) + 2 <= sweep_cap:
+        for tile_x in distinct_tiles(upper_x, sweep_cap):
+            grown = max_feasible(
+                lambda t, tx=tile_x: footprint(tx, t), upper_y, budget
+            )
+            if grown is not None:
+                add(tile_x, snap(upper_y, grown))
+                add(tile_x, grown)
+    if 2 * math.isqrt(upper_y) + 2 <= sweep_cap:
+        for tile_y in distinct_tiles(upper_y, sweep_cap):
+            grown_x = max_feasible(
+                lambda t, ty=tile_y: footprint(t, ty), upper_x, budget
+            )
+            if grown_x is not None:
+                add(snap(upper_x, grown_x), tile_y)
+                add(grown_x, tile_y)
+    return sorted(candidates)
+
+
+# ----------------------------------------------------------------------
+# NRA constructors
+# ----------------------------------------------------------------------
+def single_nra_pairs(
+    operator: TensorOperator, stationary: str, buffer_elems: int
+) -> List[Tuple[int, int]]:
+    dim_x, dim_y = operator.dims_of(stationary)
+    dim_z = _other_dim(operator, (dim_x, dim_y))
+
+    def footprint(tile_x: int, tile_y: int) -> int:
+        tiling = Tiling({dim_x: tile_x, dim_y: tile_y, dim_z: 1})
+        return tiling.buffer_footprint(operator)
+
+    return pair_candidates(
+        footprint, operator.dims[dim_x], operator.dims[dim_y], buffer_elems
+    )
+
+
+def single_nra(
+    operator: TensorOperator, stationary: str, buffer_elems: int
+) -> Optional[NRACandidate]:
+    dim_x, dim_y = operator.dims_of(stationary)
+    dim_z = _other_dim(operator, (dim_x, dim_y))
+    pairs = single_nra_pairs(operator, stationary, buffer_elems)
+    if not pairs:
+        return None
+    schedule = stationary_schedule(operator, stationary)
+    best: Optional[Tuple[int, Dataflow]] = None
+    for tile_x, tile_y in pairs:
+        dataflow = Dataflow(
+            Tiling({dim_x: tile_x, dim_y: tile_y, dim_z: 1}), schedule
+        )
+        total = _evaluate(operator, dataflow)
+        if best is None or total < best[0]:
+            best = (total, dataflow)
+    assert best is not None
+    return NRACandidate(
+        label=f"single[{stationary}]", nra=NRAClass.SINGLE, dataflow=best[1]
+    )
+
+
+def two_nra(
+    operator: TensorOperator,
+    untiled_dim: str,
+    maximized_dim: str,
+    buffer_elems: int,
+) -> Optional[NRACandidate]:
+    dim_y = _other_dim(operator, (untiled_dim, maximized_dim))
+
+    def tiling_for(tile_x: int) -> Tiling:
+        return Tiling(
+            {
+                untiled_dim: operator.dims[untiled_dim],
+                maximized_dim: tile_x,
+                dim_y: 1,
+            }
+        )
+
+    tile_x = max_feasible(
+        lambda t: tiling_for(t).buffer_footprint(operator),
+        operator.dims[maximized_dim],
+        buffer_elems,
+    )
+    if tile_x is None:
+        return None
+    return NRACandidate(
+        label=f"two[untile {untiled_dim}, max {maximized_dim}]",
+        nra=NRAClass.TWO,
+        dataflow=Dataflow(
+            tiling_for(tile_x), Schedule((maximized_dim, dim_y, untiled_dim))
+        ),
+    )
+
+
+# ----------------------------------------------------------------------
+# Fused patterns
+# ----------------------------------------------------------------------
+def solve_pattern(
+    chain: FusedChain,
+    pattern: FusedPattern,
+    buffer_elems: int,
+    medium: FusionMedium = FusionMedium.MEMORY,
+    register_elems: Optional[int] = None,
+    shared_order: Optional[Tuple[str, ...]] = None,
+) -> Optional[FusedDataflow]:
+    """The pattern solver with a capacity-footprint callback per probe."""
+    roles = pattern.roles
+    fixed: Dict[str, int] = {}
+    free: List[str] = []
+    for dim, role in roles.items():
+        if role is Role.UNTILE:
+            fixed[dim] = chain.global_dims[dim]
+        elif role is Role.MINIMIZE:
+            fixed[dim] = 1
+        else:
+            free.append(dim)
+    if shared_order is None:
+        shared_order = _shared_order(chain, roles)
+    private_orders = _private_orders(chain)
+    intermediates = tuple(t.name for t in chain.intermediates())
+    excluded = intermediates if medium is FusionMedium.COMPUTE_UNIT else ()
+
+    def build(tiles: Mapping[str, int]) -> FusedDataflow:
+        return FusedDataflow(
+            shared_order=shared_order,
+            private_orders=private_orders,
+            tiling=Tiling({**fixed, **tiles}),
+        )
+
+    def feasible(dataflow: FusedDataflow) -> bool:
+        if dataflow.buffer_footprint(chain, exclude=excluded) > buffer_elems:
+            return False
+        if medium is FusionMedium.COMPUTE_UNIT:
+            for name in intermediates:
+                if dataflow.tile_elements(chain, name) > register_elems:
+                    return False
+        return True
+
+    def capacity_footprint(dataflow: FusedDataflow) -> int:
+        footprint = dataflow.buffer_footprint(chain, exclude=excluded)
+        if medium is FusionMedium.COMPUTE_UNIT:
+            for name in intermediates:
+                tile = dataflow.tile_elements(chain, name)
+                if tile > register_elems:
+                    footprint = max(footprint, buffer_elems + tile)
+        return footprint
+
+    if not free:
+        dataflow = build({})
+        return dataflow if feasible(dataflow) else None
+    if len(free) == 1:
+        dim = free[0]
+        tile = max_feasible(
+            lambda t: capacity_footprint(build({dim: t})),
+            chain.global_dims[dim],
+            buffer_elems,
+        )
+        if tile is None:
+            return None
+        dataflow = build({dim: tile})
+        return dataflow if feasible(dataflow) else None
+    dim_x, dim_y = free
+    pairs = pair_candidates(
+        lambda x, y: capacity_footprint(build({dim_x: x, dim_y: y})),
+        chain.global_dims[dim_x],
+        chain.global_dims[dim_y],
+        buffer_elems,
+    )
+    best: Optional[Tuple[int, FusedDataflow]] = None
+    for tile_x, tile_y in pairs:
+        dataflow = build({dim_x: tile_x, dim_y: tile_y})
+        if not feasible(dataflow):
+            continue
+        report = fused_memory_access(chain, dataflow)
+        if not report.fusable:
+            continue
+        if best is None or report.total < best[0]:
+            best = (report.total, dataflow)
+    return None if best is None else best[1]

@@ -1,0 +1,146 @@
+"""The closed-form tile solvers equal the callback-based bisection oracle.
+
+:class:`repro.core.nra.TileConstraint` solves every "largest feasible
+tile" probe from integer footprint coefficients.  These properties pin
+that it returns exactly what the previous solver (kept in
+``callback_oracle.py``) returned: the same ``pair_candidates`` lists, the
+same Single-/Two-NRA tiles and the same fused-pattern dataflows, under
+both fusion media.
+"""
+
+import itertools
+
+from hypothesis import given, settings, strategies as st
+
+import callback_oracle as oracle
+from repro.core.fusion import (
+    FusionMedium,
+    cross_patterns,
+    profitable_patterns,
+    solve_pattern,
+)
+from repro.core.nra import (
+    TileConstraint,
+    _index_sets,
+    _other_dim,
+    _single_nra_impl,
+    _two_nra_impl,
+    pair_candidates,
+)
+from repro.dataflow.fusion_nest import FusedChain
+from repro.ir import Tensor, TensorOperator, matmul
+
+DIM_NAMES = ("M", "K", "L", "N", "P", "Q")
+TENSOR_NAMES = ("A", "B", "C", "X", "W", "Y")
+DTYPES = st.sampled_from((1, 2, 4))
+
+
+@st.composite
+def mm_like_ops(draw):
+    """MM-like operators with shuffled dim/tensor names and mixed dtypes."""
+    names = draw(st.permutations(DIM_NAMES))[:3]
+    extents = draw(st.lists(st.integers(1, 4096), min_size=3, max_size=3))
+    dims = dict(zip(names, extents))
+    pairs = [tuple(names[i] for i in pair) for pair in ((0, 1), (1, 2), (0, 2))]
+    pairs = [pair[::-1] if draw(st.booleans()) else pair for pair in pairs]
+    pairs = draw(st.permutations(pairs))
+    tensor_names = draw(st.permutations(TENSOR_NAMES))[:3]
+    tensors = [
+        Tensor(name, tuple(dims[d] for d in pair), draw(DTYPES))
+        for name, pair in zip(tensor_names, pairs)
+    ]
+    output = tensors[2]
+    return TensorOperator(
+        name="op",
+        dims=dims,
+        inputs=tuple(tensors[:2]),
+        output=output,
+        indexing={t.name: pair for t, pair in zip(tensors, pairs)},
+        reduction_dims=frozenset(set(names) - set(pairs[2])),
+    )
+
+
+@st.composite
+def two_op_chains(draw):
+    """Producer/consumer matmul pairs; the intermediate feeds A or B."""
+    m, k, l, n = draw(st.lists(st.integers(1, 160), min_size=4, max_size=4))
+    op1 = matmul("mm1", m, k, l, dtype_bytes=draw(DTYPES))
+    if draw(st.booleans()):
+        op2 = matmul("mm2", m, l, n, a=op1.output, dtype_bytes=draw(DTYPES))
+    else:
+        op2 = matmul("mm2", n, m, l, b=op1.output, dtype_bytes=draw(DTYPES))
+    return op1, op2
+
+
+class TestCoefficientSolver:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 40),
+                st.integers(0, 40),
+                st.integers(0, 40),
+                st.integers(0, 200),
+                st.integers(0, 1 << 20),
+            ).map(lambda coefficients: TileConstraint(*coefficients)),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(1, 4096),
+        st.integers(1, 4096),
+    )
+    def test_pair_candidates_match_bisection(self, constraints, upper_x, upper_y):
+        def footprint(x, y):
+            return 0 if all(c.fits(x, y) for c in constraints) else 1
+
+        assert pair_candidates(constraints, upper_x, upper_y) == (
+            oracle.pair_candidates(footprint, upper_x, upper_y, 0)
+        )
+
+
+class TestNRATiles:
+    @settings(max_examples=120, deadline=None)
+    @given(mm_like_ops(), st.integers(1, 1 << 21))
+    def test_single_and_two_nra_match_oracle(self, operator, buffer_elems):
+        for tensor in operator.tensors:
+            dim_x, dim_y = operator.dims_of(tensor.name)
+            dim_z = _other_dim(operator, (dim_x, dim_y))
+            constraint = TileConstraint.from_footprint(
+                _index_sets(operator), {dim_z: 1}, dim_x, dim_y, buffer_elems
+            )
+            assert pair_candidates(
+                (constraint,), operator.dims[dim_x], operator.dims[dim_y]
+            ) == oracle.single_nra_pairs(operator, tensor.name, buffer_elems)
+            assert _single_nra_impl(
+                operator, tensor.name, buffer_elems
+            ) == oracle.single_nra(operator, tensor.name, buffer_elems)
+        for untiled, maximized in itertools.permutations(operator.dim_names, 2):
+            assert _two_nra_impl(
+                operator, untiled, maximized, buffer_elems
+            ) == oracle.two_nra(operator, untiled, maximized, buffer_elems)
+
+
+class TestFusedPatterns:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        two_op_chains(),
+        st.integers(0, 13),
+        st.integers(1, 1 << 18),
+        st.integers(1, 1 << 14),
+    )
+    def test_solve_pattern_matches_oracle(
+        self, ops, pattern_index, buffer_elems, register_elems
+    ):
+        chain = FusedChain.from_ops(ops)
+        patterns = profitable_patterns(chain) + cross_patterns(chain)
+        pattern = patterns[pattern_index % len(patterns)]
+        for medium in (FusionMedium.MEMORY, FusionMedium.COMPUTE_UNIT):
+            for order in itertools.permutations(chain.common_dims):
+                kwargs = dict(
+                    medium=medium,
+                    register_elems=register_elems,
+                    shared_order=order,
+                )
+                assert solve_pattern(
+                    chain, pattern, buffer_elems, **kwargs
+                ) == oracle.solve_pattern(chain, pattern, buffer_elems, **kwargs)

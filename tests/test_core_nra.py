@@ -14,7 +14,7 @@ from repro.core import (
     three_nra,
     two_nra,
 )
-from repro.core.nra import max_feasible, max_feasible_pair, pair_candidates
+from repro.core.nra import TileConstraint, max_feasible, pair_candidates
 from repro.dataflow import NRAClass, memory_access
 from repro.ir import Tensor, elementwise, matmul, rowwise_softmax
 
@@ -44,31 +44,47 @@ class TestSolvers:
         assert max_feasible(lambda t: t + 100, 10, 50) is None
 
     def test_pair_candidates_respect_budget(self):
-        def footprint(x, y):
-            return x * y + x + y
-
-        for x, y in pair_candidates(footprint, 64, 64, 500):
-            assert footprint(x, y) <= 500
+        # x*y + x + y <= 500
+        constraint = TileConstraint(1, 1, 1, 0, 500)
+        for x, y in pair_candidates((constraint,), 64, 64):
+            assert x * y + x + y <= 500
             assert 1 <= x <= 64 and 1 <= y <= 64
 
-    def test_max_feasible_pair_balanced(self):
-        def footprint(x, y):
-            return x * y + x + y
-
-        pair = max_feasible_pair(footprint, 1000, 1000, 1000)
-        assert pair is not None
-        assert abs(pair[0] - pair[1]) <= 5  # near balanced
-
-    def test_max_feasible_pair_clamps_and_grows(self):
-        def footprint(x, y):
-            return x * y + x + y
-
-        pair = max_feasible_pair(footprint, 4, 1000, 1000)
-        assert pair is not None
-        assert pair[0] == 4 and pair[1] > 100
+    def test_pair_candidates_respect_every_constraint(self):
+        footprint = TileConstraint(1, 1, 1, 0, 1000)
+        register = TileConstraint(1, 0, 0, 0, 64)  # x*y <= 64
+        pairs = pair_candidates((footprint, register), 1000, 1000)
+        assert pairs
+        for x, y in pairs:
+            assert x * y + x + y <= 1000 and x * y <= 64
 
     def test_pair_infeasible(self):
-        assert max_feasible_pair(lambda x, y: x * y + 100, 10, 10, 50) is None
+        assert pair_candidates((TileConstraint(1, 0, 0, 100, 50),), 10, 10) == []
+
+    def test_coefficients_from_footprint(self):
+        # C[M,L] stationary with K minimized: A[M,K] + B[K,L] + C[M,L]
+        # = x*y + x + y over (x, y) = (T_M, T_L).
+        constraint = TileConstraint.from_footprint(
+            [("M", "K"), ("K", "L"), ("M", "L")], {"K": 1}, "M", "L", 99
+        )
+        assert constraint == TileConstraint(1, 1, 1, 0, 99)
+        # K untiled (48), M grown, L minimized: 48*x + 48 + x.
+        constraint = TileConstraint.from_footprint(
+            [("M", "K"), ("K", "L"), ("M", "L")],
+            {"K": 48, "L": 1},
+            "M",
+            None,
+            99,
+        )
+        assert constraint == TileConstraint(0, 49, 0, 48, 99)
+
+    def test_closed_form_probes(self):
+        constraint = TileConstraint(1, 1, 1, 0, 500)
+        assert constraint.max_y(10, 1000) == 44  # 10y + 10 + y <= 500
+        assert constraint.max_x(10, 30) == 30  # clamped to the extent
+        assert constraint.max_y(499, 1000) is None  # y = 1 overflows
+        assert constraint.max_balanced(1000, 1000) == 21  # t^2 + 2t <= 500
+        assert constraint.max_balanced(4, 1000) == 99  # 4y + 4 + y <= 500
 
 
 class TestSingleNRA:
