@@ -112,24 +112,21 @@ def bench_batch(batch_requests: int, jobs: int) -> Dict[str, Any]:
 def bench_dag_plan(repeats: int) -> Dict[str, Any]:
     """Cold vs warm DAG planning: the memoization delta.
 
-    ``cold`` drops the shared intra/fused/NRA caches before every call;
+    ``cold`` clears the analysis memo (NRA/intra/fused tables) before every call;
     ``warm`` reuses them -- the planner's steady state inside sweeps,
     the enumerative baseline, and the serving tier, where identical
     segments recur across candidate partitions.  The cold/warm ratio is
     the measured payoff of routing ``segment_cost`` through
-    :mod:`repro.service.intra_cache`.
+    :mod:`repro.core.memo`.
     """
 
-    from .core.nra import clear_nra_cache
+    from .core.memo import clear_memo
     from .plan import plan_dag, scenario_graph
-    from .service.intra_cache import clear_fused_cache, clear_intra_cache
 
     graph = scenario_graph(PLAN_SCENARIO)
 
     def cold() -> None:
-        clear_intra_cache()
-        clear_fused_cache()
-        clear_nra_cache()
+        clear_memo()
         plan_dag(graph, PLAN_BUFFER_ELEMS)
 
     def warm() -> None:

@@ -10,9 +10,15 @@ Public surface:
 * :func:`~repro.core.lower_bound.intra_lower_bound` /
   :func:`~repro.core.lower_bound.graph_lower_bound` -- communication bounds.
 * :func:`~repro.core.regimes.classify_buffer` -- the four buffer regimes.
+* :func:`~repro.core.memo.memo_stats` / :func:`~repro.core.memo.clear_memo`
+  -- the process-wide analysis memo.
 """
 
 from ..ir.operator import InvalidWorkloadError, validate_buffer_elems
+
+# First: ``nra`` reads its table from ``memo`` at call time, while ``memo``
+# imports the optimizers that import ``nra``.
+from .memo import cached_optimize_fused, cached_optimize_intra, clear_memo, memo_stats
 from .regimes import BufferRegime, RegimeReport, classify_buffer
 from .nra import (
     NRACandidate,
@@ -76,6 +82,10 @@ from .lower_bound import (
 )
 
 __all__ = [
+    "cached_optimize_fused",
+    "cached_optimize_intra",
+    "clear_memo",
+    "memo_stats",
     "explain_fusion",
     "explain_intra",
     "FusionMedium",

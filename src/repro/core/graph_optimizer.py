@@ -25,6 +25,7 @@ from ..ir.operator import TensorOperator
 from ..dataflow.cost import PartialSumConvention
 from .fusion import FusedResult, FusionMedium
 from .intra import InfeasibleError, IntraResult
+from .memo import cached_optimize_fused, cached_optimize_intra
 from .nra import UnsupportedOperatorError
 from .principles import principle4_same_nra
 
@@ -96,17 +97,13 @@ def segment_cost(
 
     A length-1 segment costs its intra-operator optimum; longer segments
     cost their best fused dataflow (gated by ``fusion_predicate`` when
-    one is set).  Results are memoized through the process-wide caches in
-    :mod:`repro.service.intra_cache` -- identical segments recur across
-    chains, scenarios, and every candidate partition the DAG planners
-    evaluate, so the planner's hot path is a cache lookup.  The import is
-    lazy to keep :mod:`repro.core` free of module-level service imports
-    (same discipline as the ``certify=`` paths).
+    one is set).  Results are memoized in :mod:`repro.core.memo` --
+    identical segments recur across chains, scenarios, and every candidate
+    partition the DAG planners evaluate, so the planner's hot path is a
+    table lookup.
     """
 
     if len(ops) == 1:
-        from ..service.intra_cache import cached_optimize_intra
-
         try:
             return cached_optimize_intra(ops[0], buffer_elems, convention)
         except (UnsupportedOperatorError, InfeasibleError):
@@ -114,8 +111,6 @@ def segment_cost(
     if fusion_predicate is not None:
         if not all(fusion_predicate(a, b) for a, b in zip(ops, ops[1:])):
             return None
-    from ..service.intra_cache import cached_optimize_fused
-
     return cached_optimize_fused(
         ops, buffer_elems, convention=convention,
         medium=medium, register_elems=register_elems,

@@ -23,17 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.operator import TensorOperator
-from ..ir.tensor import Tensor
 from ..dataflow.scheduling import Schedule, stationary_schedule
 from ..dataflow.spec import Dataflow, NRAClass
 from ..dataflow.tiling import Tiling
-
-#: Bound of the process-wide closed-form lookup cache (entries).
-NRA_CACHE_SIZE = 16384
+from . import memo
 
 
 class UnsupportedOperatorError(ValueError):
@@ -355,6 +351,20 @@ class NRACandidate:
         return f"{self.label}: {self.dataflow.describe(operator)}"
 
 
+#: Labels of the candidates that name a tensor (Two-NRA labels name dims).
+_SINGLE_LABEL = "single[{}]"
+_THREE_LABEL = "three[resident {}]"
+
+
+def rename_label(label: str, renames: Mapping[str, str]) -> str:
+    """``label`` with the tensor it names mapped through ``renames``."""
+    for template in (_SINGLE_LABEL, _THREE_LABEL):
+        for old, new in renames.items():
+            if label == template.format(old):
+                return template.format(new)
+    return label
+
+
 def _index_sets(operator: TensorOperator) -> List[Tuple[str, ...]]:
     return [operator.dims_of(tensor.name) for tensor in operator.tensors]
 
@@ -385,7 +395,7 @@ def _single_nra_impl(
             best = (total, dataflow)
     assert best is not None
     return NRACandidate(
-        label=f"single[{stationary}]",
+        label=_SINGLE_LABEL.format(stationary),
         nra=NRAClass.SINGLE,
         dataflow=best[1],
     )
@@ -442,7 +452,7 @@ def _three_nra_impl(
         return None
     schedule = Schedule((dim_z, dim_x, dim_y))
     return NRACandidate(
-        label=f"three[resident {resident}]",
+        label=_THREE_LABEL.format(resident),
         nra=NRAClass.THREE,
         dataflow=Dataflow(tiling, schedule),
     )
@@ -451,70 +461,14 @@ def _three_nra_impl(
 # ----------------------------------------------------------------------
 # Memoized public lookups
 # ----------------------------------------------------------------------
-# :class:`TensorOperator` holds dict fields and is not hashable, so the
-# ``functools.lru_cache`` below keys on a structural description instead
-# and rebuilds an equivalent operator inside the cached call.  Candidates
-# only reference dim names, tensor names, and tile sizes -- all part of
-# the key -- so one cached :class:`NRACandidate` is valid for every
-# operator with the same structure (sweeps ask for the same shapes at the
-# same buffer sizes thousands of times).
-def _operator_key(operator: TensorOperator) -> Tuple:
-    tensors = operator.tensors
-    return (
-        tuple(operator.dims.items()),
-        tuple(
-            (tensor.name, tuple(operator.indexing[tensor.name]), tensor.dtype_bytes)
-            for tensor in tensors
-        ),
-        tuple(sorted(operator.reduction_dims)),
-        operator.count,
-        operator.flops_per_point,
-    )
-
-
-def _operator_from_key(key: Tuple) -> TensorOperator:
-    dims_items, tensor_specs, reductions, count, flops = key
-    dims = dict(dims_items)
-    tensors = [
-        Tensor(name, tuple(dims[dim] for dim in index_dims), dtype_bytes)
-        for name, index_dims, dtype_bytes in tensor_specs
-    ]
-    return TensorOperator(
-        name="nra-cache",
-        dims=dims,
-        inputs=tuple(tensors[:-1]),
-        output=tensors[-1],
-        indexing={name: tuple(index_dims) for name, index_dims, _ in tensor_specs},
-        reduction_dims=frozenset(reductions),
-        count=count,
-        flops_per_point=flops,
-    )
-
-
-@lru_cache(maxsize=NRA_CACHE_SIZE)
-def _cached_closed_form(
-    kind: str,
-    key: Tuple,
-    arg_x: str,
-    arg_y: Optional[str],
-    buffer_elems: int,
-) -> Optional[NRACandidate]:
-    operator = _operator_from_key(key)
-    if kind == "single":
-        return _single_nra_impl(operator, arg_x, buffer_elems)
-    if kind == "two":
-        return _two_nra_impl(operator, arg_x, arg_y, buffer_elems)
-    return _three_nra_impl(operator, arg_x, buffer_elems)
-
-
-def nra_cache_info():
-    """``functools.lru_cache`` counters of the closed-form lookup cache."""
-    return _cached_closed_form.cache_info()
-
-
-def clear_nra_cache() -> None:
-    """Drop all cached closed-form lookups (mainly for tests/benchmarks)."""
-    _cached_closed_form.cache_clear()
+# Candidates only reference dim names, tensor names, and tile sizes -- all
+# part of :func:`repro.core.memo.nra_key` -- so one memoized
+# :class:`NRACandidate` is valid for every operator with the same structure
+# (sweeps ask for the same shapes at the same buffer sizes thousands of
+# times).  A miss computes with the caller's own operator.
+def nra_cache_info() -> memo.CacheStats:
+    """Counters of the memo's closed-form ``nra`` table."""
+    return memo.memo_stats()["nra"]
 
 
 def single_nra(
@@ -528,8 +482,10 @@ def single_nra(
     """
 
     _require_mm_like(operator)
-    return _cached_closed_form(
-        "single", _operator_key(operator), stationary, None, buffer_elems
+    return memo.memoized(
+        "nra",
+        memo.nra_key(operator, "single", stationary, buffer_elems),
+        lambda: _single_nra_impl(operator, stationary, buffer_elems),
     )
 
 
@@ -549,8 +505,10 @@ def two_nra(
     _require_mm_like(operator)
     if untiled_dim == maximized_dim:
         raise ValueError("untiled and maximized dims must differ")
-    return _cached_closed_form(
-        "two", _operator_key(operator), untiled_dim, maximized_dim, buffer_elems
+    return memo.memoized(
+        "nra",
+        memo.nra_key(operator, "two", untiled_dim, maximized_dim, buffer_elems),
+        lambda: _two_nra_impl(operator, untiled_dim, maximized_dim, buffer_elems),
     )
 
 
@@ -565,8 +523,10 @@ def three_nra(
     """
 
     _require_mm_like(operator)
-    return _cached_closed_form(
-        "three", _operator_key(operator), resident, None, buffer_elems
+    return memo.memoized(
+        "nra",
+        memo.nra_key(operator, "three", resident, buffer_elems),
+        lambda: _three_nra_impl(operator, resident, buffer_elems),
     )
 
 

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..ir.operator import TensorOperator
 from ..core.regimes import classify_buffer
-from ..service.intra_cache import cached_optimize_intra
+from ..core.memo import cached_optimize_intra
 from ..search.exhaustive import exhaustive_search
 from ..search.genetic import GASettings, genetic_search
 from ..arch.memory import PAPER_BUFFER_SWEEP_BYTES
@@ -99,7 +99,7 @@ def run_fig9(
         ideal = operator.ideal_memory_access()
         for buffer_bytes in buffer_sweep_bytes:
             buffer_elems = buffer_bytes  # 1-byte elements (paper accounting)
-            # Shared service cache: repeated (dims, buffer) tuples across
+            # Shared analysis memo: repeated (dims, buffer) tuples across
             # operators and harnesses are optimized once per process.
             result = cached_optimize_intra(operator, buffer_elems)
             certified: Optional[bool] = None

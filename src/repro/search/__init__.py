@@ -9,7 +9,6 @@ evaluation-count gap between one-shot principles and black-box search.
 from .space import SearchResult, power_of_two_tiles, space_size, tile_grid
 from .exhaustive import exhaustive_search
 from .genetic import GAResult, GASettings, GeneticOptimizer, genetic_search
-from .annealing import AnnealingResult, AnnealingSettings, annealing_search
 from .branch_bound import FusedBBResult, branch_and_bound_fused_search, branch_and_bound_search
 from .fusion_search import (
     FusedSearchResult,
@@ -25,9 +24,6 @@ __all__ = [
     "FusedBBResult",
     "branch_and_bound_fused_search",
     "branch_and_bound_search",
-    "AnnealingResult",
-    "AnnealingSettings",
-    "annealing_search",
     "SearchResult",
     "power_of_two_tiles",
     "space_size",

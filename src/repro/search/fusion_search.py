@@ -23,7 +23,7 @@ from ..dataflow.fusion_nest import (
     fused_memory_access,
 )
 from ..dataflow.tiling import Tiling
-from ..service.intra_cache import cached_optimize_intra
+from ..core.memo import cached_optimize_intra
 from .space import power_of_two_tiles
 
 
@@ -217,8 +217,8 @@ def genetic_fused_search(
 class SearchedFusionDecision:
     """Searched fused optimum vs. the chain's unfused optima.
 
-    The unfused reference comes from the process-wide intra-operator cache
-    (:mod:`repro.service.intra_cache`): a DSE study asking about many fused
+    The unfused reference comes from the process-wide analysis memo
+    (:mod:`repro.core.memo`): a DSE study asking about many fused
     chains over the same operator shapes computes each (dims, buffer)
     intra optimum exactly once.
     """

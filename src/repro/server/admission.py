@@ -27,7 +27,7 @@ import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, Optional
 
-from ..service.cache import LRUCache
+from ..core.memo import LRUCache
 
 
 def jittered_retry_after(

@@ -36,8 +36,8 @@ import threading
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
+from ..core.memo import memo_stats
 from ..service.engine import BatchEngine, EngineConfig
-from ..service.intra_cache import intra_cache_stats
 from ..service.journal import BatchJournal
 from ..service.metrics import CounterRegistry, LatencyReservoir, Stopwatch
 from ..service.report import BatchReport
@@ -557,7 +557,7 @@ class ServerApp:
             "admission": self.admission.snapshot(),
             "latency": self.latency.summary(),
             "cache": self._base.cache.stats().as_dict(),
-            "intra_cache": intra_cache_stats().as_dict(),
+            "intra_cache": memo_stats()["intra"].as_dict(),
             "engine_counters": self._base.counters.as_dict(),
             "breaker": self._base.breaker.snapshot(),
             "certification": {

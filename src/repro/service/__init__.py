@@ -2,7 +2,7 @@
 
 The serving substrate over the analysis layers below it: structured
 requests (:mod:`~repro.service.requests`) are content-addressed, answered
-from a bounded LRU result cache (:mod:`~repro.service.cache`), fanned out
+from a bounded LRU result cache (:class:`~repro.core.memo.LRUCache`), fanned out
 across a thread/process pool with deterministic ordering and per-request
 error capture (:mod:`~repro.service.engine` / :mod:`~repro.service.workers`),
 and metered end to end (:mod:`~repro.service.metrics`,
@@ -18,9 +18,10 @@ batches survive *process death*: completions are checkpointed to a
 fsync'd write-ahead journal, resumed runs replay them into a
 byte-identical result stream, and SIGINT/SIGTERM drain gracefully into
 a resumable state.
-:mod:`~repro.service.intra_cache` shares
-intra-operator optima process-wide so sweeps and DSE baselines stop
-recomputing identical (dims, buffer) problems.
+:mod:`~repro.service.intra_cache` reports the counters of the analysis
+memo (:mod:`repro.core.memo`), which shares intra-operator and fused
+optima process-wide so sweeps and DSE baselines stop recomputing
+identical (dims, buffer) problems.
 
 Quick start::
 
@@ -33,7 +34,7 @@ Quick start::
     print(report.render_text())
 """
 
-from .cache import CacheStats, LRUCache
+from ..core.memo import CacheStats, LRUCache
 from .engine import (
     CACHE_SCHEMA_VERSION,
     EXECUTORS,
@@ -97,18 +98,7 @@ from .locking import (
     unlock_handle,
 )
 from .shutdown import RESUMABLE_EXIT_CODE, ShutdownRequested, shutdown_guard
-from .intra_cache import (
-    DEFAULT_FUSED_CACHE_SIZE,
-    DEFAULT_INTRA_CACHE_SIZE,
-    cached_optimize_fused,
-    cached_optimize_intra,
-    clear_fused_cache,
-    clear_intra_cache,
-    configure_intra_cache,
-    fused_cache_stats,
-    intra_cache_stats,
-    operator_signature,
-)
+from .intra_cache import fused_cache_stats, intra_cache_stats
 from .metrics import CounterRegistry, LatencyReservoir, Stopwatch
 from .report import BatchEntry, BatchReport
 from .requests import (
@@ -144,8 +134,6 @@ __all__ = [
     "CircuitOpenError",
     "CorruptResultError",
     "CounterRegistry",
-    "DEFAULT_FUSED_CACHE_SIZE",
-    "DEFAULT_INTRA_CACHE_SIZE",
     "Deadline",
     "DeadlineExceededError",
     "EngineConfig",
@@ -187,13 +175,8 @@ __all__ = [
     "WorkerCrashError",
     "active_fault_plan",
     "apply_paranoid",
-    "cached_optimize_fused",
-    "cached_optimize_intra",
     "classify_error_name",
     "classify_exception",
-    "clear_fused_cache",
-    "clear_intra_cache",
-    "configure_intra_cache",
     "dag_plan_request",
     "error_record",
     "execute_request",
@@ -205,7 +188,6 @@ __all__ = [
     "intra_cache_stats",
     "intra_request",
     "lock_handle",
-    "operator_signature",
     "parse_fault_spec",
     "parse_request",
     "platform_compare_request",

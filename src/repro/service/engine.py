@@ -54,7 +54,7 @@ from typing import (
     Union,
 )
 
-from .cache import CacheStats, LRUCache
+from ..core.memo import CacheStats, LRUCache
 from .errors import PERMANENT, TRANSIENT, record_category
 from .faults import active_fault_plan
 from .journal import BatchJournal

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from .cache import CacheStats
+from ..core.memo import CacheStats
 from .metrics import LatencyReservoir
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from repro.ir import matmul
+from repro.ir import Tensor, TensorOperator, matmul
 
 # ----------------------------------------------------------------------
 # Hypothesis profiles: deterministic by default
@@ -56,6 +56,36 @@ def mm_ops(min_dim: int = 2, max_dim: int = 96):
     """Random matmul operators."""
     return mm_dims(min_dim, max_dim).map(
         lambda dims: matmul("op", dims[0], dims[1], dims[2])
+    )
+
+
+DIM_NAMES = ("M", "K", "L", "N", "P", "Q")
+TENSOR_NAMES = ("A", "B", "C", "X", "W", "Y")
+DTYPES = st.sampled_from((1, 2, 4))
+
+
+@st.composite
+def mm_like_ops(draw):
+    """MM-like operators with shuffled dim/tensor names and mixed dtypes."""
+    names = draw(st.permutations(DIM_NAMES))[:3]
+    extents = draw(st.lists(st.integers(1, 4096), min_size=3, max_size=3))
+    dims = dict(zip(names, extents))
+    pairs = [tuple(names[i] for i in pair) for pair in ((0, 1), (1, 2), (0, 2))]
+    pairs = [pair[::-1] if draw(st.booleans()) else pair for pair in pairs]
+    pairs = draw(st.permutations(pairs))
+    tensor_names = draw(st.permutations(TENSOR_NAMES))[:3]
+    tensors = [
+        Tensor(name, tuple(dims[d] for d in pair), draw(DTYPES))
+        for name, pair in zip(tensor_names, pairs)
+    ]
+    output = tensors[2]
+    return TensorOperator(
+        name="op",
+        dims=dims,
+        inputs=tuple(tensors[:2]),
+        output=output,
+        indexing={t.name: pair for t, pair in zip(tensors, pairs)},
+        reduction_dims=frozenset(set(names) - set(pairs[2])),
     )
 
 

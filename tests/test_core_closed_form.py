@@ -13,6 +13,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 import callback_oracle as oracle
+from conftest import DTYPES, mm_like_ops
 from repro.core.fusion import (
     FusionMedium,
     cross_patterns,
@@ -28,37 +29,7 @@ from repro.core.nra import (
     pair_candidates,
 )
 from repro.dataflow.fusion_nest import FusedChain
-from repro.ir import Tensor, TensorOperator, matmul
-
-DIM_NAMES = ("M", "K", "L", "N", "P", "Q")
-TENSOR_NAMES = ("A", "B", "C", "X", "W", "Y")
-DTYPES = st.sampled_from((1, 2, 4))
-
-
-@st.composite
-def mm_like_ops(draw):
-    """MM-like operators with shuffled dim/tensor names and mixed dtypes."""
-    names = draw(st.permutations(DIM_NAMES))[:3]
-    extents = draw(st.lists(st.integers(1, 4096), min_size=3, max_size=3))
-    dims = dict(zip(names, extents))
-    pairs = [tuple(names[i] for i in pair) for pair in ((0, 1), (1, 2), (0, 2))]
-    pairs = [pair[::-1] if draw(st.booleans()) else pair for pair in pairs]
-    pairs = draw(st.permutations(pairs))
-    tensor_names = draw(st.permutations(TENSOR_NAMES))[:3]
-    tensors = [
-        Tensor(name, tuple(dims[d] for d in pair), draw(DTYPES))
-        for name, pair in zip(tensor_names, pairs)
-    ]
-    output = tensors[2]
-    return TensorOperator(
-        name="op",
-        dims=dims,
-        inputs=tuple(tensors[:2]),
-        output=output,
-        indexing={t.name: pair for t, pair in zip(tensors, pairs)},
-        reduction_dims=frozenset(set(names) - set(pairs[2])),
-    )
-
+from repro.ir import matmul
 
 @st.composite
 def two_op_chains(draw):

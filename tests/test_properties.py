@@ -4,7 +4,7 @@ These tie the library's pieces together with randomized checks that would
 each falsify a paper claim if they ever failed:
 
 * the principle optimum is a true lower bound over the modeled space
-  (never beaten by any random feasible dataflow, nor by annealing);
+  (never beaten by any random feasible dataflow);
 * fusing never increases the infinite-buffer floor, and fused MA is
   bounded below by the fused ideal;
 * regimes, curves, and inverse queries are mutually consistent;
@@ -35,7 +35,6 @@ from repro.dataflow import (
     memory_access,
 )
 from repro.ir import matmul
-from repro.search import AnnealingSettings, annealing_search
 
 
 class TestLowerBoundProperty:
@@ -54,18 +53,6 @@ class TestLowerBoundProperty:
         random_ma = memory_access(op, dataflow).total
         principled = optimize_intra(op, budget).memory_access
         assert principled <= random_ma
-
-    @given(mm_ops(min_dim=4, max_dim=40), st.integers(50, 4000))
-    @settings(max_examples=10, deadline=None)
-    def test_annealing_never_beats_principles(self, op, budget):
-        try:
-            principled = optimize_intra(op, budget).memory_access
-        except InfeasibleError:
-            return
-        annealed = annealing_search(
-            op, budget, AnnealingSettings(steps=600, seed=3)
-        ).memory_access
-        assert principled <= annealed
 
     @given(mm_ops(min_dim=3, max_dim=48), st.integers(16, 8000))
     @settings(max_examples=60, deadline=None)

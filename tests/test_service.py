@@ -5,18 +5,16 @@ import json
 import pytest
 
 from repro.core import optimize_intra
+from repro.core.memo import cached_optimize_intra, clear_memo, operator_signature
 from repro.ir import matmul
 from repro.service import (
     BatchEngine,
     EngineConfig,
     LRUCache,
     RequestError,
-    cached_optimize_intra,
-    clear_intra_cache,
     fusion_request,
     intra_cache_stats,
     intra_request,
-    operator_signature,
     parse_request,
     request_key,
     sweep_point_request,
@@ -291,9 +289,9 @@ class TestBatchEngine:
 class TestIntraCache:
     @pytest.fixture(autouse=True)
     def _fresh_cache(self):
-        clear_intra_cache()
+        clear_memo()
         yield
-        clear_intra_cache()
+        clear_memo()
 
     def test_matches_uncached(self):
         op = matmul("mm", 96, 64, 80)
