@@ -1210,11 +1210,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     force-quits, matching ``repro batch`` semantics.
     """
 
-    import os
-
     from .server import ReproServer, ServerConfig
     from .server.protocol import PROTOCOL_VERSION
     from .service import FileLock, FileLockedError, shutdown_guard
+    from .shard import ShardBootError, ShardedServer
 
     failure = _arm_fault_injection(args.inject_faults)
     if failure is not None:
@@ -1240,6 +1239,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_deadline=args.max_deadline,
             paranoid=args.paranoid,
             journal_path=args.journal,
+            cache_file=args.cache_file,
             compact_max_records=args.compact_max_records,
             compact_max_bytes=args.compact_max_bytes,
             verbose=args.verbose,
@@ -1261,40 +1261,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     try:
-        if sharded:
-            from .shard import ShardBootError, ShardedServer
-
-            try:
+        try:
+            if sharded:
                 server = ShardedServer(
                     config,
                     shards=args.shards,
-                    cache_file=args.cache_file,
                     start_method=args.start_method,
                 )
-            except (ShardBootError, ValueError, OSError) as exc:
-                print(f"error: cannot start server: {exc}", file=sys.stderr)
-                return 2
-        else:
-            try:
+            else:
                 server = ReproServer(config)
-            except (ValueError, OSError) as exc:
-                print(f"error: cannot start server: {exc}", file=sys.stderr)
-                return 2
-            if args.cache_file and os.path.exists(args.cache_file):
-                try:
-                    loaded = server.app.load_cache(args.cache_file)
-                    print(
-                        f"repro serve: warmed {loaded} cache entr"
-                        f"{'y' if loaded == 1 else 'ies'} from "
-                        f"{args.cache_file}",
-                        file=sys.stderr,
-                    )
-                except (ValueError, OSError, KeyError, TypeError) as exc:
-                    print(
-                        f"warning: ignoring unreadable cache file "
-                        f"{args.cache_file} ({exc})",
-                        file=sys.stderr,
-                    )
+        except (ShardBootError, ValueError, OSError) as exc:
+            print(f"error: cannot start server: {exc}", file=sys.stderr)
+            return 2
         server.start()
         # The "listening" line is the startup contract: scripts (and the
         # CI smoke step) parse the bound address from it, which is how an
@@ -1318,21 +1296,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             stop.wait()
         if sharded:
             # Read counters while the fleet is still up; the drain below
-            # stops the workers (they save their own per-shard caches).
+            # stops the workers.
             stats = server.app.stats_dict()
-            drained = server.shutdown(drain=True)
-            served = stats["serving"].get("requests_served", 0)
-        else:
-            drained = server.shutdown(drain=True)
-            if args.cache_file:
-                saved = server.app.save_cache(args.cache_file)
-                print(
-                    f"repro serve: saved {saved} cache entries to "
-                    f"{args.cache_file}",
-                    file=sys.stderr,
-                )
+        drained = server.shutdown(drain=True)
+        if not sharded:
             stats = server.app.stats_dict()
-            served = stats["serving"].get("requests_served", 0)
+        served = stats["serving"].get("requests_served", 0)
         print(
             "repro serve: drained and stopped "
             f"(analyze_calls={stats['serving'].get('analyze_calls', 0)}, "

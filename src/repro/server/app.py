@@ -1,15 +1,23 @@
-"""The serving application: routes, engine wiring, drain, observability.
+"""The serving front door and its single-process backend.
 
-:class:`ServerApp` is the daemon's brain.  It owns exactly one result
-cache, one intra-operator cache (process-wide already), one circuit
-breaker, and one counter registry -- shared by every request -- while
-each ``POST /v1/analyze`` call gets a lightweight
-:class:`~repro.service.engine.BatchEngine` facade over that shared state
-so per-request knobs (the deadline) never race between calls.  Requests
-ride the exact schemas and content keys of :mod:`repro.service.requests`,
-so a result served over the wire is byte-identical to the same analysis
-run through ``run_batch`` directly, and the LRU cache keeps earning
-across calls.
+:class:`FrontDoor` is the one HTTP contract every tier answers the same
+way: which bodies ``POST /v1/analyze`` accepts, how errors and drains
+are reported, and which bytes come back.  Two backends sit behind it:
+
+* :class:`ServerApp` (this module) runs payloads in process.  It owns
+  exactly one result cache, one circuit breaker and one counter
+  registry, shared by every request, while each analyze call gets a
+  lightweight :class:`~repro.service.engine.BatchEngine` facade over
+  that shared state so per-request knobs (the deadline) never race
+  between calls.
+* :class:`~repro.shard.router.ShardedApp` routes them to worker
+  processes, each running its own :class:`ServerApp`.
+
+Requests ride the exact schemas and content keys of
+:mod:`repro.service.requests`, so a result served over the wire is
+byte-identical to the same analysis run through ``run_batch`` directly,
+and the LRU cache keeps earning across calls.  :class:`ReproServer`
+binds either app to the HTTP listener.
 
 Endpoints
 ---------
@@ -22,19 +30,24 @@ Endpoints
                       ``?format=json``
 ``GET  /stats``       cache / admission / resilience / certification
                       rollups as JSON
+``POST /admin/compact`` compact the journal(s) now
+``POST /admin/reshard`` live fleet resize (sharded tier only)
 
 Shutdown follows :mod:`repro.service.shutdown` semantics: draining stops
 *admission* (503 + ``Retry-After``), every already-accepted request runs
-to completion, and the journal (if any) is flushed before the process
-exits -- SIGTERM never loses accepted work.
+to completion, and the journal (if any) is flushed and the result cache
+(if ``cache_file`` is set) saved before the process exits -- SIGTERM
+never loses accepted work.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import sys
 import threading
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..core.memo import memo_stats
 from ..service.engine import BatchEngine, EngineConfig
@@ -53,6 +66,9 @@ from .protocol import protocol_info
 #: Retry-After hint handed out while the server drains for shutdown.
 DRAIN_RETRY_AFTER = 2.0
 
+#: One decoded analyze payload (a raw string for an undecodable line).
+Payload = Union[Dict[str, Any], str]
+
 
 class BadRequestError(ValueError):
     """The request body could not be understood (HTTP 400)."""
@@ -60,7 +76,7 @@ class BadRequestError(ValueError):
 
 def parse_analyze_payloads(
     body: bytes, content_type: str
-) -> Tuple[List[Union[Dict[str, Any], str]], bool]:
+) -> Tuple[List[Payload], bool]:
     """Decode a ``POST /v1/analyze`` body into engine payloads.
 
     Returns ``(payloads, single)``.  Accepted shapes: one JSON object
@@ -98,7 +114,7 @@ def parse_analyze_payloads(
             raise BadRequestError(
                 "body must be a JSON object, array, or JSON lines"
             )
-    payloads: List[Union[Dict[str, Any], str]] = []
+    payloads: List[Payload] = []
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -136,7 +152,7 @@ def resolve_deadline(
         raise BadRequestError(
             f"deadline must be a positive number, got {raw!r}"
         ) from None
-    if deadline <= 0:
+    if not deadline > 0:  # also rejects NaN, which min() would pass on
         raise BadRequestError("deadline must be positive")
     if max_deadline is not None:
         deadline = min(deadline, max_deadline)
@@ -268,6 +284,9 @@ class ServerConfig:
     paranoid: bool = False
     #: Write-ahead journal path (None: no journal).
     journal_path: Optional[str] = None
+    #: Result-cache file: warmed at boot if it exists, saved on close
+    #: (None: the cache lives in memory only).
+    cache_file: Optional[str] = None
     #: Auto-compact the journal past this many on-disk lines (None: off).
     compact_max_records: Optional[int] = None
     #: Auto-compact the journal past this many on-disk bytes (None: off).
@@ -290,9 +309,9 @@ class ServerConfig:
             raise ValueError("queue_depth must be non-negative")
         if self.rate_limit < 0:
             raise ValueError("rate_limit must be non-negative")
-        if self.default_deadline is not None and self.default_deadline <= 0:
+        if self.default_deadline is not None and not self.default_deadline > 0:
             raise ValueError("default_deadline must be positive")
-        if self.max_deadline is not None and self.max_deadline <= 0:
+        if self.max_deadline is not None and not self.max_deadline > 0:
             raise ValueError("max_deadline must be positive")
         if self.max_body_bytes < 1:
             raise ValueError("max_body_bytes must be positive")
@@ -304,20 +323,40 @@ class ServerConfig:
             raise ValueError("compact_max_bytes must be positive (or None)")
 
 
-class ServerApp:
-    """Routes + shared engine state + graceful drain."""
+def report_counts(report: BatchReport) -> Dict[str, int]:
+    """The per-call counters a response reports for one batch.
+
+    Shard workers send them back with each analyze reply (the router
+    sums them across shards); the single-process app feeds them straight
+    into the response headers.
+    """
+
+    return {
+        "requests": report.requests,
+        "errors": report.errors,
+        "cached": report.cached_answers,
+        "computed": report.computed,
+        "replayed": report.replayed,
+        "certified": report.certified,
+        "discrepancies": len(report.discrepancies()),
+    }
+
+
+class FrontDoor:
+    """The HTTP contract every serving tier shares.
+
+    Owns the route table, the drain and in-flight bookkeeping,
+    ``/healthz``, the draining branch of ``/readyz``, ``/metrics``, the
+    analyze preamble (drain check, parse, deadline, batch limit,
+    admission), admission-error responses and the single-object vs
+    JSON-lines rendering.  A subclass supplies the backend
+    (:meth:`_dispatch`, plus :meth:`_dispatch_error` for its own failure
+    taxonomy), its ``stats_dict``, its ready body, ``/admin/compact``
+    and ``close``.
+    """
 
     def __init__(self, config: Optional[ServerConfig] = None):
         self.config = config or ServerConfig()
-        self._engine_config = EngineConfig(
-            jobs=self.config.jobs,
-            cache_size=self.config.cache_size,
-            executor="thread",
-            deadline_seconds=self.config.default_deadline,
-            paranoid=self.config.paranoid,
-        )
-        #: Owns the shared cache / counters / breaker every call reuses.
-        self._base = BatchEngine(self._engine_config)
         self.admission = AdmissionController(
             max_concurrency=self.config.max_concurrency,
             queue_depth=self.config.queue_depth,
@@ -325,22 +364,13 @@ class ServerApp:
             burst=self.config.burst,
         )
         self.serving = CounterRegistry()
-        self.latency = LatencyReservoir()
         self.uptime = Stopwatch()
         self.max_body_bytes = self.config.max_body_bytes
-        self._journal: Optional[BatchJournal] = None
-        if self.config.journal_path:
-            self._journal = BatchJournal(
-                self.config.journal_path,
-                resume=True,
-                compact_max_records=self.config.compact_max_records,
-                compact_max_bytes=self.config.compact_max_bytes,
-            )
-            # Boot is the cheapest compaction point: replay just paid for
-            # reading every line, so fold the journal down before serving.
-            self._journal.maybe_compact()
-        #: The journal is single-writer; journaled runs serialize on this.
-        self._journal_lock = threading.Lock()
+        #: POST-only routes: path -> handler(query, headers, body, client).
+        self.post_routes: Dict[str, Callable[..., HttpResponse]] = {
+            "/v1/analyze": self._analyze,
+            "/admin/compact": self._admin_compact,
+        }
         self._state_lock = threading.Lock()
         self._idle = threading.Condition(self._state_lock)
         self._inflight = 0
@@ -369,22 +399,285 @@ class ServerApp:
             )
 
     def close(self) -> None:
-        """Flush and close the journal (idempotent)."""
+        """Release the backend (journal, cache, worker processes)."""
+        raise NotImplementedError
+
+    def log(self, message: str, access: bool = False) -> None:
+        if access and not self.config.verbose:
+            return
+        print(f"repro serve: {message}", file=sys.stderr)
+
+    # ------------------------------------------------------------------
+    # Routing
+    # ------------------------------------------------------------------
+    def handle(
+        self,
+        method: str,
+        path: str,
+        query: Dict[str, List[str]],
+        headers: Mapping[str, str],
+        body: bytes,
+        client: str,
+    ) -> HttpResponse:
+        self.serving.increment("http_requests")
+        if method == "GET":
+            if path == "/healthz":
+                return HttpResponse.json(self.health_dict())
+            if path == "/readyz":
+                return self._readyz()
+            if path == "/metrics":
+                return self._metrics(query)
+            if path == "/stats":
+                return HttpResponse.json(self.stats_dict())
+        route = self.post_routes.get(path)
+        if route is not None:
+            if method != "POST":
+                return HttpResponse.error(
+                    405, "MethodNotAllowed", f"use POST {path}"
+                )
+            return route(query, headers, body, client)
+        self.serving.increment("http_not_found")
+        return HttpResponse.error(
+            404,
+            "NotFound",
+            f"no route {method} {path}; see /healthz /readyz /metrics "
+            "/stats " + " ".join(self.post_routes),
+        )
+
+    def _admin_compact(
+        self,
+        query: Dict[str, List[str]],
+        headers: Mapping[str, str],
+        body: bytes,
+        client: str,
+    ) -> HttpResponse:
+        """``POST /admin/compact``: compact the backend's journal(s)."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Observability endpoints
+    # ------------------------------------------------------------------
+    def health_dict(self) -> Dict[str, Any]:
+        """The /healthz payload: liveness plus the protocol handshake."""
+        payload = dict(protocol_info())
+        payload.update(
+            {
+                "ok": True,
+                "draining": self.draining,
+                "uptime_seconds": round(self.uptime.elapsed(), 3),
+            }
+        )
+        return payload
+
+    def ready_dict(self) -> Dict[str, Any]:
+        """The /readyz payload of a tier that is not draining."""
+        raise NotImplementedError
+
+    def _readyz(self) -> HttpResponse:
+        if self.draining:
+            return HttpResponse.error(
+                503,
+                "ServerDrainingError",
+                "server is draining for shutdown",
+                retry_after=DRAIN_RETRY_AFTER,
+            )
+        return HttpResponse.json(self.ready_dict())
+
+    def stats_dict(self) -> Dict[str, Any]:
+        """The /stats payload (also what /metrics renders)."""
+        raise NotImplementedError
+
+    def _metrics(self, query: Dict[str, List[str]]) -> HttpResponse:
+        stats = self.stats_dict()
+        if first_query_value(query, "format") == "json":
+            return HttpResponse.json(stats)
+        return HttpResponse.text(render_metrics_text(stats))
+
+    # ------------------------------------------------------------------
+    # The analyze endpoint
+    # ------------------------------------------------------------------
+    def _analyze(
+        self,
+        query: Dict[str, List[str]],
+        headers: Mapping[str, str],
+        body: bytes,
+        client: str,
+    ) -> HttpResponse:
+        watch = Stopwatch()
+        self.serving.increment("analyze_calls")
+        with self._state_lock:
+            if self._draining:
+                self.serving.increment("rejected_draining")
+                drain = ServerDrainingError(
+                    "server is draining for shutdown; retry against "
+                    "another instance",
+                    retry_after=DRAIN_RETRY_AFTER,
+                )
+                return self._admission_response(drain, client)
+            # Accepted: from here the request is guaranteed to complete
+            # (the drain waits on this counter).
+            self._inflight += 1
+        try:
+            try:
+                payloads, single = parse_analyze_payloads(
+                    body, headers.get("content-type", "")
+                )
+                deadline = resolve_deadline(
+                    query,
+                    headers,
+                    self.config.default_deadline,
+                    self.config.max_deadline,
+                )
+            except BadRequestError as exc:
+                self.serving.increment("bad_requests")
+                return HttpResponse.error(400, "BadRequest", str(exc))
+            if len(payloads) > self.config.max_batch_requests:
+                self.serving.increment("bad_requests")
+                return HttpResponse.error(
+                    400,
+                    "BatchTooLarge",
+                    f"{len(payloads)} requests exceed the per-call limit "
+                    f"of {self.config.max_batch_requests}; split the batch",
+                )
+            try:
+                with self.admission.admit(client):
+                    records, counts = self._dispatch(payloads, deadline)
+            except AdmissionError as exc:
+                return self._admission_response(exc, client)
+            except Exception as exc:
+                response = self._dispatch_error(exc, client)
+                if response is None:
+                    raise
+                return response
+            return self._records_response(records, counts, single)
+        finally:
+            self._analyze_finished(watch.stop())
+            with self._idle:
+                self._inflight -= 1
+                if self._inflight == 0:
+                    self._idle.notify_all()
+
+    def _dispatch(
+        self,
+        payloads: List[Payload],
+        deadline: Optional[float],
+    ) -> Tuple[List[Dict[str, Any]], Dict[str, int]]:
+        """Answer decoded payloads: records in input order + counters."""
+        raise NotImplementedError
+
+    def _dispatch_error(
+        self, exc: Exception, client: str
+    ) -> Optional[HttpResponse]:
+        """The response for a backend failure; None re-raises it."""
+        return None
+
+    def _analyze_finished(self, seconds: float) -> None:
+        """Called with the wall time of every admitted analyze call."""
+
+    def _admission_response(
+        self, exc: AdmissionError, client: str
+    ) -> HttpResponse:
+        self.serving.increment(f"http_{exc.status}")
+        return HttpResponse.error(
+            exc.status,
+            exc.error_type,
+            str(exc),
+            retry_after=jittered_retry_after(
+                exc.retry_after, client, self.config.retry_jitter_seed
+            ),
+        )
+
+    def _records_response(
+        self,
+        records: List[Dict[str, Any]],
+        counts: Dict[str, int],
+        single: bool,
+    ) -> HttpResponse:
+        headers = {
+            "X-Repro-Requests": str(counts["requests"]),
+            "X-Repro-Errors": str(counts["errors"]),
+            "X-Repro-Cached": str(counts["cached"]),
+        }
+        if single:
+            body = json.dumps(
+                records[0], sort_keys=True, separators=(",", ":")
+            )
+            return HttpResponse(
+                status=200,
+                body=(body + "\n").encode("utf-8"),
+                content_type="application/json",
+                headers=headers,
+            )
+        # The exact bytes `repro batch` prints (BatchReport.to_jsonl):
+        # the wire format IS the engine's deterministic JSON-lines stream.
+        lines = "\n".join(
+            json.dumps(record, sort_keys=True, separators=(",", ":"))
+            for record in records
+        )
+        return HttpResponse.ndjson(lines, headers=headers)
+
+
+class ServerApp(FrontDoor):
+    """The single-process backend: one shared engine state per daemon."""
+
+    def __init__(self, config: Optional[ServerConfig] = None):
+        super().__init__(config)
+        self._engine_config = EngineConfig(
+            jobs=self.config.jobs,
+            cache_size=self.config.cache_size,
+            executor="thread",
+            deadline_seconds=self.config.default_deadline,
+            paranoid=self.config.paranoid,
+        )
+        #: Owns the shared cache / counters / breaker every call reuses.
+        self._base = BatchEngine(self._engine_config)
+        self.latency = LatencyReservoir()
+        self._journal: Optional[BatchJournal] = None
+        if self.config.journal_path:
+            self._journal = BatchJournal(
+                self.config.journal_path,
+                resume=True,
+                compact_max_records=self.config.compact_max_records,
+                compact_max_bytes=self.config.compact_max_bytes,
+            )
+            # Boot is the cheapest compaction point: replay just paid for
+            # reading every line, so fold the journal down before serving.
+            self._journal.maybe_compact()
+        #: The journal is single-writer; journaled runs serialize on this.
+        self._journal_lock = threading.Lock()
+        cache_file = self.config.cache_file
+        if cache_file and os.path.exists(cache_file):
+            try:
+                loaded = self._base.load_cache(cache_file)
+            except (ValueError, OSError, KeyError, TypeError) as exc:
+                self.log(
+                    f"ignoring unreadable cache file {cache_file} ({exc})"
+                )
+            else:
+                self.log(
+                    f"warmed {loaded} cache entr"
+                    f"{'y' if loaded == 1 else 'ies'} from {cache_file}"
+                )
+
+    def close(self) -> None:
+        """Save the result cache, then flush and close the journal.
+
+        Safe to call again: the cache is rewritten with the same
+        entries and the journal is closed only once.
+        """
+        cache_file = self.config.cache_file
+        if cache_file:
+            try:
+                saved = self._base.save_cache(cache_file)
+            except OSError as exc:
+                self.log(f"cache save to {cache_file} failed: {exc}")
+            else:
+                self.log(f"saved {saved} cache entries to {cache_file}")
         if self._journal is not None:
             self._journal.flush()
             self._journal.close()
             self._journal = None
 
-    def log(self, message: str, access: bool = False) -> None:
-        if access and not self.config.verbose:
-            return
-        import sys
-
-        print(f"repro serve: {message}", file=sys.stderr)
-
-    # ------------------------------------------------------------------
-    # Engine access
-    # ------------------------------------------------------------------
     def _engine_for(self, deadline: Optional[float]) -> BatchEngine:
         """A per-call engine facade over the shared cache/counters/breaker.
 
@@ -447,54 +740,16 @@ class ServerApp:
     def journal_stats(self) -> Optional[Dict[str, Any]]:
         return self._journal.stats() if self._journal is not None else None
 
-    def load_cache(self, path: str) -> int:
-        return self._base.load_cache(path)
-
-    def save_cache(self, path: str) -> int:
-        return self._base.save_cache(path)
-
     # ------------------------------------------------------------------
-    # Routing
+    # Admin and observability
     # ------------------------------------------------------------------
-    def handle(
+    def _admin_compact(
         self,
-        method: str,
-        path: str,
         query: Dict[str, List[str]],
         headers: Mapping[str, str],
         body: bytes,
         client: str,
     ) -> HttpResponse:
-        self.serving.increment("http_requests")
-        if path == "/healthz" and method == "GET":
-            return self._healthz()
-        if path == "/readyz" and method == "GET":
-            return self._readyz()
-        if path == "/metrics" and method == "GET":
-            return self._metrics(query)
-        if path == "/stats" and method == "GET":
-            return self._stats()
-        if path == "/admin/compact":
-            if method != "POST":
-                return HttpResponse.error(
-                    405, "MethodNotAllowed", "use POST /admin/compact"
-                )
-            return self._admin_compact()
-        if path == "/v1/analyze":
-            if method != "POST":
-                return HttpResponse.error(
-                    405, "MethodNotAllowed", "use POST /v1/analyze"
-                )
-            return self._analyze(query, headers, body, client)
-        self.serving.increment("http_not_found")
-        return HttpResponse.error(
-            404,
-            "NotFound",
-            f"no route {method} {path}; see /healthz /readyz /metrics "
-            "/stats /admin/compact /v1/analyze",
-        )
-
-    def _admin_compact(self) -> HttpResponse:
         if self._journal is None:
             return HttpResponse.error(
                 409,
@@ -512,29 +767,8 @@ class ServerApp:
         self.serving.increment("compactions")
         return HttpResponse.json({"ok": True, "compact": summary})
 
-    # ------------------------------------------------------------------
-    # Observability endpoints
-    # ------------------------------------------------------------------
-    def _healthz(self) -> HttpResponse:
-        payload = dict(protocol_info())
-        payload.update(
-            {
-                "ok": True,
-                "draining": self.draining,
-                "uptime_seconds": round(self.uptime.elapsed(), 3),
-            }
-        )
-        return HttpResponse.json(payload)
-
-    def _readyz(self) -> HttpResponse:
-        if self.draining:
-            return HttpResponse.error(
-                503,
-                "ServerDrainingError",
-                "server is draining for shutdown",
-                retry_after=DRAIN_RETRY_AFTER,
-            )
-        return HttpResponse.json({"ready": True})
+    def ready_dict(self) -> Dict[str, Any]:
+        return {"ready": True}
 
     def stats_dict(self) -> Dict[str, Any]:
         """The /stats payload: every rollup the daemon keeps."""
@@ -569,88 +803,12 @@ class ServerApp:
             ),
         }
 
-    def _stats(self) -> HttpResponse:
-        return HttpResponse.json(self.stats_dict())
-
-    def _metrics(self, query: Dict[str, List[str]]) -> HttpResponse:
-        stats = self.stats_dict()
-        if first_query_value(query, "format") == "json":
-            return HttpResponse.json(stats)
-        return HttpResponse.text(render_metrics_text(stats))
-
     # ------------------------------------------------------------------
-    # The analyze endpoint
+    # The engine backend
     # ------------------------------------------------------------------
-    @staticmethod
-    def _parse_payloads(
-        body: bytes, content_type: str
-    ) -> Tuple[List[Union[Dict[str, Any], str]], bool]:
-        return parse_analyze_payloads(body, content_type)
-
-    def _deadline_from(
-        self, query: Dict[str, List[str]], headers: Mapping[str, str]
-    ) -> Optional[float]:
-        return resolve_deadline(
-            query,
-            headers,
-            self.config.default_deadline,
-            self.config.max_deadline,
-        )
-
-    def _analyze(
-        self,
-        query: Dict[str, List[str]],
-        headers: Mapping[str, str],
-        body: bytes,
-        client: str,
-    ) -> HttpResponse:
-        watch = Stopwatch()
-        self.serving.increment("analyze_calls")
-        with self._state_lock:
-            if self._draining:
-                self.serving.increment("rejected_draining")
-                drain = ServerDrainingError(
-                    "server is draining for shutdown; retry against "
-                    "another instance",
-                    retry_after=DRAIN_RETRY_AFTER,
-                )
-                return self._admission_response(drain, client)
-            # Accepted: from here the request is guaranteed to complete
-            # (the drain waits on this counter).
-            self._inflight += 1
-        try:
-            try:
-                payloads, single = self._parse_payloads(
-                    body, headers.get("content-type", "")
-                )
-                deadline = self._deadline_from(query, headers)
-            except BadRequestError as exc:
-                self.serving.increment("bad_requests")
-                return HttpResponse.error(400, "BadRequest", str(exc))
-            if len(payloads) > self.config.max_batch_requests:
-                self.serving.increment("bad_requests")
-                return HttpResponse.error(
-                    400,
-                    "BatchTooLarge",
-                    f"{len(payloads)} requests exceed the per-call limit "
-                    f"of {self.config.max_batch_requests}; split the batch",
-                )
-            try:
-                with self.admission.admit(client):
-                    report = self._run(payloads, deadline)
-            except AdmissionError as exc:
-                return self._admission_response(exc, client)
-            return self._report_response(report, single)
-        finally:
-            self.latency.record(watch.stop())
-            with self._idle:
-                self._inflight -= 1
-                if self._inflight == 0:
-                    self._idle.notify_all()
-
     def run_payloads(
         self,
-        payloads: List[Union[Dict[str, Any], str]],
+        payloads: List[Payload],
         deadline: Optional[float] = None,
     ) -> BatchReport:
         """Run decoded payloads through the shared engine state.
@@ -669,7 +827,7 @@ class ServerApp:
 
     def _run(
         self,
-        payloads: List[Union[Dict[str, Any], str]],
+        payloads: List[Payload],
         deadline: Optional[float],
     ) -> BatchReport:
         engine = self._engine_for(deadline)
@@ -689,58 +847,41 @@ class ServerApp:
             self.serving.increment("discrepancies", discrepancies)
         return report
 
-    def _admission_response(
-        self, exc: AdmissionError, client: str
-    ) -> HttpResponse:
-        self.serving.increment(f"http_{exc.status}")
-        return HttpResponse.error(
-            exc.status,
-            exc.error_type,
-            str(exc),
-            retry_after=jittered_retry_after(
-                exc.retry_after, client, self.config.retry_jitter_seed
-            ),
-        )
+    def _dispatch(
+        self,
+        payloads: List[Payload],
+        deadline: Optional[float],
+    ) -> Tuple[List[Dict[str, Any]], Dict[str, int]]:
+        report = self._run(payloads, deadline)
+        return report.result_records(), report_counts(report)
 
-    @staticmethod
-    def _report_response(report: BatchReport, single: bool) -> HttpResponse:
-        headers = {
-            "X-Repro-Requests": str(report.requests),
-            "X-Repro-Errors": str(report.errors),
-            "X-Repro-Cached": str(report.cached_answers),
-        }
-        if single:
-            record = report.entries[0].result_record()
-            body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-            return HttpResponse(
-                status=200,
-                body=(body + "\n").encode("utf-8"),
-                content_type="application/json",
-                headers=headers,
-            )
-        # The exact bytes `repro batch` would print: the wire format IS
-        # the engine's deterministic JSON-lines stream.
-        return HttpResponse.ndjson(report.to_jsonl(), headers=headers)
+    def _analyze_finished(self, seconds: float) -> None:
+        self.latency.record(seconds)
 
 
 class ReproServer:
-    """The daemon: an HTTP server bound to a :class:`ServerApp`.
+    """The daemon: an HTTP server bound to a :class:`FrontDoor` app.
 
     ``start()`` serves from a background thread (tests, embedding);
     ``serve_forever()`` blocks (the CLI).  ``shutdown(drain=True)``
     performs the lossless drain: stop admission, wait for in-flight
-    work, stop the listener, flush the journal.
+    work, stop the listener, close the app (journal flushed, cache
+    saved).  The app is a :class:`ServerApp`; subclasses build another
+    backend in :meth:`_make_app`.
     """
 
     def __init__(self, config: Optional[ServerConfig] = None):
         self.config = config or ServerConfig()
-        self.app = ServerApp(self.config)
+        self.app = self._make_app()
         self.httpd = ReproHTTPServer(
             (self.config.host, self.config.port), self.app
         )
         self._thread: Optional[threading.Thread] = None
         self._stopped = False
         self._drained = True
+
+    def _make_app(self) -> FrontDoor:
+        return ServerApp(self.config)
 
     @property
     def host(self) -> str:

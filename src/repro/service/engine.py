@@ -197,7 +197,7 @@ class EngineConfig:
             )
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
+        if self.deadline_seconds is not None and not self.deadline_seconds > 0:
             raise ValueError("deadline_seconds must be positive")
         if self.breaker_threshold < 0:
             raise ValueError("breaker_threshold must be non-negative")

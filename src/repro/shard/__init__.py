@@ -1,8 +1,13 @@
 """Sharded multi-process serving tier: scale-out + kill-one-shard resilience.
 
-Puts N independent worker processes behind the existing HTTP front end.
-Each worker owns a rendezvous-hashed slice of the request keyspace with
-its *own* LRU result cache and write-ahead journal, so a request always
+Puts N independent worker processes behind the same HTTP front door as
+the single-process tier: :class:`~repro.shard.router.ShardedApp` is the
+second backend of :class:`~repro.server.app.FrontDoor`, and
+:class:`ShardedServer` is a :class:`~repro.server.app.ReproServer` that
+builds it.  Each worker runs its own
+:class:`~repro.server.app.ServerApp` and owns a rendezvous-hashed slice
+of the request keyspace with its *own* LRU result cache and write-ahead
+journal, so a request always
 lands where its answer is already cached or journaled; the router
 (:mod:`~repro.shard.router`) reassembles per-shard result streams into
 output **byte-identical** to single-process ``repro batch`` for any
@@ -53,7 +58,6 @@ from .router import (
     ShardedApp,
     ShardedServer,
     routing_key,
-    shard_cache_file,
     shard_server_config,
 )
 from .supervisor import (
@@ -91,7 +95,6 @@ __all__ = [
     "rendezvous_shard",
     "replica_slots",
     "routing_key",
-    "shard_cache_file",
     "shard_label",
     "shard_server_config",
     "wait_for_pid_change",

@@ -1,15 +1,16 @@
-"""The shard router: HTTP front end over N worker processes.
+"""The shard router: the sharded backend of the HTTP front door.
 
-:class:`ShardedApp` speaks the exact same duck type as
-:class:`~repro.server.app.ServerApp` (``handle`` / ``max_body_bytes`` /
-``log``), so the stdlib HTTP transport
-(:class:`~repro.server.http.ReproHTTPServer`) is reused unchanged -- the
-sharded tier is a different *brain* behind the same wire.
+:class:`ShardedApp` is a :class:`~repro.server.app.FrontDoor`, like the
+single-process :class:`~repro.server.app.ServerApp`: the routes, the
+drain, the analyze preamble and the response rendering are the same
+code, so both tiers accept the same bodies and answer with the same
+bytes.  What it adds is the backend -- dispatch to N worker processes,
+each running a private ``ServerApp`` -- plus ``/admin/reshard``.
 
 Request path:
 
-1.  ``POST /v1/analyze`` bodies are decoded with the same parser as the
-    single-process app (identical accepted shapes).
+1.  ``POST /v1/analyze`` bodies are decoded and admitted by the front
+    door, exactly as in the single-process tier.
 2.  Every payload is routed by rendezvous hashing of its canonical
     content key (:func:`~repro.service.requests.request_key`); payloads
     that do not even parse are routed by a hash of their raw text --
@@ -64,23 +65,21 @@ from typing import (
 )
 
 from ..server.admission import (
-    AdmissionController,
     AdmissionError,
     ServerDrainingError,
     jittered_retry_after,
 )
 from ..server.app import (
     DRAIN_RETRY_AFTER,
-    BadRequestError,
+    FrontDoor,
+    Payload,
+    ReproServer,
     ServerConfig,
-    parse_analyze_payloads,
-    render_metrics_text,
-    resolve_deadline,
 )
-from ..server.http import HttpResponse, ReproHTTPServer, first_query_value
+from ..server.http import HttpResponse
 from ..server.protocol import protocol_info
 from ..service.journal import read_journal_completions, record_crc
-from ..service.metrics import CounterRegistry, LatencyReservoir, Stopwatch
+from ..service.metrics import LatencyReservoir, Stopwatch
 from ..service.requests import RequestError, parse_request, request_key
 from .hashing import (
     rendezvous_fallback,
@@ -102,8 +101,6 @@ SHARD_RETRY_AFTER = 2.0
 #: Retry-After base for requests parked behind (or refused by) a live
 #: reshard handoff; jittered per client like every other hint.
 RESHARD_RETRY_AFTER = 1.0
-
-Payload = Union[Dict[str, Any], str]
 
 
 class ReshardInProgressError(AdmissionError):
@@ -152,26 +149,21 @@ def routing_key(payload: Payload) -> str:
 def shard_server_config(base: ServerConfig, shard_index: int) -> ServerConfig:
     """The per-shard worker config derived from the router's config.
 
-    Each shard gets a private journal path (``<base>.shard-<i>``); the
-    admission knobs stay on the router (workers are driven serially over
-    the pipe, so worker-side admission would never trigger).
+    Each shard gets a private journal and result-cache file
+    (``<base>.shard-<i>``); the admission knobs stay on the router
+    (workers are driven serially over the pipe, so worker-side admission
+    would never trigger).
     """
 
-    journal = (
-        f"{base.journal_path}.{shard_label(shard_index)}"
-        if base.journal_path
-        else None
+    label = shard_label(shard_index)
+    return replace(
+        base,
+        journal_path=(
+            f"{base.journal_path}.{label}" if base.journal_path else None
+        ),
+        cache_file=f"{base.cache_file}.{label}" if base.cache_file else None,
+        verbose=False,
     )
-    return replace(base, journal_path=journal, verbose=False)
-
-
-def shard_cache_file(
-    cache_file: Optional[str], shard_index: int
-) -> Optional[str]:
-    """Per-shard result-cache persistence path (``<base>.shard-<i>``)."""
-    if not cache_file:
-        return None
-    return f"{cache_file}.{shard_label(shard_index)}"
 
 
 def _merge_counter_dicts(
@@ -331,14 +323,13 @@ class HotKeyTracker:
         }
 
 
-class ShardedApp:
-    """Routes + rendezvous dispatch + cross-shard aggregation."""
+class ShardedApp(FrontDoor):
+    """The front door over rendezvous dispatch + cross-shard aggregation."""
 
     def __init__(
         self,
         config: Optional[ServerConfig] = None,
         shards: int = 2,
-        cache_file: Optional[str] = None,
         start_method: Optional[str] = None,
         health_interval: float = 0.5,
         dispatch_attempts: int = 3,
@@ -357,13 +348,12 @@ class ShardedApp:
             raise ValueError("reshard_pending_limit must be non-negative")
         if reshard_max_wait <= 0:
             raise ValueError("reshard_max_wait must be positive")
-        self.config = config or ServerConfig()
+        super().__init__(config)
+        self.post_routes["/admin/reshard"] = self._admin_reshard
         self.shards = shards
-        self.cache_file = cache_file
         self.supervisor = ShardSupervisor(
             shards,
             lambda index: shard_server_config(self.config, index),
-            lambda index: shard_cache_file(cache_file, index),
             start_method=start_method,
             health_interval=health_interval,
             boot_timeout=boot_timeout,
@@ -372,21 +362,6 @@ class ShardedApp:
             respawn_policy=respawn_policy,
             log=self.log,
         )
-        self.admission = AdmissionController(
-            max_concurrency=self.config.max_concurrency,
-            queue_depth=self.config.queue_depth,
-            rate_limit=self.config.rate_limit,
-            burst=self.config.burst,
-        )
-        #: Router-level counters (HTTP + dispatch); shard-side serving
-        #: counters live in the workers and are merged at read time.
-        self.serving = CounterRegistry()
-        self.uptime = Stopwatch()
-        self.max_body_bytes = self.config.max_body_bytes
-        self._state_lock = threading.Lock()
-        self._idle = threading.Condition(self._state_lock)
-        self._inflight = 0
-        self._draining = False
         self._started = False
         #: Hot-key read-any replication (``hot_key_threshold <= 0``
         #: disables tracking entirely -- strict single-owner routing).
@@ -406,7 +381,7 @@ class ShardedApp:
         self._last_reshard: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
-    # Lifecycle (mirrors ServerApp so ReproHTTPServer/drain code reuses)
+    # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "ShardedApp":
         """Boot every shard worker (loud failure if any cannot boot)."""
@@ -415,99 +390,20 @@ class ShardedApp:
             self._started = True
         return self
 
-    @property
-    def draining(self) -> bool:
-        with self._state_lock:
-            return self._draining
-
-    def begin_drain(self) -> None:
-        with self._state_lock:
-            self._draining = True
-
-    def wait_idle(self, timeout: Optional[float] = None) -> bool:
-        with self._idle:
-            if self._inflight == 0:
-                return True
-            return self._idle.wait_for(
-                lambda: self._inflight == 0, timeout=timeout
-            )
-
     def close(self) -> None:
         """Drain-stop every shard (journals flushed, caches saved)."""
         self.supervisor.stop(drain=True)
 
-    def log(self, message: str, access: bool = False) -> None:
-        if access and not self.config.verbose:
-            return
-        import sys
-
-        print(f"repro serve: {message}", file=sys.stderr)
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    def handle(
-        self,
-        method: str,
-        path: str,
-        query: Dict[str, List[str]],
-        headers: Mapping[str, str],
-        body: bytes,
-        client: str,
-    ) -> HttpResponse:
-        self.serving.increment("http_requests")
-        if path == "/healthz" and method == "GET":
-            return self._healthz()
-        if path == "/readyz" and method == "GET":
-            return self._readyz()
-        if path == "/metrics" and method == "GET":
-            return self._metrics(query)
-        if path == "/stats" and method == "GET":
-            return HttpResponse.json(self.stats_dict())
-        if path == "/v1/analyze":
-            if method != "POST":
-                return HttpResponse.error(
-                    405, "MethodNotAllowed", "use POST /v1/analyze"
-                )
-            return self._analyze(query, headers, body, client)
-        if path == "/admin/reshard":
-            if method != "POST":
-                return HttpResponse.error(
-                    405, "MethodNotAllowed", "use POST /admin/reshard"
-                )
-            return self._admin_reshard(body, client)
-        if path == "/admin/compact":
-            if method != "POST":
-                return HttpResponse.error(
-                    405, "MethodNotAllowed", "use POST /admin/compact"
-                )
-            return self._admin_compact(client)
-        self.serving.increment("http_not_found")
-        return HttpResponse.error(
-            404,
-            "NotFound",
-            f"no route {method} {path}; see /healthz /readyz /metrics "
-            "/stats /v1/analyze /admin/reshard /admin/compact",
-        )
-
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def _healthz(self) -> HttpResponse:
-        payload = dict(protocol_info())
-        shards = self.supervisor.snapshot()
-        payload.update(
-            {
-                "ok": True,
-                "draining": self.draining,
-                "uptime_seconds": round(self.uptime.elapsed(), 3),
-                "shards": shards,
-            }
-        )
-        return HttpResponse.json(payload)
+    def health_dict(self) -> Dict[str, Any]:
+        payload = super().health_dict()
+        payload["shards"] = self.supervisor.snapshot()
+        return payload
 
-    def _readyz(self) -> HttpResponse:
-        """Per-shard readiness: ready / resharding / degraded / draining.
+    def ready_dict(self) -> Dict[str, Any]:
+        """Per-shard readiness: ready / resharding / degraded.
 
         The tier keeps serving while a shard respawns (its keyspace
         slice just rides the retry path) or is quarantined (its keys
@@ -522,13 +418,6 @@ class ShardedApp:
         health event.
         """
 
-        if self.draining:
-            return HttpResponse.error(
-                503,
-                "ServerDrainingError",
-                "server is draining for shutdown",
-                retry_after=DRAIN_RETRY_AFTER,
-            )
         shards = self.supervisor.snapshot()
         degraded_slots = [
             {
@@ -551,15 +440,13 @@ class ShardedApp:
             status = "resharding"
         else:
             status = "degraded" if degraded_slots else "ok"
-        return HttpResponse.json(
-            {
-                "ready": True,
-                "status": status,
-                "degraded_slots": degraded_slots,
-                "resharding": resharding,
-                "shards": shards,
-            }
-        )
+        return {
+            "ready": True,
+            "status": status,
+            "degraded_slots": degraded_slots,
+            "resharding": resharding,
+            "shards": shards,
+        }
 
     def stats_dict(self) -> Dict[str, Any]:
         """Cross-shard /stats: counters summed, reservoirs merged."""
@@ -682,84 +569,31 @@ class ShardedApp:
             "hot_keys": hot_keys,
         }
 
-    def _metrics(self, query: Dict[str, List[str]]) -> HttpResponse:
-        stats = self.stats_dict()
-        if first_query_value(query, "format") == "json":
-            return HttpResponse.json(stats)
-        return HttpResponse.text(render_metrics_text(stats))
-
     # ------------------------------------------------------------------
-    # The analyze endpoint
+    # The analyze backend
     # ------------------------------------------------------------------
-    def _analyze(
-        self,
-        query: Dict[str, List[str]],
-        headers: Mapping[str, str],
-        body: bytes,
-        client: str,
-    ) -> HttpResponse:
-        self.serving.increment("analyze_calls")
-        with self._state_lock:
-            if self._draining:
-                self.serving.increment("rejected_draining")
-                drain = ServerDrainingError(
-                    "server is draining for shutdown; retry against "
-                    "another instance",
-                    retry_after=DRAIN_RETRY_AFTER,
-                )
-                return self._admission_response(drain, client)
-            self._inflight += 1
-        try:
-            try:
-                payloads, single = parse_analyze_payloads(
-                    body, headers.get("content-type", "")
-                )
-                deadline = resolve_deadline(
-                    query,
-                    headers,
-                    self.config.default_deadline,
-                    self.config.max_deadline,
-                )
-            except BadRequestError as exc:
-                self.serving.increment("bad_requests")
-                return HttpResponse.error(400, "BadRequest", str(exc))
-            if len(payloads) > self.config.max_batch_requests:
-                self.serving.increment("bad_requests")
-                return HttpResponse.error(
-                    400,
-                    "BatchTooLarge",
-                    f"{len(payloads)} requests exceed the per-call limit "
-                    f"of {self.config.max_batch_requests}; split the batch",
-                )
-            try:
-                with self.admission.admit(client):
-                    records, counts = self._dispatch(payloads, deadline)
-            except AdmissionError as exc:
-                return self._admission_response(exc, client)
-            except ShardOpError as exc:
-                self.serving.increment("shard_op_errors")
-                return HttpResponse.error(500, "ShardOpError", str(exc))
-            except (ShardIPCError, ShardBootError) as exc:
-                # Retries, a respawn attempt, and rerouting are already
-                # behind us; whatever is wrong needs longer than this
-                # request has.
-                self.serving.increment("shard_unavailable")
-                return HttpResponse.error(
-                    503,
-                    "ShardUnavailableError",
-                    f"a shard stayed unavailable through respawn: {exc}",
-                    retry_after=jittered_retry_after(
-                        SHARD_RETRY_AFTER,
-                        client,
-                        self.config.retry_jitter_seed,
-                    ),
-                )
-            return self._records_response(records, counts, single)
-        finally:
-            with self._idle:
-                self._inflight -= 1
-                if self._inflight == 0:
-                    self._idle.notify_all()
+    def _dispatch_error(
+        self, exc: Exception, client: str
+    ) -> Optional[HttpResponse]:
+        if isinstance(exc, ShardOpError):
+            self.serving.increment("shard_op_errors")
+            return HttpResponse.error(500, "ShardOpError", str(exc))
+        if isinstance(exc, (ShardIPCError, ShardBootError)):
+            # Retries, a respawn attempt, and rerouting are already
+            # behind us; whatever is wrong needs longer than this
+            # request has.
+            self.serving.increment("shard_unavailable")
+            return HttpResponse.error(
+                503,
+                "ShardUnavailableError",
+                f"a shard stayed unavailable through respawn: {exc}",
+                retry_after=jittered_retry_after(
+                    SHARD_RETRY_AFTER,
+                    client,
+                    self.config.retry_jitter_seed,
+                ),
+            )
+        return None
 
     def _route(
         self,
@@ -1003,48 +837,20 @@ class ShardedApp:
         single: bool,
     ) -> HttpResponse:
         self.serving.increment("requests_routed", counts["requests"])
-        headers = {
-            "X-Repro-Requests": str(counts["requests"]),
-            "X-Repro-Errors": str(counts["errors"]),
-            "X-Repro-Cached": str(counts["cached"]),
-            "X-Repro-Shards": str(self.shards),
-        }
-        if single:
-            body = json.dumps(
-                records[0], sort_keys=True, separators=(",", ":")
-            )
-            return HttpResponse(
-                status=200,
-                body=(body + "\n").encode("utf-8"),
-                content_type="application/json",
-                headers=headers,
-            )
-        # Reassembled stream, re-serialized exactly like BatchReport
-        # .to_jsonl(): byte-identical to `repro batch` and to any other
-        # shard count.
-        lines = "\n".join(
-            json.dumps(record, sort_keys=True, separators=(",", ":"))
-            for record in records
-        )
-        return HttpResponse.ndjson(lines, headers=headers)
-
-    def _admission_response(
-        self, exc: AdmissionError, client: str
-    ) -> HttpResponse:
-        self.serving.increment(f"http_{exc.status}")
-        return HttpResponse.error(
-            exc.status,
-            exc.error_type,
-            str(exc),
-            retry_after=jittered_retry_after(
-                exc.retry_after, client, self.config.retry_jitter_seed
-            ),
-        )
+        response = super()._records_response(records, counts, single)
+        response.headers["X-Repro-Shards"] = str(self.shards)
+        return response
 
     # ------------------------------------------------------------------
     # Live resharding
     # ------------------------------------------------------------------
-    def _admin_reshard(self, body: bytes, client: str) -> HttpResponse:
+    def _admin_reshard(
+        self,
+        query: Dict[str, List[str]],
+        headers: Mapping[str, str],
+        body: bytes,
+        client: str,
+    ) -> HttpResponse:
         """``POST /admin/reshard {"shards": N}`` -- live fleet resize."""
         self.serving.increment("reshard_calls")
         try:
@@ -1080,7 +886,13 @@ class ShardedApp:
             )
         return HttpResponse.json(summary)
 
-    def _admin_compact(self, client: str) -> HttpResponse:
+    def _admin_compact(
+        self,
+        query: Dict[str, List[str]],
+        headers: Mapping[str, str],
+        body: bytes,
+        client: str,
+    ) -> HttpResponse:
         """``POST /admin/compact`` -- compact every shard's journal."""
         self.serving.increment("compact_calls")
         if not self.config.journal_path:
@@ -1397,10 +1209,7 @@ class ShardedApp:
     def _unlink_slot_files(self, index: int) -> None:
         """Remove a retired slot's journal + cache files (post-import)."""
         config = shard_server_config(self.config, index)
-        for path in (
-            config.journal_path,
-            shard_cache_file(self.cache_file, index),
-        ):
+        for path in (config.journal_path, config.cache_file):
             if path and os.path.exists(path):
                 try:
                     os.unlink(path)
@@ -1410,103 +1219,20 @@ class ShardedApp:
                     )
 
 
-class ShardedServer:
-    """The sharded daemon: HTTP listener + router + shard fleet.
+class ShardedServer(ReproServer):
+    """The sharded daemon: :class:`ReproServer` over a :class:`ShardedApp`.
 
-    Mirrors :class:`~repro.server.app.ReproServer` (same start /
-    serve_forever / shutdown-with-drain / context-manager surface) so
-    the CLI and tests treat single-process and sharded tiers uniformly.
+    ``options`` are :class:`ShardedApp`'s keyword arguments (``shards``,
+    ``start_method``, ``health_interval``, ...).
     """
 
     def __init__(
-        self,
-        config: Optional[ServerConfig] = None,
-        shards: int = 2,
-        cache_file: Optional[str] = None,
-        start_method: Optional[str] = None,
-        health_interval: float = 0.5,
-        dispatch_attempts: int = 3,
-        boot_timeout: float = 60.0,
-        op_timeout: Optional[float] = 300.0,
-        respawn_policy: Optional[RespawnPolicy] = None,
-        hot_key_threshold: float = 32.0,
-        hot_key_replicas: int = 2,
-        hot_key_halflife: float = 10.0,
-        reshard_pending_limit: int = 256,
-        reshard_max_wait: float = 15.0,
+        self, config: Optional[ServerConfig] = None, **options: Any
     ):
-        self.config = config or ServerConfig()
-        self.app = ShardedApp(
-            self.config,
-            shards=shards,
-            cache_file=cache_file,
-            start_method=start_method,
-            health_interval=health_interval,
-            dispatch_attempts=dispatch_attempts,
-            boot_timeout=boot_timeout,
-            op_timeout=op_timeout,
-            respawn_policy=respawn_policy,
-            hot_key_threshold=hot_key_threshold,
-            hot_key_replicas=hot_key_replicas,
-            hot_key_halflife=hot_key_halflife,
-            reshard_pending_limit=reshard_pending_limit,
-            reshard_max_wait=reshard_max_wait,
-        )
+        self._options = options
+        super().__init__(config)
+
+    def _make_app(self) -> ShardedApp:
         # Boot the fleet before the listener: a tier that cannot serve
         # its keyspace must fail loudly instead of accepting requests.
-        self.app.start()
-        self.httpd = ReproHTTPServer(
-            (self.config.host, self.config.port), self.app
-        )
-        self._thread: Optional[threading.Thread] = None
-        self._stopped = False
-        self._drained = True
-
-    @property
-    def host(self) -> str:
-        return self.httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self.httpd.port
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ShardedServer":
-        self._thread = threading.Thread(
-            target=self.httpd.serve_forever,
-            name="repro-serve-sharded",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        self.httpd.serve_forever()
-
-    def shutdown(
-        self, drain: bool = True, timeout: Optional[float] = None
-    ) -> bool:
-        if self._stopped:
-            return self._drained
-        self._stopped = True
-        drained = True
-        if drain:
-            self.app.begin_drain()
-            drained = self.app.wait_idle(timeout=timeout)
-        self.httpd.shutdown()
-        self.httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self.app.close()
-        self._drained = drained
-        return drained
-
-    def __enter__(self) -> "ShardedServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.shutdown(drain=True)
+        return ShardedApp(self.config, **self._options).start()

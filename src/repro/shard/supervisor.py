@@ -113,7 +113,6 @@ class ShardHandle:
         self,
         index: int,
         config: ServerConfig,
-        cache_file: Optional[str],
         context: multiprocessing.context.BaseContext,
         boot_timeout: float = 60.0,
         log: Callable[[str], None] = _default_log,
@@ -122,7 +121,6 @@ class ShardHandle:
         self.index = index
         self.label = shard_label(index)
         self.config = config
-        self.cache_file = cache_file
         self.boot_timeout = boot_timeout
         self.policy = policy or RespawnPolicy()
         #: Bumped on every successful (re)spawn; dispatchers quote the
@@ -164,7 +162,6 @@ class ShardHandle:
                     parent_conn,
                     self.index,
                     self.config,
-                    self.cache_file,
                 ),
                 name=f"repro-{self.label}",
                 daemon=True,
@@ -481,7 +478,6 @@ class ShardSupervisor:
         self,
         shard_count: int,
         config_for_shard: Callable[[int], ServerConfig],
-        cache_file_for_shard: Callable[[int], Optional[str]],
         start_method: Optional[str] = None,
         health_interval: float = 0.5,
         boot_timeout: float = 60.0,
@@ -508,7 +504,6 @@ class ShardSupervisor:
         # entire lifetime, not just boot: live resharding mints new
         # handles through the exact same path the constructor used.
         self._config_for_shard = config_for_shard
-        self._cache_file_for_shard = cache_file_for_shard
         self._policy = respawn_policy or RespawnPolicy()
         self._boot_timeout = boot_timeout
         self._context = multiprocessing.get_context(start_method)
@@ -531,7 +526,6 @@ class ShardSupervisor:
         return ShardHandle(
             index,
             self._config_for_shard(index),
-            self._cache_file_for_shard(index),
             self._context,
             boot_timeout=self._boot_timeout,
             log=self._log,

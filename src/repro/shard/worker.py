@@ -43,9 +43,9 @@ from __future__ import annotations
 import os
 import signal
 import sys
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from ..server.app import ServerApp, ServerConfig
+from ..server.app import ServerApp, ServerConfig, report_counts
 from ..server.protocol import protocol_info
 from ..service.faults import FAULTS_GUARD_ENV
 from .hashing import rendezvous_shard, shard_label
@@ -77,13 +77,7 @@ def _analyze_reply(app: ServerApp, message: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "ok": True,
         "records": report.result_records(),
-        "requests": report.requests,
-        "errors": report.errors,
-        "cached": report.cached_answers,
-        "computed": report.computed,
-        "replayed": report.replayed,
-        "certified": report.certified,
-        "discrepancies": len(report.discrepancies()),
+        **report_counts(report),
     }
 
 
@@ -255,7 +249,6 @@ def shard_worker_main(
     router_conn: Any,
     shard_index: int,
     config: ServerConfig,
-    cache_file: Optional[str] = None,
 ) -> None:
     """Entry point of a shard worker process.
 
@@ -272,11 +265,9 @@ def shard_worker_main(
         This worker's slot in the rendezvous ring (stable across
         respawns; the journal and cache paths derive from it).
     config:
-        The per-shard :class:`ServerConfig` -- ``journal_path`` already
-        points at this shard's private journal.
-    cache_file:
-        Optional per-shard result-cache persistence path, loaded at boot
-        (best effort) and saved on drain.
+        The per-shard :class:`ServerConfig` -- ``journal_path`` and
+        ``cache_file`` already point at this shard's private files; the
+        app warms the cache at boot and saves it on close.
     """
 
     if router_conn is not None:
@@ -310,14 +301,6 @@ def shard_worker_main(
         conn.close()
         return
 
-    if cache_file and os.path.exists(cache_file):
-        try:
-            loaded = app.load_cache(cache_file)
-            if loaded:
-                _log(shard_index, f"warmed {loaded} cache entries")
-        except Exception as exc:
-            _log(shard_index, f"cache warm failed (continuing cold): {exc}")
-
     send_message(
         conn,
         {
@@ -334,14 +317,6 @@ def shard_worker_main(
         },
     )
 
-    def persist() -> None:
-        if cache_file:
-            try:
-                app.save_cache(cache_file)
-            except Exception as exc:
-                _log(shard_index, f"cache save failed: {exc}")
-        app.close()  # flushes + closes the journal (idempotent)
-
     try:
         while True:
             try:
@@ -349,7 +324,7 @@ def shard_worker_main(
             except ShardConnectionError:
                 # Router gone (crash or kill): nothing left to serve.
                 _log(shard_index, "router connection lost; shutting down")
-                persist()
+                app.close()  # saves the cache, flushes the journal
                 return
             op = message.get("op")
             seq = message.get("seq")
@@ -369,7 +344,7 @@ def shard_worker_main(
                 elif op == "compact":
                     reply = _compact_reply(app, message)
                 elif op == "drain":
-                    persist()
+                    app.close()
                     send_message(conn, {"seq": seq, "ok": True, "drained": True})
                     return
                 else:

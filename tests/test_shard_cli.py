@@ -15,6 +15,7 @@ import os
 import signal
 import subprocess
 import sys
+import urllib.request
 
 import pytest
 
@@ -127,6 +128,34 @@ class TestServeSharded:
         assert after.returncode == 0, after.stderr
         assert after.stdout == warmup.stdout
         assert process.returncode == 0, serve_err
+
+    def test_cache_file_persists_per_shard_across_restart(self, tmp_path):
+        requests = tmp_path / "requests.jsonl"
+        _write_requests(requests)
+        cache_file = tmp_path / "tier.cache"
+        cache_args = ("--cache-file", str(cache_file))
+        process, url, _ = _spawn_sharded(tmp_path, 2, extra_args=cache_args)
+        try:
+            call = _run_call(url, requests)
+            process.send_signal(signal.SIGTERM)
+            _, serve_err = process.communicate(timeout=120)
+        finally:
+            process.kill()
+        assert call.returncode == 0, call.stderr
+        assert process.returncode == 0, serve_err
+        assert "saved" in serve_err and "cache" in serve_err
+        for index in range(2):
+            assert (tmp_path / f"tier.cache.shard-{index}").exists()
+        process, url, _ = _spawn_sharded(tmp_path, 2, extra_args=cache_args)
+        try:
+            with urllib.request.urlopen(url + "/stats", timeout=30) as reply:
+                stats = json.loads(reply.read().decode("utf-8"))
+            process.send_signal(signal.SIGTERM)
+            _, serve_err = process.communicate(timeout=120)
+        finally:
+            process.kill()
+        assert process.returncode == 0, serve_err
+        assert stats["cache"]["size"] > 0
 
     def test_shards_flag_rejects_negative(self, capsys):
         assert main(["serve", "--port", "0", "--shards", "-1"]) == 2
