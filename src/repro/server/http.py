@@ -4,17 +4,22 @@ The transport layer and nothing else: a threaded HTTP/1.1 server whose
 handler reads the request (with a bounded body), hands ``(method, path,
 query, headers, body, client)`` to the application's ``handle`` method,
 and writes the returned :class:`HttpResponse` back with an explicit
-``Content-Length`` so keep-alive connections work.  All routing,
+``Content-Length`` so keep-alive connections work.  Each response leaves
+as one write on a socket with ``TCP_NODELAY`` set: sent as two writes
+(headers, then body), Nagle's algorithm would hold the body until the
+client's delayed ACK, ~40 ms per call on Linux.  All routing,
 admission, and engine logic lives in :mod:`repro.server.app`; everything
 here is mechanical and app-agnostic.
 """
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .. import __version__ as PACKAGE_VERSION
@@ -110,10 +115,17 @@ class RequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = f"repro-serve/{PACKAGE_VERSION}"
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        self._dispatch("GET", body=b"")
+        # A GET body is never read; close rather than parse it as the
+        # next request.
+        unread = (
+            self.headers.get("Content-Length", "0").strip() != "0"
+            or "Transfer-Encoding" in self.headers
+        )
+        self._dispatch("GET", body=b"", close=unread)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server naming
         body = self._read_body()
@@ -123,35 +135,37 @@ class RequestHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _read_body(self) -> Optional[bytes]:
+        """The request body, or ``None`` after refusing it.
+
+        A refused body is left unread on the socket, so every refusal
+        closes the connection: parsing those bytes as the next request
+        would answer a request the client never sent.
+        """
+
         length_header = self.headers.get("Content-Length")
         if length_header is None:
-            self._write(
-                HttpResponse.error(
-                    411, "LengthRequired", "POST requires Content-Length"
-                )
+            return self._refuse(
+                411, "LengthRequired", "POST requires Content-Length"
             )
-            return None
         try:
             length = int(length_header)
         except ValueError:
-            self._write(
-                HttpResponse.error(
-                    400, "BadRequest", "malformed Content-Length"
-                )
-            )
-            return None
+            return self._refuse(400, "BadRequest", "malformed Content-Length")
+        if length < 0:
+            return self._refuse(400, "BadRequest", "negative Content-Length")
         limit = self.server.app.max_body_bytes
         if length > limit:
-            self._write(
-                HttpResponse.error(
-                    413,
-                    "PayloadTooLarge",
-                    f"request body of {length} bytes exceeds the "
-                    f"{limit}-byte limit; split the batch",
-                )
+            return self._refuse(
+                413,
+                "PayloadTooLarge",
+                f"request body of {length} bytes exceeds the "
+                f"{limit}-byte limit; split the batch",
             )
-            return None
         return self.rfile.read(length)
+
+    def _refuse(self, status: int, error_type: str, message: str) -> None:
+        response = HttpResponse.error(status, error_type, message)
+        self._write(response, close=True)
 
     def _client_identity(self) -> str:
         header = self.headers.get("X-Repro-Client")
@@ -159,7 +173,7 @@ class RequestHandler(BaseHTTPRequestHandler):
             return header.strip()
         return self.client_address[0]
 
-    def _dispatch(self, method: str, body: bytes) -> None:
+    def _dispatch(self, method: str, body: bytes, close: bool = False) -> None:
         app = self.server.app
         parsed = urlsplit(self.path)
         query = parse_qs(parsed.query)
@@ -178,21 +192,45 @@ class RequestHandler(BaseHTTPRequestHandler):
             response = HttpResponse.error(
                 500, type(exc).__name__, f"internal server error: {exc}"
             )
-        self._write(response)
+        self._write(response, close=close)
 
-    def _write(self, response: HttpResponse) -> None:
+    @contextmanager
+    def _one_write(self) -> Iterator[None]:
+        """Collect what is written to ``wfile``; send it with one ``sendall``.
+
+        ``wfile`` stays unbuffered, so a failed send leaves no bytes
+        behind for the stdlib's later flushes to retry.
+        """
+
+        wfile, self.wfile = self.wfile, io.BytesIO()
         try:
+            yield
+            wfile.write(self.wfile.getvalue())
+        except (BrokenPipeError, ConnectionResetError):
+            # The client hung up mid-response; nothing to salvage.
+            self.close_connection = True
+        finally:
+            self.wfile = wfile
+
+    def _write(self, response: HttpResponse, close: bool = False) -> None:
+        """Send ``response`` in one write; ``close`` ends the connection."""
+        with self._one_write():
             self.send_response(response.status)
             self.send_header("Content-Type", response.content_type)
             self.send_header("Content-Length", str(len(response.body)))
             self.send_header("X-Repro-Protocol", str(PROTOCOL_VERSION))
             for name, value in response.headers.items():
                 self.send_header(name, value)
+            if close:
+                # ``send_header`` also sets ``close_connection``.
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(response.body)
-        except (BrokenPipeError, ConnectionResetError):
-            # The client hung up mid-response; nothing to salvage.
-            self.close_connection = True
+
+    def send_error(self, *args: Any, **kwargs: Any) -> None:
+        # The stdlib's own replies (bad request line, 501) in one write too.
+        with self._one_write():
+            super().send_error(*args, **kwargs)
 
     # Route http.server's chatty per-request logging through the app's
     # verbosity switch instead of unconditionally spamming stderr.

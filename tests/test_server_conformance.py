@@ -3,19 +3,27 @@
 The single-process :class:`ServerApp` and the 2-shard :class:`ShardedApp`
 must accept the same bodies, report errors the same way and render the
 same bytes.  Every row below runs against both tiers: the application
-rows call ``app.handle`` directly, the transport rows (411/413) go over
-a raw socket to the live listener.
+rows call ``app.handle`` directly, the transport rows (411/413,
+pipelined refusals, loopback latency) go over a raw socket or a
+``ReproClient`` to the live listener, and the send-count and reset rows
+run the shared ``RequestHandler`` over the tier's app on a private TCP
+connection.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import statistics
+import struct
+import time
+from types import SimpleNamespace
 
 import pytest
 
-from repro.server import ReproServer, ServerConfig
+from repro.server import ReproClient, ReproServer, ServerConfig
 from repro.server.app import BadRequestError, ServerApp, resolve_deadline
+from repro.server.http import RequestHandler
 from repro.service import BatchEngine, EngineConfig, parse_request
 from repro.shard import ShardedApp, ShardedServer
 
@@ -202,17 +210,21 @@ def test_observability_endpoints(server):
     assert names == expected
 
 
+def read_to_eof(sock):
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
 def raw_exchange(port, request):
     with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
         sock.sendall(request)
         sock.shutdown(socket.SHUT_WR)
-        chunks = []
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            chunks.append(chunk)
-    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        data = read_to_eof(sock)
+    head, _, body = data.partition(b"\r\n\r\n")
     status = int(head.split(b" ", 2)[1])
     return status, json.loads(body.decode("utf-8"))["error"]["type"]
 
@@ -231,6 +243,154 @@ def test_oversized_body_is_413(server):
         b"Content-Length: %d\r\n\r\n" % (MAX_BODY + 1),
     )
     assert (status, error_type) == (413, "PayloadTooLarge")
+
+
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+
+# (id, request whose body the server never reads, status, error type);
+# each is followed on the same connection by a pipelined ``HEALTHZ``.
+UNREAD_BODY_ROWS = [
+    ("oversized-413",
+     b"POST /v1/analyze HTTP/1.1\r\nHost: t\r\n"
+     b"Content-Length: %d\r\n\r\n" % (MAX_BODY + 1),
+     413, "PayloadTooLarge"),
+    ("chunked-411",
+     b"POST /v1/analyze HTTP/1.1\r\nHost: t\r\n"
+     b"Transfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+     411, "LengthRequired"),
+    ("negative-length",
+     b"POST /v1/analyze HTTP/1.1\r\nHost: t\r\n"
+     b"Content-Length: -1\r\n\r\n",
+     400, "BadRequest"),
+    ("get-with-body",
+     b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+     b"Content-Length: %d\r\n\r\n" % len(HEALTHZ),
+     200, None),
+]
+
+
+def split_response(data):
+    """``(status, headers, body, rest)`` of the first response in ``data``."""
+    head, _, rest = data.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = int(headers["content-length"])
+    status = int(lines[0].split(" ", 2)[1])
+    return status, headers, rest[:length], rest[length:]
+
+
+@pytest.mark.parametrize(
+    "request_bytes,status,error_type",
+    [row[1:] for row in UNREAD_BODY_ROWS],
+    ids=[row[0] for row in UNREAD_BODY_ROWS],
+)
+def test_unread_body_closes_the_connection(
+    server, request_bytes, status, error_type
+):
+    # No SHUT_WR: the server itself must end the exchange after one
+    # response instead of parsing the unread body (here, the pipelined
+    # ``/healthz``) as a second request.
+    with socket.create_connection(
+        ("127.0.0.1", server.port), timeout=10.0
+    ) as sock:
+        sock.sendall(request_bytes + HEALTHZ)
+        data = read_to_eof(sock)
+    got_status, headers, body, rest = split_response(data)
+    assert got_status == status
+    assert headers["connection"] == "close"
+    if error_type is not None:
+        assert json.loads(body.decode("utf-8"))["error"]["type"] == error_type
+    assert rest == b""
+
+
+def test_cached_round_trip_is_not_stalled(server):
+    # A delayed-ACK stall costs ~40 ms per call; the bound is loose for
+    # CI but fails at that quantum.
+    with ReproClient(port=server.port) as client:
+        client.analyze(SINGLE)
+        times = []
+        for _ in range(40):
+            start = time.perf_counter()
+            client.analyze(SINGLE)
+            times.append(time.perf_counter() - start)
+    assert statistics.median(times) < 0.020
+
+
+def tcp_pair():
+    """A connected ``(client, server side, address)`` TCP socket triple."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = socket.create_connection(listener.getsockname(), timeout=10)
+        accepted, address = listener.accept()
+    return client, accepted, address
+
+
+class CountingSocket(socket.socket):
+    """A socket that counts the send calls made on it."""
+
+    sends = 0
+
+    def send(self, data, *args):
+        self.sends += 1
+        return super().send(data, *args)
+
+    def sendall(self, data, *args):
+        self.sends += 1
+        return super().sendall(data, *args)
+
+
+@pytest.mark.parametrize(
+    "request_bytes,status",
+    [
+        (b"GET /healthz HTTP/1.1\r\nHost: t\r\n", 200),
+        (b"POST /v1/analyze HTTP/1.1\r\nHost: t\r\n"
+         b"Content-Type: application/json\r\n"
+         b"Content-Length: %d\r\n" % len(SINGLE_BODY), 200),
+        (b"POST /v1/analyze HTTP/1.1\r\nHost: t\r\n", 411),
+        # Unknown method: the stdlib's own ``send_error`` reply.
+        (b"BREW /v1/analyze HTTP/1.1\r\nHost: t\r\n", 501),
+    ],
+    ids=["healthz", "analyze", "refusal-411", "stdlib-501"],
+)
+def test_each_response_is_one_send(server, request_bytes, status):
+    # Run the shared handler on one accepted TCP connection wrapped to
+    # count sends; ``Connection: close`` ends it after one response.
+    client, accepted, address = tcp_pair()
+    conn = CountingSocket(fileno=accepted.detach())
+    with client, conn:
+        body = SINGLE_BODY if b"Content-Length" in request_bytes else b""
+        client.sendall(request_bytes + b"Connection: close\r\n\r\n")
+        client.sendall(body)
+        RequestHandler(conn, address, SimpleNamespace(app=server.app))
+        nodelay = conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        sends = conn.sends
+        conn.shutdown(socket.SHUT_WR)
+        data = read_to_eof(client)
+    assert nodelay
+    assert sends == 1
+    got_status, _, body, rest = split_response(data)
+    assert got_status == status
+    assert rest == b""
+
+
+def test_client_reset_before_the_response_is_swallowed(server):
+    # The request arrives, then the client resets the connection: the
+    # failed send must end the handler quietly, with no bytes left in a
+    # buffer for a later flush to retry and raise on.
+    client, accepted, address = tcp_pair()
+    with accepted:
+        client.sendall(HEALTHZ)
+        client.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        client.close()
+        time.sleep(0.05)
+        handler = RequestHandler(
+            accepted, address, SimpleNamespace(app=server.app)
+        )
+    assert handler.close_connection
 
 
 @pytest.mark.parametrize("tier", ["single", "sharded"])
