@@ -30,23 +30,14 @@ Subpackages
 ``repro.server``      HTTP serving daemon + client over the batch engine
 """
 
-# Version is defined before the subpackage imports so that subpackages
-# (e.g. repro.server.protocol) can read it during package initialization.
+# Subpackages load on first attribute access (PEP 562), so importing one of
+# them does not pull in the rest -- ``import repro.core`` leaves the serving
+# layers, the experiment harnesses and numpy unloaded.
+import importlib
+
 __version__ = "1.1.0"
 
-from . import (  # noqa: E402
-    arch,
-    core,
-    dataflow,
-    experiments,
-    ir,
-    search,
-    server,
-    service,
-    workloads,
-)
-
-__all__ = [
+_SUBPACKAGES = (
     "arch",
     "core",
     "dataflow",
@@ -56,5 +47,16 @@ __all__ = [
     "server",
     "service",
     "workloads",
-    "__version__",
-]
+)
+
+__all__ = [*_SUBPACKAGES, "__version__"]
+
+
+def __getattr__(name):
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

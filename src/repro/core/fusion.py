@@ -21,10 +21,12 @@ belong to a single operator, e.g. MM1's reduction K and MM2's output N.)
 Tile sizes for MAXIMIZE roles are solved in closed form from the integer
 coefficients of the fused buffer footprint (and, for compute-unit fusion,
 of each intermediate's register footprint) -- the same one-shot
-construction as the intra candidates, no search.  Every generated
-dataflow is validated through
-:func:`repro.dataflow.fusion_nest.fused_memory_access`, which also
-enforces the fusability requirement (non-redundant intermediates).
+construction as the intra candidates, no search.  The candidate tile pairs
+are ranked by the shared reuse rule applied straight to their trip counts
+(:func:`fused_scorer`), skipping any pair that breaks the fusability
+requirement (non-redundant intermediates); only the winner is built as a
+:class:`FusedDataflow` and counted exactly through
+:func:`repro.dataflow.fusion_nest.fused_memory_access`.
 
 :func:`decide_fusion` compares the best fused dataflow against the sum of
 the operators' unfused optima and reports both the measured profitability
@@ -36,10 +38,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.operator import TensorOperator, validate_buffer_elems
-from ..dataflow.cost import PartialSumConvention, tensor_multiplier
+from ..dataflow.cost import (
+    PartialSumConvention,
+    reuse_multiplier,
+    tensor_multiplier,
+)
 from ..dataflow.fusion_nest import (
     FusedAccessReport,
     FusedChain,
@@ -51,7 +57,7 @@ from ..dataflow.fusion_nest import (
 from ..dataflow.spec import NRAClass
 from ..dataflow.tiling import Tiling
 from .intra import IntraResult, optimize_intra
-from .nra import TileConstraint, max_tile, pair_candidates
+from .nra import TileConstraint, _ceil_div, max_tile, pair_candidates
 from .principles import principle4_same_nra
 
 
@@ -284,6 +290,49 @@ def _private_orders(chain: FusedChain) -> Dict[str, Tuple[str, ...]]:
     }
 
 
+def fused_scorer(
+    chain: FusedChain,
+    shared_order: Tuple[str, ...],
+    private_orders: Mapping[str, Tuple[str, ...]],
+) -> Callable[[Mapping[str, int]], Optional[int]]:
+    """Fused access count of a global tiling, from its trip counts.
+
+    Each operator's loop order (the shared loops over its dims, then its
+    private order) is compiled once.  A tiling (every global dim's tile)
+    then charges each external tensor its worst reuse-rule access over the
+    operators, as :func:`fused_memory_access` does under the paper's
+    partial-sum convention.  ``None`` means an intermediate would be
+    re-fetched (multiplier above 1): the tiling is not fusable.
+    """
+
+    intermediates = {tensor.name for tensor in chain.intermediates()}
+    nests = []
+    for index, op in enumerate(chain.ops):
+        op_dims = set(chain.op_global_dims(index))
+        order = tuple(dim for dim in shared_order if dim in op_dims)
+        tensors = tuple(
+            (tensor.name, chain.global_dims_of_tensor(index, tensor.name), tensor.size)
+            for tensor in op.tensors
+        )
+        nests.append((order + tuple(private_orders[op.name]), tensors))
+    extents = chain.global_dims
+
+    def score(tiles: Mapping[str, int]) -> Optional[int]:
+        trips = {dim: _ceil_div(extents[dim], tile) for dim, tile in tiles.items()}
+        worst: Dict[str, int] = {}
+        for order, tensors in nests:
+            loops = [(dim, trips[dim]) for dim in order]
+            for name, dims, size in tensors:
+                multiplier = reuse_multiplier(loops, dims)
+                if name not in intermediates:
+                    worst[name] = max(worst.get(name, 0), size * multiplier)
+                elif multiplier > 1:
+                    return None
+        return chain.count * sum(worst.values())
+
+    return score
+
+
 def solve_pattern(
     chain: FusedChain,
     pattern: FusedPattern,
@@ -356,15 +405,18 @@ def solve_pattern(
     pairs = pair_candidates(
         constraints, chain.global_dims[dim_x], chain.global_dims[dim_y]
     )
-    best: Optional[Tuple[int, FusedDataflow]] = None
+    if not pairs:
+        return None
+    # Every pair shares the dataflow's structure: check it once.
+    build({dim_x: pairs[0][0], dim_y: pairs[0][1]}).validate(chain)
+    score = fused_scorer(chain, shared_order, private_orders)
+    best: Optional[Tuple[int, Dict[str, int]]] = None
     for tile_x, tile_y in pairs:
-        dataflow = build({dim_x: tile_x, dim_y: tile_y})
-        report = fused_memory_access(chain, dataflow)
-        if not report.fusable:
-            continue
-        if best is None or report.total < best[0]:
-            best = (report.total, dataflow)
-    return None if best is None else best[1]
+        tiles = {dim_x: tile_x, dim_y: tile_y}
+        total = score({**fixed, **tiles})
+        if total is not None and (best is None or total < best[0]):
+            best = (total, tiles)
+    return None if best is None else build(best[1])
 
 
 def _capacity_constraints(

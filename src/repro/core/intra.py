@@ -1,12 +1,15 @@
 """Intra-operator principle-based optimization (paper Sec. III-A).
 
 :func:`optimize_intra` returns the communication-optimal dataflow for a
-single operator and buffer size by evaluating the twelve closed-form NRA
-candidates (:mod:`repro.core.nra`) through the shared access counter and
-keeping the minimum.  :func:`one_shot_dataflow` follows the paper's regime
-table literally (classify the buffer, then apply the matching principle
-only); the two agree everywhere -- the regime table is exactly the statement
-of *which* candidate wins where -- and the test suite asserts it.
+single operator and buffer size from the twelve closed-form NRA candidates
+(:mod:`repro.core.nra`).  Each candidate's tile pairs are ranked by the
+shared reuse rule on their trip counts and only the winner is built as a
+dataflow; the candidates are then evaluated through the shared access
+counter, under the caller's partial-sum convention, keeping the minimum.
+:func:`one_shot_dataflow` follows the paper's regime table literally
+(classify the buffer, then apply the matching principle only); the two
+agree everywhere -- the regime table is exactly the statement of *which*
+candidate wins where -- and the test suite asserts it.
 """
 
 from __future__ import annotations

@@ -13,7 +13,10 @@ The footprint (Eq. 2 / Eq. 4) is compiled once into the integer
 coefficients of ``a*x*y + b*x + c*y + d`` over the free tiles
 (:class:`TileConstraint`), so the largest feasible tile for a given partner
 is one integer division -- no search of any kind.
-The intra-operator optimizer evaluates the feasible candidates through the
+Single-NRA ranks its integer tile pairs by the shared reuse rule
+(:func:`repro.dataflow.cost.reuse_multiplier`) applied straight to their
+trip counts, and builds a :class:`Dataflow` only for the winner.  The
+intra-operator optimizer then counts the feasible candidates through the
 shared access counter and keeps the minimum; this *is* the paper's
 principle-based one-shot optimization, since the candidate count is a small
 constant independent of tensor sizes.
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.operator import TensorOperator
+from ..dataflow.cost import reuse_multiplier
 from ..dataflow.scheduling import Schedule, stationary_schedule
 from ..dataflow.spec import Dataflow, NRAClass
 from ..dataflow.tiling import Tiling
@@ -69,13 +73,6 @@ def _require_mm_like(operator: TensorOperator) -> None:
             f"operator {operator.name!r} is not MM-like; use repro.search for "
             "general shapes"
         )
-
-
-def _evaluate(operator: TensorOperator, dataflow: Dataflow) -> int:
-    """Exact per-instance access count (used to rank integer candidates)."""
-    from ..dataflow.cost import memory_access
-
-    return memory_access(operator, dataflow).per_instance_total
 
 
 def _other_dim(operator: TensorOperator, dims: Tuple[str, ...]) -> str:
@@ -248,9 +245,9 @@ def pair_candidates(
     footprint that can lower the partner's trip count.  This helper returns
     the balanced/grown solutions plus trip-count-snapped perturbations of
     each, every "largest feasible tile" solved in closed form from the
-    constraint coefficients; callers evaluate all of them through the exact
-    access counter and keep the best (still a constant amount of work -- no
-    design-space search).
+    constraint coefficients; callers rank all of them by the reuse rule on
+    their trip counts, keep the best and build a dataflow only for it (still
+    a constant amount of work -- no design-space search).
     """
 
     balanced = [c.max_balanced(upper_x, upper_y) for c in constraints]
@@ -369,6 +366,41 @@ def _index_sets(operator: TensorOperator) -> List[Tuple[str, ...]]:
     return [operator.dims_of(tensor.name) for tensor in operator.tensors]
 
 
+def single_nra_scorer(
+    operator: TensorOperator, stationary: str
+) -> Callable[[int, int], int]:
+    """Per-instance access count of a Single-NRA tile pair ``(t_x, t_y)``.
+
+    ``x``/``y`` are the stationary tensor's dims and the third dim's tile
+    is 1, so the trips are ``ceil(D_x/t_x)``, ``ceil(D_y/t_y)`` and
+    ``D_z``.  Each tensor is charged its size times the reuse rule over the
+    stationary schedule's order -- the count
+    :func:`repro.dataflow.cost.memory_access` gives, with no dataflow built.
+    """
+
+    dim_x, dim_y = operator.dims_of(stationary)
+    dim_z = _other_dim(operator, (dim_x, dim_y))
+    extent_x, extent_y, extent_z = (
+        operator.dims[dim] for dim in (dim_x, dim_y, dim_z)
+    )
+    order = stationary_schedule(operator, stationary).order
+    tensors = [
+        (operator.dims_of(tensor.name), tensor.size)
+        for tensor in operator.tensors
+    ]
+
+    def score(tile_x: int, tile_y: int) -> int:
+        trips = {
+            dim_x: _ceil_div(extent_x, tile_x),
+            dim_y: _ceil_div(extent_y, tile_y),
+            dim_z: extent_z,
+        }
+        loops = [(dim, trips[dim]) for dim in order]
+        return sum(size * reuse_multiplier(loops, dims) for dims, size in tensors)
+
+    return score
+
+
 def _single_nra_impl(
     operator: TensorOperator, stationary: str, buffer_elems: int
 ) -> Optional[NRACandidate]:
@@ -384,20 +416,16 @@ def _single_nra_impl(
     )
     if not pairs:
         return None
-    schedule = stationary_schedule(operator, stationary)
-    best: Optional[Tuple[int, Dataflow]] = None
-    for tile_x, tile_y in pairs:
-        dataflow = Dataflow(
-            Tiling({dim_x: tile_x, dim_y: tile_y, dim_z: 1}), schedule
-        )
-        total = _evaluate(operator, dataflow)
-        if best is None or total < best[0]:
-            best = (total, dataflow)
-    assert best is not None
+    score = single_nra_scorer(operator, stationary)
+    # min() keeps the first of equal scores, in pair_candidates' order.
+    tile_x, tile_y = min(pairs, key=lambda pair: score(*pair))
     return NRACandidate(
         label=_SINGLE_LABEL.format(stationary),
         nra=NRAClass.SINGLE,
-        dataflow=best[1],
+        dataflow=Dataflow(
+            Tiling({dim_x: tile_x, dim_y: tile_y, dim_z: 1}),
+            stationary_schedule(operator, stationary),
+        ),
     )
 
 

@@ -5,7 +5,12 @@ library.  The principle engine (:mod:`repro.core`), the searching-based
 baseline (:mod:`repro.search`) and the architecture models (:mod:`repro.arch`)
 all evaluate candidate dataflows through the same counter, so comparisons
 between them are apples-to-apples (as in the paper, where both the
-principles and DAT target the same MAESTRO-style cost).
+principles and DAT target the same MAESTRO-style cost).  The reuse rule
+itself is one integer function over ``(dim, trip)`` loops,
+:func:`reuse_multiplier`: :func:`memory_access` applies it to a
+materialized loop nest, and the closed-form constructors in
+:mod:`repro.core` apply it straight to tile trip counts to rank their
+candidate tile pairs, building a dataflow only for the winner.
 
 Reuse rule
 ----------
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Mapping, Tuple
+from typing import Container, Dict, Iterable, Mapping, Tuple
 
 from ..ir.loopnest import LoopNest
 from ..ir.operator import TensorOperator
@@ -113,8 +118,27 @@ class MemoryAccessReport:
         return self.total / ideal
 
 
-def _effective_loops(nest: LoopNest):
-    return [loop for loop in nest if loop.trip > 1]
+def reuse_multiplier(
+    loops: Iterable[Tuple[str, int]], tensor_dims: Container[str]
+) -> int:
+    """The reuse rule: re-fetches of a tensor indexed by ``tensor_dims``.
+
+    ``loops`` are ``(dim, trip)`` pairs, outermost first.  The result is the
+    product of the trips of the effective (trip > 1) loops that do not index
+    the tensor and sit outside its innermost effective indexing loop.
+    """
+
+    multiplier = 1
+    pending = 1  # non-indexing trips since the last indexing loop
+    for dim, trip in loops:
+        if trip <= 1:
+            continue
+        if dim in tensor_dims:
+            multiplier *= pending
+            pending = 1
+        else:
+            pending *= trip
+    return multiplier
 
 
 def tensor_multiplier(
@@ -128,19 +152,9 @@ def tensor_multiplier(
     memory exactly once).
     """
 
-    tensor_dims = set(operator.dims_of(tensor_name))
-    effective = _effective_loops(nest)
-    innermost_indexing = -1
-    for position, loop in enumerate(effective):
-        if loop.dim in tensor_dims:
-            innermost_indexing = position
-    multiplier = 1
-    for position, loop in enumerate(effective):
-        if position >= innermost_indexing:
-            break
-        if loop.dim not in tensor_dims:
-            multiplier *= loop.trip
-    return multiplier
+    return reuse_multiplier(
+        ((loop.dim, loop.trip) for loop in nest), operator.dims_of(tensor_name)
+    )
 
 
 def _output_passes(operator: TensorOperator, nest: LoopNest) -> int:

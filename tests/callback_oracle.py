@@ -5,7 +5,12 @@ Before the footprints were compiled into integer coefficients
 probe bisected over a footprint callable that built and resolved a
 :class:`~repro.dataflow.tiling.Tiling`.  That solver is kept here, verbatim
 in behaviour, so the property tests can assert the closed forms return
-exactly the same candidate lists, NRA tiles and fused dataflows.
+exactly the same candidate lists, NRA tiles and fused dataflows.  It also
+keeps the slow scoring path: every candidate pair is ranked by building its
+dataflow and counting it through
+:func:`~repro.dataflow.cost.memory_access` /
+:func:`~repro.dataflow.fusion_nest.fused_memory_access`, not by the
+trip-count scorers the library now uses.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from repro.core.fusion import (
     _private_orders,
     _shared_order,
 )
-from repro.core.nra import NRACandidate, _evaluate, _other_dim
+from repro.core.nra import NRACandidate, _other_dim
+from repro.dataflow.cost import memory_access
 from repro.dataflow.fusion_nest import FusedChain, FusedDataflow, fused_memory_access
 from repro.dataflow.scheduling import Schedule, stationary_schedule
 from repro.dataflow.spec import Dataflow, NRAClass
@@ -42,6 +48,11 @@ def max_feasible(
         else:
             high = mid - 1
     return low
+
+
+def _evaluate(operator: TensorOperator, dataflow: Dataflow) -> int:
+    """Exact per-instance access count, through the materialized nest."""
+    return memory_access(operator, dataflow).per_instance_total
 
 
 def _ceil_div(numerator: int, denominator: int) -> int:

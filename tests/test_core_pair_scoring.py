@@ -1,0 +1,219 @@
+"""The trip-count pair scorers equal the exact access counters they replace.
+
+Single-NRA and the fused patterns rank their candidate tile pairs by the
+reuse rule applied straight to trip counts, and build a dataflow only for
+the winner.  These properties pin, pair by pair, that the scores are the
+numbers the materialized-nest counters give:
+
+* ``single_nra_scorer`` equals ``memory_access(...).per_instance_total``;
+* ``fused_scorer`` equals ``fused_memory_access(...).total``, and returns
+  ``None`` exactly when that report is not ``fusable`` -- on the pairs the
+  patterns yield, and on random tilings and loop orders of a chain whose
+  consumer also reads the producer's input (so a shared loop can sit
+  outside the intermediate and break fusability);
+* ``reuse_multiplier`` (and ``tensor_multiplier``, which delegates to it)
+  equals the rule written out positionally, on random loop nests.
+"""
+
+import itertools
+
+from hypothesis import given, settings, strategies as st
+
+from conftest import DTYPES, buffer_sizes, mm_like_ops
+from repro.core.fusion import (
+    FusionMedium,
+    Role,
+    _capacity_constraints,
+    _private_orders,
+    cross_patterns,
+    fused_scorer,
+    profitable_patterns,
+)
+from repro.core.nra import (
+    TileConstraint,
+    _index_sets,
+    _other_dim,
+    pair_candidates,
+    single_nra_scorer,
+)
+from repro.dataflow.cost import memory_access, reuse_multiplier, tensor_multiplier
+from repro.dataflow.fusion_nest import FusedChain, FusedDataflow, fused_memory_access
+from repro.dataflow.scheduling import stationary_schedule
+from repro.dataflow.spec import Dataflow
+from repro.dataflow.tiling import Tiling
+from repro.ir import Tensor, TensorOperator, matmul
+from repro.ir.loopnest import LoopNest, TiledLoop
+
+
+@st.composite
+def two_mm_chains(draw):
+    """Producer/consumer matmul pairs with extents 1-512."""
+    m, k, l, n = draw(st.lists(st.integers(1, 512), min_size=4, max_size=4))
+    op1 = matmul("mm1", m, k, l, dtype_bytes=draw(DTYPES))
+    if draw(st.booleans()):
+        op2 = matmul("mm2", m, l, n, a=op1.output, dtype_bytes=draw(DTYPES))
+    else:
+        op2 = matmul("mm2", n, m, l, b=op1.output, dtype_bytes=draw(DTYPES))
+    return op1, op2
+
+
+@settings(max_examples=100, deadline=None)
+@given(mm_like_ops(), buffer_sizes())
+def test_single_nra_score_equals_memory_access(operator, buffer_elems):
+    checked = 0
+    for tensor in operator.tensors:
+        dim_x, dim_y = operator.dims_of(tensor.name)
+        dim_z = _other_dim(operator, (dim_x, dim_y))
+        constraint = TileConstraint.from_footprint(
+            _index_sets(operator), {dim_z: 1}, dim_x, dim_y, buffer_elems
+        )
+        score = single_nra_scorer(operator, tensor.name)
+        schedule = stationary_schedule(operator, tensor.name)
+        for tile_x, tile_y in pair_candidates(
+            (constraint,), operator.dims[dim_x], operator.dims[dim_y]
+        ):
+            dataflow = Dataflow(
+                Tiling({dim_x: tile_x, dim_y: tile_y, dim_z: 1}), schedule
+            )
+            assert score(tile_x, tile_y) == (
+                memory_access(operator, dataflow).per_instance_total
+            )
+            checked += 1
+    assert checked
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_mm_chains(), buffer_sizes(max_size=1 << 18), st.integers(1, 1 << 14))
+def test_fused_score_equals_fused_memory_access(ops, buffer_elems, register_elems):
+    chain = FusedChain.from_ops(ops)
+    private_orders = _private_orders(chain)
+    for pattern in profitable_patterns(chain) + cross_patterns(chain):
+        fixed = {
+            dim: chain.global_dims[dim] if role is Role.UNTILE else 1
+            for dim, role in pattern.roles.items()
+            if role is not Role.MAXIMIZE
+        }
+        free = [dim for dim, role in pattern.roles.items() if role is Role.MAXIMIZE]
+        if len(free) != 2:
+            continue
+        dim_x, dim_y = free
+        for medium in (FusionMedium.MEMORY, FusionMedium.COMPUTE_UNIT):
+            constraints = _capacity_constraints(
+                chain, fixed, dim_x, dim_y, buffer_elems, medium, register_elems
+            )
+            pairs = pair_candidates(
+                constraints, chain.global_dims[dim_x], chain.global_dims[dim_y]
+            )
+            for order in itertools.permutations(chain.common_dims):
+                score = fused_scorer(chain, order, private_orders)
+                for tile_x, tile_y in pairs:
+                    tiles = {**fixed, dim_x: tile_x, dim_y: tile_y}
+                    report = fused_memory_access(
+                        chain,
+                        FusedDataflow(order, private_orders, Tiling(tiles)),
+                    )
+                    expected = report.total if report.fusable else None
+                    assert score(tiles) == expected, (pattern.label, order, tiles)
+
+
+@st.composite
+def shared_input_cases(draw):
+    """``C[M,L] = sum_{K,P} A[M,K] * B[K,P,L]`` then
+    ``E[M,K] = sum_L C[M,L] * A[M,K]``, plus a random legal fused dataflow:
+    M, L and maybe K shared in any order, private loops in any order."""
+    m, k, l, p = draw(st.lists(st.integers(1, 24), min_size=4, max_size=4))
+    a = Tensor("A", (m, k), draw(DTYPES))
+    c = Tensor("C", (m, l))
+    op1 = TensorOperator(
+        name="op1",
+        dims={"M": m, "K": k, "L": l, "P": p},
+        inputs=(a, Tensor("B", (k, p, l))),
+        output=c,
+        indexing={"A": ("M", "K"), "B": ("K", "P", "L"), "C": ("M", "L")},
+        reduction_dims=frozenset({"K", "P"}),
+    )
+    op2 = TensorOperator(
+        name="op2",
+        dims={"M": m, "L": l, "K": k},
+        inputs=(c, a),
+        output=Tensor("E", (m, k)),
+        indexing={"C": ("M", "L"), "A": ("M", "K"), "E": ("M", "K")},
+        reduction_dims=frozenset({"L"}),
+    )
+    chain = FusedChain.from_ops((op1, op2))
+    shared = draw(st.permutations(["M", "L"] + (["K"] if draw(st.booleans()) else [])))
+    private_orders = {
+        op.name: tuple(draw(st.permutations(
+            [dim for dim in chain.op_global_dims(index) if dim not in shared]
+        )))
+        for index, op in enumerate(chain.ops)
+    }
+    tiles = {
+        dim: draw(st.integers(1, extent)) for dim, extent in chain.global_dims.items()
+    }
+    return chain, tuple(shared), private_orders, tiles
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_input_cases())
+def test_fused_score_equals_fused_memory_access_on_any_tiling(case):
+    chain, shared_order, private_orders, tiles = case
+    report = fused_memory_access(
+        chain, FusedDataflow(shared_order, private_orders, Tiling(tiles))
+    )
+    expected = report.total if report.fusable else None
+    assert fused_scorer(chain, shared_order, private_orders)(tiles) == expected
+
+
+@st.composite
+def loop_nests(draw):
+    """An operator over 1-5 dims plus a random tiled nest over them."""
+    names = draw(st.permutations("MKLNP"))[: draw(st.integers(1, 5))]
+    dims = {name: draw(st.integers(1, 64)) for name in names}
+    indexing = {}
+    for index in range(draw(st.integers(1, 4))):
+        rank = draw(st.integers(1, len(names)))
+        indexing[f"T{index}"] = tuple(draw(st.permutations(names))[:rank])
+    tensors = [
+        Tensor(name, tuple(dims[dim] for dim in axes))
+        for name, axes in indexing.items()
+    ]
+    operator = TensorOperator(
+        name="op",
+        dims=dims,
+        inputs=tensors[:-1],
+        output=tensors[-1],
+        indexing=indexing,
+    )
+    nest = LoopNest(
+        tuple(
+            TiledLoop(dim, dims[dim], draw(st.integers(1, dims[dim])))
+            for dim in draw(st.permutations(names))
+        )
+    )
+    return operator, nest
+
+
+def positional_multiplier(nest, tensor_dims):
+    """The rule as stated: trips of effective non-indexing loops outside
+    the innermost effective indexing loop."""
+    effective = [loop for loop in nest if loop.trip > 1]
+    positions = [i for i, loop in enumerate(effective) if loop.dim in tensor_dims]
+    innermost = positions[-1] if positions else -1
+    multiplier = 1
+    for loop in effective[: max(innermost, 0)]:
+        if loop.dim not in tensor_dims:
+            multiplier *= loop.trip
+    return multiplier
+
+
+@settings(max_examples=300, deadline=None)
+@given(loop_nests())
+def test_reuse_multiplier_equals_tensor_multiplier(case):
+    operator, nest = case
+    loops = [(loop.dim, loop.trip) for loop in nest]
+    for tensor in operator.tensors:
+        dims = operator.dims_of(tensor.name)
+        expected = positional_multiplier(nest, dims)
+        assert reuse_multiplier(loops, dims) == expected
+        assert tensor_multiplier(operator, nest, tensor.name) == expected

@@ -9,6 +9,10 @@ it drives the batch engine.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,3 +83,40 @@ def test_checker_sees_lazy_and_relative_imports():
     assert serving_imports("from .. import chaos\n", "repro.core") == [
         (1, "repro.chaos"),
     ]
+
+
+def _fresh_python(code: str):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout
+    return json.loads(out)
+
+
+def test_importing_core_leaves_other_layers_unloaded():
+    loaded = _fresh_python(
+        "import json, sys, repro.core\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    unloaded = ("repro.server", "repro.service", "repro.experiments",
+                "repro.search", "numpy")
+    assert [name for name in unloaded if name in loaded] == []
+
+
+def test_root_package_still_binds_every_subpackage():
+    bound = _fresh_python(
+        "import json, types, repro\n"
+        "names = [n for n in repro.__all__ if n != '__version__']\n"
+        "attrs = [n for n in names\n"
+        "         if isinstance(getattr(repro, n), types.ModuleType)]\n"
+        "star = {}\n"
+        "exec('from repro import *', star)\n"
+        "print(json.dumps([names, attrs, sorted(set(names) & set(star)),\n"
+        "                  'arch' in dir(repro)]))\n"
+    )
+    names, attrs, star, listed = bound
+    assert len(names) == 9
+    assert attrs == names
+    assert star == sorted(names)
+    assert listed
