@@ -25,8 +25,6 @@ serve               run the long-lived HTTP serving daemon over the batch
                     ``--shards N`` puts N journal-backed worker processes
                     behind the same endpoints with kill-one-shard
                     resilience)
-bench               time optimize_intra / optimize_fused / end-to-end
-                    batch throughput and write a ``BENCH_<date>.json``
 call FILE           evaluate requests against a running ``repro serve``
                     daemon via :class:`repro.server.ReproClient`
                     (deterministic retries on 429/503; ``--health``,
@@ -36,9 +34,9 @@ fsck PATH...        offline integrity check of journal / cache files:
                     per-record CRC verification, dedup stats, exit 0/1/2;
                     ``--repair`` quarantines corrupt records and rewrites
                     a clean journal
-selfcheck           run a small fault-injected batch end to end and verify
-                    the resilience, certification, and serving layers held
-                    (CI smoke test)
+selfcheck           smoke test over existing entry points: a fault-injected
+                    batch, the certification auditors, and the quick chaos
+                    soak of a 2-shard fleet
 tables              render paper Tables I-III
 fig9 / fig10 / fig11 / fig12
                     regenerate a paper figure's rows/series
@@ -154,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument(
         "--budget",
         type=int,
-        default=4096,
+        default=None,
         help="enumeration budget (candidate plans costed); default 4096",
     )
     plan.add_argument(
@@ -537,53 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
         "on 429/503 responses (default 0)",
     )
 
-    bench = commands.add_parser(
-        "bench",
-        help="time optimize_intra, optimize_fused, and end-to-end batch "
-        "throughput; writes a BENCH_<date>.json trend file",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=5,
-        help="timed calls per micro-benchmark shape (default 5)",
-    )
-    bench.add_argument(
-        "--batch-requests",
-        type=int,
-        default=200,
-        help="unique requests in the end-to-end throughput run "
-        "(default 200)",
-    )
-    bench.add_argument(
-        "--jobs",
-        type=int,
-        default=2,
-        help="engine pool width for the throughput run (default 2)",
-    )
-    bench.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="result file (default BENCH_<date>.json in the current "
-        "directory; '-' skips the file and prints JSON to stdout)",
-    )
-    bench.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="committed BENCH_*.json to guard against: exit nonzero if "
-        "batch throughput regressed beyond --max-regression",
-    )
-    bench.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.30,
-        metavar="FRACTION",
-        help="tolerated fractional throughput drop vs --baseline "
-        "(default 0.30 = 30%%)",
-    )
-
     call = commands.add_parser(
         "call",
         help="evaluate JSON-lines analysis requests against a running "
@@ -697,18 +648,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     selfcheck = commands.add_parser(
         "selfcheck",
-        help="run a small fault-injected batch and verify the resilience "
-        "layer held (smoke test for CI)",
+        help="smoke test: a fault-injected batch, the certification "
+        "auditors, and the quick chaos soak of a 2-shard fleet",
     )
     selfcheck.add_argument(
         "--stats",
         action="store_true",
-        help="print the batch summary to stderr",
-    )
-    selfcheck.add_argument(
-        "--skip-chaos",
-        action="store_true",
-        help="skip phase 6 (the quick seeded chaos soak)",
+        help="print the batch summary and the chaos log to stderr",
     )
 
     chaos = commands.add_parser(
@@ -818,6 +764,17 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    import json
+
+    from .ir import InvalidWorkloadError
+    from .plan import DEFAULT_PLAN_BUDGET
+    from .service import (
+        RequestError,
+        dag_plan_request,
+        execute_request,
+        graph_plan_request,
+    )
+
     buffer_elems = (
         args.buffer if args.buffer is not None else args.buffer_kb * 1024
     )
@@ -825,27 +782,50 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         if args.model is None:
             print("plan: a MODEL or --scenario is required", file=sys.stderr)
             return 2
-        graph = build_layer_graph(model_by_name(args.model))
-        plan = optimize_graph(graph, buffer_elems)
-        print(plan.describe())
-        return 0
-
-    import json
-
-    from .service import dag_plan_request, execute_request
-
-    request = dag_plan_request(
-        args.scenario,
-        buffer_elems,
-        model=args.model or "",
-        max_group=args.max_group,
-        retention=not args.no_retention,
-        baseline=args.baseline is not None,
-        budget=args.budget,
-        certify=args.certify,
-        paranoid=args.paranoid,
-    )
-    record = execute_request(request)
+        given = {
+            "--baseline": args.baseline is not None,
+            "--budget": args.budget is not None,
+            "--no-retention": args.no_retention,
+            "--certify": args.certify,
+            "--paranoid": args.paranoid,
+        }
+        scenario_only = [flag for flag, is_set in given.items() if is_set]
+        if scenario_only:
+            print(
+                f"plan: {' '.join(scenario_only)} needs --scenario",
+                file=sys.stderr,
+            )
+            return 2
+    try:
+        if args.scenario is None and not args.json:
+            graph = build_layer_graph(model_by_name(args.model))
+            plan = optimize_graph(
+                graph, buffer_elems, max_group=args.max_group
+            )
+            print(plan.describe())
+            return 0
+        if args.scenario is None:
+            request = graph_plan_request(
+                args.model, buffer_elems, max_group=args.max_group
+            )
+        else:
+            request = dag_plan_request(
+                args.scenario,
+                buffer_elems,
+                model=args.model or "",
+                max_group=args.max_group,
+                retention=not args.no_retention,
+                baseline=args.baseline is not None,
+                budget=(
+                    DEFAULT_PLAN_BUDGET if args.budget is None else args.budget
+                ),
+                certify=args.certify,
+                paranoid=args.paranoid,
+            )
+        record = execute_request(request)
+    except (InvalidWorkloadError, RequestError) as exc:
+        print(f"plan: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(record, indent=2, sort_keys=True))
     else:
@@ -1016,37 +996,53 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _read_batch_payloads(source: str):
-    """Stream a JSON-lines request file one line at a time.
+    """Open a JSON-lines request file now; stream its lines later.
 
-    A generator, not a ``read()``: a million-request input costs one
-    line of buffering here, not O(file) memory.  Undecodable lines are
-    reported to stderr *with their line number* and passed through as
-    raw strings so the engine still records a structured per-line error
-    at the right position in the output stream.
+    The file is opened eagerly, so a missing or unreadable path raises
+    ``OSError`` here, before any engine, journal or connection exists.
+    The returned generator reads one line at a time: a million-request
+    input costs one line of buffering, not O(file) memory.  Undecodable
+    lines are reported to stderr *with their line number* and passed
+    through as raw strings so the engine still records a structured
+    per-line error at the right position in the output stream.
     """
 
     import json
-    from contextlib import nullcontext
 
-    context = (
-        nullcontext(sys.stdin)
-        if source == "-"
-        else open(source, "r", encoding="utf-8")
-    )
-    with context as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except ValueError as exc:
-                print(
-                    f"warning: {source} line {lineno}: not valid JSON "
-                    f"({exc})",
-                    file=sys.stderr,
-                )
-                yield line
+    handle = sys.stdin if source == "-" else open(source, encoding="utf-8")
+
+    def lines():
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    yield json.loads(line)
+                except ValueError as exc:
+                    print(
+                        f"warning: {source} line {lineno}: not valid JSON "
+                        f"({exc})",
+                        file=sys.stderr,
+                    )
+                    yield line
+        finally:
+            if handle is not sys.stdin:
+                handle.close()
+
+    return lines()
+
+
+def _open_requests(command: str, source: str):
+    """``_read_batch_payloads``, or ``None`` after a one-line error."""
+    try:
+        return _read_batch_payloads(source)
+    except OSError as exc:
+        print(
+            f"{command}: cannot read {source}: {exc.strerror or exc}",
+            file=sys.stderr,
+        )
+        return None
 
 
 def _arm_fault_injection(spec: Optional[str]) -> Optional[int]:
@@ -1106,7 +1102,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if args.resume and not args.journal:
         print("error: --resume requires --journal PATH", file=sys.stderr)
         return 2
-    payloads = _read_batch_payloads(args.requests)
+    payloads = _open_requests("batch", args.requests)
+    if payloads is None:
+        return 2
     engine = BatchEngine(
         EngineConfig(
             jobs=args.jobs,
@@ -1314,62 +1312,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cache_lock.release()
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the micro/throughput benchmarks and persist the trend file."""
-    import json
-    import time
-
-    from .bench import render_bench_text, run_bench, write_bench
-
-    if args.repeats < 1 or args.batch_requests < 1 or args.jobs < 1:
-        print(
-            "error: --repeats, --batch-requests, and --jobs must be >= 1",
-            file=sys.stderr,
-        )
-        return 2
-    result = run_bench(
-        repeats=args.repeats,
-        batch_requests=args.batch_requests,
-        jobs=args.jobs,
-    )
-    print(render_bench_text(result), file=sys.stderr)
-    guard_rc = 0
-    if args.baseline:
-        from .bench import check_regression, read_bench
-
-        try:
-            baseline = read_bench(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(
-                f"bench: cannot read baseline {args.baseline}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        problems = check_regression(
-            result, baseline, max_regression=args.max_regression
-        )
-        if problems:
-            for problem in problems:
-                print(f"bench REGRESSION: {problem}", file=sys.stderr)
-            guard_rc = 1
-        else:
-            base_rps = baseline["batch"]["requests_per_second"]
-            cur_rps = result["batch"]["requests_per_second"]
-            print(
-                f"bench guard ok: {cur_rps:.1f} req/s vs baseline "
-                f"{base_rps:.1f} req/s (tolerance "
-                f"{args.max_regression:.0%})",
-                file=sys.stderr,
-            )
-    if args.output == "-":
-        print(json.dumps(result, sort_keys=True, indent=2))
-        return guard_rc
-    path = args.output or f"BENCH_{time.strftime('%Y%m%d')}.json"
-    write_bench(result, path)
-    print(f"bench: wrote {path}", file=sys.stderr)
-    return guard_rc
-
-
 def _cmd_call(args: argparse.Namespace) -> int:
     """One-shot client: ship requests to a live daemon, print results.
 
@@ -1410,7 +1352,9 @@ def _cmd_call(args: argparse.Namespace) -> int:
             summary = client.compact()
             print(json.dumps(summary, sort_keys=True, indent=2))
             return 0 if summary.get("ok") else 1
-        payloads = _read_batch_payloads(args.requests)
+        payloads = _open_requests("call", args.requests)
+        if payloads is None:
+            return 2
         if args.chunk_size > 0:
             lines = [
                 canonical_record_line(record)
@@ -1602,565 +1546,115 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
-    """Smoke-test the resilience layer with a deterministic faulty batch.
+    """Smoke-test three layers through their own entry points.
 
-    Phase 1 injects a transient raise (retried to success), a cooperative
-    delay (bounded by the deadline), and an in-process worker crash
-    (retried), then verifies every request produced a record in input
-    order and the resilience counters registered each failure mode.
+    1. Resilience: ``BatchEngine.run_batch`` under injected faults (a
+       transient raise and an in-process worker crash, both retried, a
+       delay, and a deterministic ``InfeasibleError``) returns one record
+       per request in input order.
+    2. Certification: ``certify_intra`` passes a known-good answer and
+       catches a corrupted claim; ``certify_fused`` heals the pinned
+       green-only counterexample (m=43,k=2,l=19,n=23 @ 173 elements).
+    3. Serving: the quick :func:`repro.chaos.run_chaos` profile, a 2-shard
+       fleet soaked through a worker kill, a journal disk fault and a
+       stall, every response byte-identical to a fault-free oracle.
 
-    Phase 2 proves the durable-execution layer: a journaled batch is
-    killed by an injected crash-after-2-completions fault, resumed from
-    the journal, and its output checked byte-identical to an
-    uninterrupted run with only the missing requests recomputed.
-
-    Phase 3 proves the certification layer: a known-good result passes a
-    paranoid certificate, a deliberately corrupted memory-access claim is
-    caught by the cost auditor, and the branch-and-bound fallback heals
-    the pinned ROADMAP counterexample (green-only fused patterns at
-    m=43,k=2,l=19,n=23 @ 173 elements) down to the certified optimum with
-    a populated discrepancy report.
-
-    Phase 4 proves the serving loop: a daemon is booted on an ephemeral
-    port, one paranoid-certified batch is pushed through
-    :class:`~repro.server.client.ReproClient`, the returned lines are
-    checked byte-identical to a direct engine run, and the server is
-    drained losslessly.
-
-    Phase 5 proves the sharded tier survives shard death: a 3-shard
-    :class:`~repro.shard.ShardedServer` (per-shard journals, slowed by an
-    injected per-request delay) serves a batch while the shard that owns
-    the first request is SIGKILLed mid-flight; the supervisor must
-    respawn it (journal replayed by the successor) and the batch must
-    still complete byte-identical to a direct single-process run.
-
-    Phase 6 (skippable with ``--skip-chaos``) runs the quick seeded
-    chaos profile (:func:`repro.chaos.run_chaos`): a 2-shard fleet
-    soaked for ~6s through a worker kill, an armed journal disk fault,
-    and a brief SIGSTOP stall, verifying byte-identical output, counter
-    conservation, readyz truthfulness, and disk-fault survival.
-
-    Phase 7 (also skippable with ``--skip-chaos``) proves the tier is
-    elastic: a 2-shard fleet is live-resized to 3 and back to 2 via
-    :meth:`~repro.shard.ShardedApp.reshard` while a churn thread keeps
-    requests in flight and one worker is SIGKILLed between the resizes;
-    every handoff must balance (imported + duplicates == exported) and a
-    final batch must stay byte-identical to a direct engine run.
-
-    Phase 8 proves the durable-state lifecycle: a journaled batch is
-    followed by compactions SIGKILLed mid-rewrite (at the mid-write and
-    pre-rename steps, in forked children); after each kill the journal
-    must reopen with zero quarantined/torn records and a resumed run
-    must replay every completion byte-identically to a direct run.
+    Kill-and-resume, the single-process daemon, resharding and
+    compaction kills are covered by the test suite and the CI smoke
+    steps, not here.
     """
 
-    import tempfile
-
+    from .chaos import ChaosConfig, run_chaos
+    from .core import optimize_fused
     from .service import (
-        BatchAbortError,
         BatchEngine,
-        BatchJournal,
         EngineConfig,
         injected_faults,
         intra_request,
-        parse_request,
         request_key,
         sweep_point_request,
     )
+    from .verify import certify_fused, certify_intra, drain_discrepancies
 
+    failures: List[str] = []
     requests = [
         intra_request(64, 32, 48, 4096),
         sweep_point_request(96, 64, 80, 1024),
         intra_request(32, 32, 32, 2048),
         intra_request(64, 32, 48, 1),  # deterministic InfeasibleError
     ]
-    flaky_key = request_key(requests[0])
-    crash_key = request_key(requests[2])
     spec = (
-        f"raise:{flaky_key[:16]}*:times=1:category=transient;"
+        f"raise:{request_key(requests[0])[:16]}*:times=1:category=transient;"
         "delay:sweep_point:seconds=0.02;"
-        f"crash:{crash_key[:16]}*:times=1"
+        f"crash:{request_key(requests[2])[:16]}*:times=1"
     )
-    failures: List[str] = []
     with injected_faults(spec):
-        engine = BatchEngine(
+        report = BatchEngine(
             EngineConfig(jobs=2, max_attempts=3, deadline_seconds=30.0)
-        )
-        report = engine.run_batch(requests)
+        ).run_batch(requests)
     if args.stats:
         print(report.render_text(), file=sys.stderr)
-    if report.requests != len(requests):
-        failures.append(
-            f"lost requests: {report.requests}/{len(requests)} records"
-        )
-    if [entry.index for entry in report.entries] != list(range(len(requests))):
-        failures.append("records out of input order")
-    oks = [entry.ok for entry in report.entries]
-    if oks != [True, True, True, False]:
-        failures.append(f"unexpected ok pattern {oks}")
-    error = report.entries[3].record.get("error", {})
-    if error.get("type") != "InfeasibleError":
-        failures.append(f"expected InfeasibleError, got {error.get('type')}")
+    outcome = [
+        (entry.index, entry.ok, entry.record.get("error", {}).get("type"))
+        for entry in report.entries
+    ]
+    expected = [(0, True, None), (1, True, None), (2, True, None),
+                (3, False, "InfeasibleError")]
+    if outcome != expected:
+        failures.append(f"resilience: records {outcome}, expected {expected}")
     if report.resilience.get("retries", 0) < 2:
         failures.append(
-            f"expected >=2 retries (flaky + crash), got {report.resilience}"
+            f"resilience: expected >=2 retries, got {report.resilience}"
         )
-
-    # ------------------------------------------------------------------
-    # Phase 2: kill-and-resume through the write-ahead journal.
-    # ------------------------------------------------------------------
-    resume_requests = [
-        intra_request(16 * step, 24, 32, 8192) for step in range(1, 6)
-    ]
-    replayed = 0
-    with tempfile.TemporaryDirectory() as tmpdir:
-        journal_path = f"{tmpdir}/selfcheck.journal"
-        with injected_faults("exit:*:after=2"):
-            engine = BatchEngine(EngineConfig(jobs=2))
-            journal = BatchJournal(journal_path, resume=True)
-            try:
-                engine.run_batch(resume_requests, journal=journal)
-                failures.append("injected batch abort never fired")
-            except BatchAbortError:
-                pass
-            finally:
-                journal.close()
-        journal = BatchJournal(journal_path, resume=True)
-        if len(journal.completed) != 2:
-            failures.append(
-                f"journal checkpointed {len(journal.completed)} "
-                "completions before the crash; expected 2"
-            )
-        resumed = BatchEngine(EngineConfig(jobs=2)).run_batch(
-            resume_requests, journal=journal
-        )
-        journal.close()
-        clean = BatchEngine(EngineConfig(jobs=2)).run_batch(resume_requests)
-        if resumed.to_jsonl() != clean.to_jsonl():
-            failures.append(
-                "resumed batch output differs from uninterrupted run"
-            )
-        if resumed.replayed != 2 or resumed.computed != 3:
-            failures.append(
-                "resume recomputed the wrong split: replayed="
-                f"{resumed.replayed} computed={resumed.computed}; "
-                "expected 2 replayed + 3 computed"
-            )
-        replayed = resumed.replayed
-        if args.stats:
-            print(resumed.render_text(), file=sys.stderr)
-
-    # ------------------------------------------------------------------
-    # Phase 3: certification layer (audit, corruption, healing fallback).
-    # ------------------------------------------------------------------
-    from .core import optimize_fused
-    from .verify import certify_fused, certify_intra, drain_discrepancies
 
     drain_discrepancies()
-    good_op = matmul("mm", 64, 32, 48)
-    good = certify_intra(good_op, 4096, paranoid=True)
+    op = matmul("mm", 64, 32, 48)
+    good = certify_intra(op, 4096, paranoid=True)
     if not good.certificate.ok or good.certificate.healed:
-        failures.append(
-            "known-good intra result failed paranoid certification: "
-            + "; ".join(good.certificate.failure_summaries())
-        )
-    corrupted = certify_intra(
-        good_op,
-        4096,
-        claimed_memory_access=good.result.memory_access - 7,
-    )
-    if corrupted.certificate.ok:
-        failures.append("cost auditor passed a corrupted MA claim")
-    healed_ops = [matmul("mm1", 43, 2, 19)]
-    healed_ops.append(matmul("mm2", 43, 19, 23, a=healed_ops[0].output))
-    green_only = optimize_fused(healed_ops, 173, include_cross=False)
-    healed = certify_fused(
-        healed_ops, 173, result=green_only, paranoid=True
-    )
-    discrepancies = drain_discrepancies()
+        failures.append("certification: known-good result failed")
+    claimed = good.result.memory_access - 7
+    if certify_intra(op, 4096, claimed_memory_access=claimed).certificate.ok:
+        failures.append("certification: a corrupted MA claim passed")
+    producer = matmul("mm1", 43, 2, 19)
+    chain = [producer, matmul("mm2", 43, 19, 23, a=producer.output)]
+    green = optimize_fused(chain, 173, include_cross=False)
+    healed = certify_fused(chain, 173, result=green, paranoid=True)
+    certificate = healed.certificate
     if not (
-        healed.certificate.healed
-        and healed.certificate.ok
-        and healed.certificate.discrepancy is not None
-        and healed.result.memory_access
-        < green_only.memory_access
+        certificate.ok
+        and certificate.healed
+        and certificate.discrepancy is not None
+        and healed.result.memory_access < green.memory_access
+        and len(drain_discrepancies()) == 1
     ):
-        failures.append(
-            "branch-and-bound fallback did not heal the pinned "
-            "counterexample: "
-            f"green={green_only.memory_access} "
-            f"certified={healed.result.memory_access} "
-            f"healed={healed.certificate.healed}"
-        )
-    if len(discrepancies) != 1:
-        failures.append(
-            f"discrepancy registry recorded {len(discrepancies)} "
-            "report(s); expected 1 (the healed fused counterexample)"
-        )
-    certified_ma = healed.result.memory_access
+        failures.append("certification: the counterexample was not healed")
 
-    # ------------------------------------------------------------------
-    # Phase 4: serving loop (daemon boot, client round-trip, drain).
-    # ------------------------------------------------------------------
-    from .server import ReproClient, ReproServer, ServerConfig
-
-    serve_requests = [
-        {"kind": "intra", "m": 64, "k": 32, "l": 48, "buffer_elems": 4096,
-         "paranoid": True},
-        {"kind": "sweep_point", "m": 96, "k": 64, "l": 80,
-         "buffer_elems": 1024},
-    ]
-    direct = BatchEngine(EngineConfig(jobs=1, paranoid=False)).run_batch(
-        [parse_request(payload) for payload in serve_requests]
+    chaos = run_chaos(
+        ChaosConfig(
+            seed=7,
+            shards=2,
+            duration=6.0,
+            profile="quick",
+            log=lambda message: (
+                print(f"repro chaos: {message}", file=sys.stderr)
+                if args.stats
+                else None
+            ),
+        )
     )
-    with ReproServer(ServerConfig(port=0, jobs=1)) as server:
-        with ReproClient(port=server.port) as client:
-            health = client.health()
-            served = client.batch_lines(serve_requests)
-        drained = server.shutdown(drain=True)
-        server_stats = server.app.stats_dict()
-    if "\n".join(served) != direct.to_jsonl():
-        failures.append(
-            "served batch output differs from direct engine run"
-        )
-    if direct.certified != 1:
-        failures.append(
-            "served paranoid request did not certify "
-            f"(certified={direct.certified}, expected 1)"
-        )
-    if not drained:
-        failures.append("server failed to drain in-flight work")
-    if server_stats["serving"].get("requests_served") != len(serve_requests):
-        failures.append(
-            "server counters disagree: requests_served="
-            f"{server_stats['serving'].get('requests_served')}, "
-            f"expected {len(serve_requests)}"
-        )
-    protocol = health.get("protocol")
-
-    # ------------------------------------------------------------------
-    # Phase 5: sharded tier (kill one shard mid-batch, lossless respawn).
-    # ------------------------------------------------------------------
-    import os
-    import signal
-    import threading
-    import time
-
-    from .shard import ShardedServer, rendezvous_shard, routing_key
-
-    shard_requests = [
-        {"kind": "intra", "m": 40 + step, "k": 24, "l": 32,
-         "buffer_elems": 8192}
-        for step in range(12)
-    ]
-    shard_direct = BatchEngine(EngineConfig(jobs=2)).run_batch(
-        [parse_request(payload) for payload in shard_requests]
-    )
-    shard_count = 3
-    victim_index = rendezvous_shard(routing_key(shard_requests[0]), shard_count)
-    respawns = 0
-    with tempfile.TemporaryDirectory() as tmpdir:
-        # The delay paces the batch so the SIGKILL lands mid-flight; the
-        # env export lets the shard worker processes inherit it.
-        with injected_faults("delay:intra:seconds=0.12", export_env=True):
-            sharded = ShardedServer(
-                ServerConfig(
-                    port=0, jobs=1, journal_path=f"{tmpdir}/shards.journal"
-                ),
-                shards=shard_count,
-                health_interval=0.2,
-            ).start()
-            try:
-                outcome: dict = {}
-
-                def _run_shard_batch() -> None:
-                    try:
-                        with ReproClient(
-                            port=sharded.port, timeout=120.0
-                        ) as shard_client:
-                            outcome["lines"] = shard_client.batch_lines(
-                                shard_requests
-                            )
-                    except Exception as exc:  # surfaced as a failure below
-                        outcome["error"] = repr(exc)
-
-                runner = threading.Thread(target=_run_shard_batch)
-                runner.start()
-                time.sleep(0.5)  # a few delayed requests deep into the batch
-                victim = sharded.app.supervisor.handles[victim_index]
-                victim_pid = victim.pid
-                os.kill(victim_pid, getattr(signal, "SIGKILL", signal.SIGTERM))
-                runner.join(timeout=90.0)
-                if runner.is_alive():
-                    failures.append(
-                        "sharded batch hung after shard kill (still running "
-                        "after 90s)"
-                    )
-                elif "error" in outcome:
-                    failures.append(
-                        f"sharded batch errored after shard kill: "
-                        f"{outcome['error']}"
-                    )
-                elif "\n".join(outcome["lines"]) != shard_direct.to_jsonl():
-                    failures.append(
-                        "sharded batch output differs from direct run "
-                        "after shard kill"
-                    )
-                snapshot = sharded.app.supervisor.snapshot()
-                respawns = snapshot["respawns"]
-                if respawns < 1:
-                    failures.append(
-                        "killed shard was never respawned "
-                        f"(snapshot {snapshot})"
-                    )
-                if victim.pid == victim_pid:
-                    failures.append(
-                        "victim shard still reports the killed pid "
-                        f"{victim_pid}"
-                    )
-            finally:
-                sharded.shutdown(drain=True)
-
-    # ------------------------------------------------------------------
-    # Phase 6: quick seeded chaos soak (kill + disk fault + stall).
-    # ------------------------------------------------------------------
-    chaos_summary = "chaos skipped (--skip-chaos)"
-    if not getattr(args, "skip_chaos", False):
-        from .chaos import ChaosConfig, run_chaos
-
-        chaos_report = run_chaos(
-            ChaosConfig(
-                seed=7,
-                shards=2,
-                duration=6.0,
-                profile="quick",
-                log=lambda message: (
-                    print(f"repro chaos: {message}", file=sys.stderr)
-                    if args.stats
-                    else None
-                ),
-            )
-        )
-        if not chaos_report.passed:
-            for failure in chaos_report.invariant_failures:
-                failures.append(f"chaos: {failure}")
-        chaos_summary = (
-            f"chaos ok ({chaos_report.iterations} iterations "
-            f"byte-identical, {chaos_report.respawns} respawn(s), "
-            f"journal degraded survival={chaos_report.journal_degraded})"
-        )
-
-    # ------------------------------------------------------------------
-    # Phase 7: elastic soak (resize up/down under churn + one kill).
-    # ------------------------------------------------------------------
-    elastic_summary = "elastic skipped (--skip-chaos)"
-    if not getattr(args, "skip_chaos", False):
-        from .shard import wait_for_pid_change
-
-        elastic_requests = [
-            {"kind": "intra", "m": 28 + step, "k": 20, "l": 24,
-             "buffer_elems": 4096}
-            for step in range(8)
-        ]
-        elastic_direct = BatchEngine(EngineConfig(jobs=2)).run_batch(
-            [parse_request(payload) for payload in elastic_requests]
-        )
-        elastic_moved = 0
-        with tempfile.TemporaryDirectory() as tmpdir:
-            elastic = ShardedServer(
-                ServerConfig(
-                    port=0, jobs=1, journal_path=f"{tmpdir}/elastic.journal"
-                ),
-                shards=2,
-                health_interval=0.2,
-            ).start()
-            try:
-                stop_churn = threading.Event()
-                churn_errors: List[str] = []
-
-                def _churn() -> None:
-                    step = 0
-                    try:
-                        with ReproClient(
-                            port=elastic.port, timeout=60.0
-                        ) as churn_client:
-                            while not stop_churn.is_set():
-                                step += 1
-                                churn_client.batch_lines([
-                                    {"kind": "sweep_point",
-                                     "m": 32 + step % 16, "k": 24,
-                                     "l": 40, "buffer_elems": 2048}
-                                ])
-                                time.sleep(0.02)
-                    except Exception as exc:  # surfaced as a failure below
-                        churn_errors.append(repr(exc))
-
-                churner = threading.Thread(target=_churn)
-                churner.start()
-                handoffs = []
-                with ReproClient(
-                    port=elastic.port, timeout=120.0
-                ) as elastic_client:
-                    # Seed the per-shard journals so the resizes have
-                    # completions to hand off.
-                    elastic_client.batch_lines(elastic_requests)
-                    handoffs.append(elastic.app.reshard(3))
-                    kill_victim = elastic.app.supervisor.handles[1]
-                    kill_pid = kill_victim.pid
-                    os.kill(
-                        kill_pid,
-                        getattr(signal, "SIGKILL", signal.SIGTERM),
-                    )
-                    if (
-                        wait_for_pid_change(
-                            elastic.app.supervisor, 1, kill_pid,
-                            timeout=30.0,
-                        )
-                        is None
-                    ):
-                        failures.append(
-                            "elastic: shard-1 never respawned after the "
-                            "mid-flux kill"
-                        )
-                    handoffs.append(elastic.app.reshard(2))
-                    final_lines = elastic_client.batch_lines(
-                        elastic_requests
-                    )
-                stop_churn.set()
-                churner.join(timeout=60.0)
-                if churner.is_alive():
-                    failures.append("elastic: churn thread hung")
-                for error in churn_errors:
-                    failures.append(f"elastic: churn request failed: {error}")
-                for summary in handoffs:
-                    balance = (
-                        summary["imported"] + summary["duplicates"]
-                    )
-                    if balance != summary["exported"]:
-                        failures.append(
-                            "elastic: handoff accounting broke "
-                            f"({summary['from']}->{summary['to']}: "
-                            f"imported {summary['imported']} + duplicates "
-                            f"{summary['duplicates']} != exported "
-                            f"{summary['exported']})"
-                        )
-                    elastic_moved += summary["keys_moved"]
-                if elastic.app.shards != 2:
-                    failures.append(
-                        "elastic: fleet ended at "
-                        f"{elastic.app.shards} shard(s), expected 2"
-                    )
-                if "\n".join(final_lines) != elastic_direct.to_jsonl():
-                    failures.append(
-                        "elastic: post-reshard batch differs from direct run"
-                    )
-            finally:
-                elastic.shutdown(drain=True)
-        if not any(failure.startswith("elastic:") for failure in failures):
-            elastic_summary = (
-                f"elastic ok (2->3->2 shards under churn, {elastic_moved} "
-                "key(s) moved, survived mid-flux kill, byte-identical)"
-            )
-        else:
-            elastic_summary = "elastic FAILED"
-
-    # ------------------------------------------------------------------
-    # Phase 8: durable-state lifecycle (compaction killed mid-rewrite).
-    # ------------------------------------------------------------------
-    durability_summary = "durability skipped (no fork on this platform)"
-    if hasattr(os, "fork"):
-        dur_requests = [
-            intra_request(24 + step, 16, 24, 4096) for step in range(6)
-        ]
-        dur_direct = BatchEngine(EngineConfig(jobs=2)).run_batch(
-            dur_requests
-        )
-        kill_steps = ("mid_write", "pre_rename")
-        with tempfile.TemporaryDirectory() as tmpdir:
-            dur_path = f"{tmpdir}/durability.journal"
-            journal = BatchJournal(dur_path, resume=True)
-            BatchEngine(EngineConfig(jobs=2)).run_batch(
-                dur_requests, journal=journal
-            )
-            journal.close()
-            for kill_step in kill_steps:
-                pid = os.fork()
-                if pid == 0:
-                    # Child: arm the kill and compact.  The SIGKILL
-                    # fires inside compact(); os._exit is unreachable
-                    # unless the arming failed.
-                    try:
-                        child = BatchJournal(
-                            dur_path,
-                            resume=True,
-                            fsync=False,
-                            log=lambda message: None,
-                        )
-                        child.inject_compact_kill(kill_step)
-                        child.compact()
-                    finally:
-                        os._exit(3)
-                _, status = os.waitpid(pid, 0)
-                if not (
-                    os.WIFSIGNALED(status)
-                    and os.WTERMSIG(status) == signal.SIGKILL
-                ):
-                    failures.append(
-                        f"durability: compaction child survived the armed "
-                        f"{kill_step} SIGKILL (status {status})"
-                    )
-                    continue
-                survivor = BatchJournal(dur_path, resume=True)
-                quarantined = survivor.corrupt_quarantined
-                dropped = survivor.recovered_drops
-                resumed = BatchEngine(EngineConfig(jobs=2)).run_batch(
-                    dur_requests, journal=survivor
-                )
-                survivor.close()
-                if quarantined or dropped:
-                    failures.append(
-                        f"durability: journal not clean after {kill_step} "
-                        f"kill (quarantined={quarantined}, torn={dropped})"
-                    )
-                if resumed.replayed != len(dur_requests):
-                    failures.append(
-                        f"durability: {kill_step} kill lost completions "
-                        f"(replayed {resumed.replayed}/{len(dur_requests)})"
-                    )
-                if resumed.to_jsonl() != dur_direct.to_jsonl():
-                    failures.append(
-                        f"durability: resumed output differs from direct "
-                        f"run after {kill_step} kill"
-                    )
-        if not any(
-            failure.startswith("durability:") for failure in failures
-        ):
-            durability_summary = (
-                "durability ok (compaction SIGKILLed at "
-                f"{'/'.join(kill_steps)}, journal stayed valid, "
-                "byte-identical resume)"
-            )
-        else:
-            durability_summary = "durability FAILED"
+    failures.extend(f"chaos: {failure}" for failure in chaos.invariant_failures)
 
     if failures:
         for failure in failures:
             print(f"selfcheck FAILED: {failure}", file=sys.stderr)
         return 1
     print(
-        "selfcheck ok: "
-        f"{report.requests} requests, {report.errors} expected error, "
-        f"resilience={report.resilience}; kill-resume ok "
-        f"({replayed} replayed from the journal, byte-identical output); "
-        "certification ok (corrupted claim caught, counterexample healed "
-        f"{green_only.memory_access}->{certified_ma}); "
-        f"serving ok (protocol {protocol}, byte-identical over HTTP, "
-        "lossless drain); "
-        f"sharding ok (shard killed mid-batch, {respawns} respawn, "
-        "byte-identical completion); "
-        f"{chaos_summary}; "
-        f"{elastic_summary}; "
-        f"{durability_summary}"
+        f"selfcheck ok: {report.requests} requests, {report.errors} expected "
+        f"error, resilience={report.resilience}; certification ok "
+        "(corrupted claim caught, counterexample healed "
+        f"{green.memory_access}->{healed.result.memory_access}); chaos ok "
+        f"({chaos.iterations} iterations byte-identical, {chaos.respawns} "
+        f"respawn(s), journal degraded survival={chaos.journal_degraded})"
     )
     return 0
 
@@ -2181,8 +1675,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_batch(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "call":
         return _cmd_call(args)
     if args.command == "fsck":

@@ -1,17 +1,16 @@
 """The chaos layer: seeded schedules, jitter, fallback routing, harness.
 
 Unit-level coverage for the deterministic pieces (timeline generation
-and grammar, Retry-After jitter, rendezvous fallback, the bench
-regression guard) plus one real quick-profile soak through
-:func:`repro.chaos.run_chaos` -- worker kills, a journal disk fault,
-and a SIGSTOP stall against a live 2-shard fleet.
+and grammar, Retry-After jitter, rendezvous fallback) plus one real
+quick-profile soak through :func:`repro.chaos.run_chaos` -- worker
+kills, a journal disk fault, and a SIGSTOP stall against a live 2-shard
+fleet.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench import check_regression
 from repro.chaos import (
     CHAOS_GRID,
     CHAOS_PROFILES,
@@ -273,41 +272,6 @@ class TestRespawnPolicy:
     def test_rejects_non_positive_knobs(self, kwargs):
         with pytest.raises(ValueError):
             RespawnPolicy(**kwargs)
-
-
-# ----------------------------------------------------------------------
-# Bench regression guard
-# ----------------------------------------------------------------------
-class TestBenchGuard:
-    @staticmethod
-    def _doc(rps, schema=1):
-        return {"schema": schema, "batch": {"requests_per_second": rps}}
-
-    def test_within_tolerance_passes(self):
-        assert check_regression(self._doc(80.0), self._doc(100.0)) == []
-        assert check_regression(self._doc(120.0), self._doc(100.0)) == []
-
-    def test_collapse_fails_loud(self):
-        problems = check_regression(self._doc(60.0), self._doc(100.0))
-        assert len(problems) == 1
-        assert "regressed" in problems[0]
-        assert "40.0%" in problems[0]
-
-    def test_schema_mismatch_refuses_to_compare(self):
-        problems = check_regression(
-            self._doc(100.0), self._doc(100.0, schema=0)
-        )
-        assert "schema mismatch" in problems[0]
-
-    def test_useless_baseline_refuses(self):
-        problems = check_regression(self._doc(100.0), {"schema": 1})
-        assert "re-baseline" in problems[0]
-
-    def test_max_regression_bounds(self):
-        with pytest.raises(ValueError):
-            check_regression(self._doc(1), self._doc(1), max_regression=0.0)
-        with pytest.raises(ValueError):
-            check_regression(self._doc(1), self._doc(1), max_regression=1.0)
 
 
 # ----------------------------------------------------------------------

@@ -466,6 +466,7 @@ class TestJournalCompaction:
         with BatchJournal(path, resume=True) as journal:
             assert journal.completed == expected
             assert journal.corrupt_quarantined == 0
+            assert journal.recovered_drops == 0
         assert not os.path.exists(path + ".compact.tmp")
 
     def test_handoff_export_carries_crc_and_ingest_verifies(self, tmp_path):
@@ -784,16 +785,17 @@ class TestExitFault:
 # Kill-and-resume through the engine
 # ----------------------------------------------------------------------
 class TestCrashResume:
-    def test_crash_after_n_then_resume_is_byte_identical(self, tmp_path):
+    @staticmethod
+    def _crash_after_two_then_resume(tmp_path, jobs):
         requests = _requests(5)
-        clean = BatchEngine(EngineConfig(jobs=1)).run_batch(requests)
+        clean = BatchEngine(EngineConfig(jobs=jobs)).run_batch(requests)
 
         path = str(tmp_path / "batch.journal")
         journal = BatchJournal(path)
         try:
             with injected_faults("exit:*:after=2"):
                 with pytest.raises(BatchAbortError):
-                    BatchEngine(EngineConfig(jobs=1)).run_batch(
+                    BatchEngine(EngineConfig(jobs=jobs)).run_batch(
                         requests, journal=journal
                     )
         finally:
@@ -801,13 +803,21 @@ class TestCrashResume:
 
         with BatchJournal(path, resume=True) as journal:
             assert len(journal) == 2
-            report = BatchEngine(EngineConfig(jobs=1)).run_batch(
+            report = BatchEngine(EngineConfig(jobs=jobs)).run_batch(
                 requests, journal=journal
             )
         assert report.replayed == 2
         assert report.computed == 3
         assert _records(report) == _records(clean)
         assert [entry.replayed for entry in report.entries].count(True) == 2
+
+    def test_crash_after_n_then_resume_is_byte_identical(self, tmp_path):
+        self._crash_after_two_then_resume(tmp_path, jobs=1)
+
+    def test_crash_after_n_in_a_thread_pool_journals_exactly_n(
+        self, tmp_path
+    ):
+        self._crash_after_two_then_resume(tmp_path, jobs=2)
 
     def test_replay_survives_a_second_resume(self, tmp_path):
         """A fully-journaled batch replays everything and computes nothing."""

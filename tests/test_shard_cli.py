@@ -1,11 +1,10 @@
-"""CLI surface of the sharded tier + the bench subcommand.
+"""CLI surface of the sharded tier.
 
 The subprocess tests exercise the real multi-process daemon contract:
 ``repro serve --shards N`` boots a fleet, prints the parseable
 "listening on" line plus a "shard pids" line (the CI smoke step kills
 one of those pids), serves ``repro call`` byte-identically to ``repro
-batch``, and drains losslessly on SIGTERM.  The bench tests pin the
-``BENCH_<date>.json`` schema that the committed baseline follows.
+batch``, and drains losslessly on SIGTERM.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import urllib.request
 
 import pytest
 
-from repro.bench import BENCH_SCHEMA_VERSION, run_bench
 from repro.cli import main
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -160,49 +158,3 @@ class TestServeSharded:
     def test_shards_flag_rejects_negative(self, capsys):
         assert main(["serve", "--port", "0", "--shards", "-1"]) == 2
         assert "shards" in capsys.readouterr().err
-
-
-class TestBench:
-    def test_run_bench_structure(self):
-        report = run_bench(repeats=1, batch_requests=4, jobs=1)
-        assert report["schema"] == BENCH_SCHEMA_VERSION
-        assert report["machine"]["python"]
-        for section in ("optimize_intra", "optimize_fused"):
-            assert report[section], f"{section} timed nothing"
-            for shape, entry in report[section].items():
-                assert "x" in shape
-                assert entry["median_seconds"] > 0
-                assert entry["min_seconds"] <= entry["median_seconds"]
-        batch = report["batch"]
-        assert batch["requests"] == 4
-        assert batch["requests_per_second"] > 0
-        assert batch["wall_seconds"] > 0
-        # The trend file must be diffable: pure JSON, date-stamped.
-        assert json.loads(json.dumps(report)) == report
-        assert len(report["date"]) == 10  # ISO YYYY-MM-DD
-
-    def test_bench_cli_writes_the_trend_file(self, tmp_path, capsys):
-        output = tmp_path / "bench.json"
-        assert (
-            main(["bench", "--repeats", "1", "--batch-requests", "4",
-                  "--jobs", "1", "--output", str(output)])
-            == 0
-        )
-        err = capsys.readouterr().err
-        assert "req/s" in err
-        report = json.loads(output.read_text(encoding="utf-8"))
-        assert report["schema"] == BENCH_SCHEMA_VERSION
-        assert report["batch"]["requests"] == 4
-
-    def test_bench_cli_stdout_mode(self, capsys):
-        assert (
-            main(["bench", "--repeats", "1", "--batch-requests", "2",
-                  "--jobs", "1", "--output", "-"])
-            == 0
-        )
-        report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == BENCH_SCHEMA_VERSION
-
-    def test_bench_rejects_bad_knobs(self, capsys):
-        assert main(["bench", "--repeats", "0"]) == 2
-        assert "must be >= 1" in capsys.readouterr().err
