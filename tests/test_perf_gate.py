@@ -24,14 +24,14 @@ def run(rps, correct=True, failed=0):
 
 def test_within_the_floor_passes():
     parent = [run(200.0), run(210.0), run(190.0)]
-    assert perf_gate.verdict(parent, [run(150.0)] * 3, 0.70) == []
-    assert perf_gate.verdict(parent, [run(400.0)] * 3, 0.70) == []
+    assert perf_gate.verdict(parent, [run(150.0)] * 3) == []
+    assert perf_gate.verdict(parent, [run(400.0)] * 3) == []
 
 
 def test_median_below_the_floor_fails():
     parent = [run(200.0), run(210.0), run(190.0)]
     head = [run(100.0), run(300.0), run(139.0)]  # median 139 < 0.7 * 200
-    problems = perf_gate.verdict(parent, head, 0.70)
+    problems = perf_gate.verdict(parent, head)
     assert len(problems) == 1
     assert "139.0" in problems[0] and "200.0" in problems[0]
 
@@ -44,7 +44,7 @@ def test_incorrect_or_failed_run_fails_either_side(side, bad):
     good = [run(200.0)] * 3
     runs = {"parent": list(good), "head": list(good)}
     runs[side][1] = bad
-    problems = perf_gate.verdict(runs["parent"], runs["head"], 0.70)
+    problems = perf_gate.verdict(runs["parent"], runs["head"])
     assert problems == [
         f"{side} run 1: correct={bad['correct']} failed={bad['failed']}"
     ]
@@ -54,14 +54,15 @@ def test_main_alternates_sides_and_sets_the_exit_code(monkeypatch, capsys):
     calls = []
     rps = {"old": 200.0, "new": 100.0}
 
-    def fake_run_once(checkout, seconds):
+    def fake_run_once(checkout):
         calls.append(checkout)
         return run(rps[checkout])
 
     monkeypatch.setattr(perf_gate, "run_once", fake_run_once)
-    assert perf_gate.main(["old", "new", "--runs", "3"]) == 1
+    assert perf_gate.main(["old", "new"]) == 1
     assert calls == ["old", "new", "new", "old", "old", "new"]
     assert "perf gate FAILED" in capsys.readouterr().out
     rps["new"] = 180.0
-    assert perf_gate.main(["old", "new", "--runs", "2"]) == 0
+    monkeypatch.setattr(perf_gate, "RUNS", 2)
+    assert perf_gate.main(["old", "new"]) == 0
     assert "perf gate ok" in capsys.readouterr().out

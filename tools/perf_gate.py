@@ -7,10 +7,10 @@ Usage::
 
 Runs ``python3 perfbench/run.py --workload sweep-cold --seed 1 --seconds 8
 --trace 0`` in each checkout (each run uses its own checkout's ``src/``),
-``--runs`` times per side, alternating which side goes first.  Exit 1 if
+``RUNS`` times per side, alternating which side goes first.  Exit 1 if
 any run reports ``correct: false`` or ``failed > 0``, or if the checked
-side's median ``throughput_rps`` is below ``--min-ratio`` (default 0.70)
-times the parent's.  Both sides run on the same machine in the same
+side's median ``throughput_rps`` is below ``MIN_RATIO`` times the
+parent's.  Both sides run on the same machine in the same
 minute, so the gate needs no committed baseline that could go stale when
 the machine or the code gets faster.
 """
@@ -25,8 +25,12 @@ import subprocess
 import sys
 from typing import Dict, List, Mapping, Optional, Sequence
 
+RUNS = 3
+SECONDS = 8.0
+MIN_RATIO = 0.70
 
-def run_once(checkout: str, seconds: float) -> Dict:
+
+def run_once(checkout: str) -> Dict:
     """One sweep-cold run in ``checkout``; the parsed final JSON line.
 
     perfbench's per-run table goes to stderr, so a failing run explains
@@ -35,9 +39,9 @@ def run_once(checkout: str, seconds: float) -> Dict:
     proc = subprocess.run(
         [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
          "--workload", "sweep-cold", "--seed", "1", "--trace", "0",
-         "--seconds", str(seconds)],
+         "--seconds", str(SECONDS)],
         stdout=subprocess.PIPE,
-        timeout=60 + 10 * seconds,
+        timeout=60 + 10 * SECONDS,
         check=True,
         text=True,
     )
@@ -50,8 +54,7 @@ def median_rps(runs: Sequence[Mapping]) -> float:
     )
 
 
-def verdict(parent: Sequence[Mapping], head: Sequence[Mapping],
-            min_ratio: float) -> List[str]:
+def verdict(parent: Sequence[Mapping], head: Sequence[Mapping]) -> List[str]:
     """Every reason to fail the gate; empty when it passes."""
     problems = []
     for side, runs in (("parent", parent), ("head", head)):
@@ -62,9 +65,9 @@ def verdict(parent: Sequence[Mapping], head: Sequence[Mapping],
                     f"failed={run['failed']}"
                 )
     base, mine = median_rps(parent), median_rps(head)
-    if mine < min_ratio * base:
+    if mine < MIN_RATIO * base:
         problems.append(
-            f"median throughput_rps {mine:.1f} is below {min_ratio:.2f} x "
+            f"median throughput_rps {mine:.1f} is below {MIN_RATIO:.2f} x "
             f"the parent's {base:.1f}"
         )
     return problems
@@ -74,15 +77,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", help="checkout of the parent commit")
     parser.add_argument("head", help="checkout under test")
-    parser.add_argument("--runs", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=8.0)
-    parser.add_argument("--min-ratio", type=float, default=0.70)
     args = parser.parse_args(argv)
     runs: Dict[str, List[Dict]] = {"parent": [], "head": []}
-    for index in range(args.runs):
+    for index in range(RUNS):
         order = ("parent", "head") if index % 2 == 0 else ("head", "parent")
         for side in order:
-            run = run_once(getattr(args, side), args.seconds)
+            run = run_once(getattr(args, side))
             runs[side].append(run)
             print(
                 f"perf gate: {side} run {index}: throughput_rps="
@@ -90,14 +90,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"correct={run['correct']} failed={run['failed']}",
                 flush=True,
             )
-    problems = verdict(runs["parent"], runs["head"], args.min_ratio)
+    problems = verdict(runs["parent"], runs["head"])
     for problem in problems:
         print(f"perf gate FAILED: {problem}")
     if not problems:
         print(
             f"perf gate ok: median throughput_rps "
             f"{median_rps(runs['head']):.1f} vs the parent's "
-            f"{median_rps(runs['parent']):.1f} (floor {args.min_ratio:.2f}x)"
+            f"{median_rps(runs['parent']):.1f} (floor {MIN_RATIO:.2f}x)"
         )
     return 1 if problems else 0
 
