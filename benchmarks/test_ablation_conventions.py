@@ -7,10 +7,11 @@ absolute MA and confirms it does not change the optimizer's *decisions*
 (chosen NRA class per operator, profitable fusions).
 """
 
-from repro.core import optimize_graph, optimize_intra
+from repro.core import optimize_intra
 from repro.dataflow import PartialSumConvention
 from repro.experiments import format_table
 from repro.ir import matmul
+from repro.plan import optimize_graph
 from repro.workloads import BERT, build_layer_graph, representative_matmuls
 
 BUFFER = 512 * 1024

@@ -6,9 +6,10 @@
   optimization -- the operative content of Principle 4.
 """
 
-from repro.core import optimize_fused, optimize_graph
+from repro.core import optimize_fused
 from repro.experiments import format_table
 from repro.ir import matmul
+from repro.plan import optimize_graph
 from repro.workloads import PAPER_MODELS, build_layer_graph
 
 BUFFER = 512 * 1024

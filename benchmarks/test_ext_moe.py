@@ -7,9 +7,9 @@ each expert sees fewer tokens.  Compared against the dense FFN at equal
 token throughput.
 """
 
-from repro.core import optimize_graph
 from repro.experiments import format_table
 from repro.ir import OperatorGraph, matmul
+from repro.plan import optimize_graph
 from repro.workloads import BERT, build_moe_ffn_graph
 
 BUFFER = 512 * 1024

@@ -5,8 +5,8 @@ input-gradient GEMMs); this bench shows the planner fuses both directions
 and measures the training-step traffic per platform.
 """
 
-from repro.core import optimize_graph
 from repro.experiments import format_table
+from repro.plan import optimize_graph
 from repro.workloads import BERT, XLM, build_ffn_training_graph
 
 BUFFER = 512 * 1024

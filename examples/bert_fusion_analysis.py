@@ -12,8 +12,9 @@ Run:  python examples/bert_fusion_analysis.py [buffer_kb]
 
 import sys
 
-from repro.core import decide_fusion, optimize_graph
+from repro.core import decide_fusion
 from repro.experiments import format_table
+from repro.plan import optimize_graph
 from repro.workloads import BERT, build_layer_graph
 
 

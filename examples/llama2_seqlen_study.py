@@ -7,8 +7,8 @@ quadratically, and only the fused dataflow keeps them on-chip.
 Run:  python examples/llama2_seqlen_study.py
 """
 
-from repro.core import optimize_graph
 from repro.experiments import render_fig11, run_fig11
+from repro.plan import optimize_graph
 from repro.workloads import LLAMA2, LLAMA2_SEQ_SWEEP, build_layer_graph
 
 

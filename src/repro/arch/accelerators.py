@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..ir.graph import OperatorGraph
 from ..ir.operator import TensorOperator
@@ -41,7 +41,6 @@ from ..dataflow.scheduling import stationary_schedule
 from ..dataflow.spec import Dataflow
 from ..dataflow.tiling import Tiling
 from ..core.fusion import FusedResult, FusionMedium
-from ..core.graph_optimizer import Segment, optimize_graph
 from ..core.intra import optimize_intra
 from ..core.nra import (
     NRACandidate,
@@ -57,6 +56,9 @@ from .perf import (
     matmul_segment_perf,
     streaming_segment_perf,
 )
+
+if TYPE_CHECKING:
+    from ..plan import PlanSegment
 
 
 class TilingFlex(Enum):
@@ -304,7 +306,7 @@ def _mm_mapping_dims(
 
 
 def _segment_perf(
-    segment: Segment, spec: AcceleratorSpec
+    segment: PlanSegment, spec: AcceleratorSpec
 ) -> SegmentPerf:
     ops = segment.ops
     macs = sum(op.macs for op in ops)
@@ -364,15 +366,19 @@ def evaluate_graph(
 ) -> PlatformPerf:
     """Run a workload graph through a platform's dataflow space.
 
-    FuseCU and UnfCU use the principle planner directly (with and without
-    fusion); constrained platforms optimize each operator within their
-    restricted candidate sets.
+    FuseCU and UnfCU use the graph planner directly (with and without
+    fusion, no retention); constrained platforms optimize each operator
+    within their restricted candidate sets.
     """
+
+    # Function-level: ``repro.plan`` imports the workloads, which import
+    # this module.
+    from ..plan import plan_dag
 
     buffer_elems = spec.memory.buffer_elems
     segments: List[SegmentPerf] = []
     if spec.tiling is TilingFlex.MIDDLE and spec.stationary_flexible:
-        plan = optimize_graph(
+        plan = plan_dag(
             graph,
             buffer_elems,
             enable_fusion=spec.fusion,
@@ -382,6 +388,7 @@ def evaluate_graph(
             # the buffer; BEST takes the better medium per pattern.
             medium=FusionMedium.BEST,
             register_elems=spec.total_pes,
+            enable_retention=False,
         )
         for segment in plan.segments:
             segments.append(_segment_perf(segment, spec))

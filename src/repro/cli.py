@@ -51,7 +51,7 @@ from typing import List, Optional
 
 from .arch import ALL_PLATFORMS, MemorySpec, evaluate_graph
 from .chaos import CHAOS_PROFILES
-from .core import decide_fusion, optimize_graph, optimize_intra
+from .core import decide_fusion, optimize_intra
 from .experiments import (
     format_table,
     render_fig9,
@@ -766,8 +766,9 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     import json
 
+    from .core import InfeasibleError
     from .ir import InvalidWorkloadError
-    from .plan import DEFAULT_PLAN_BUDGET
+    from .plan import DEFAULT_PLAN_BUDGET, plan_dag
     from .service import (
         RequestError,
         dag_plan_request,
@@ -799,8 +800,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     try:
         if args.scenario is None and not args.json:
             graph = build_layer_graph(model_by_name(args.model))
-            plan = optimize_graph(
-                graph, buffer_elems, max_group=args.max_group
+            plan = plan_dag(
+                graph, buffer_elems, max_group=args.max_group,
+                enable_retention=False,
             )
             print(plan.describe())
             return 0
@@ -823,7 +825,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 paranoid=args.paranoid,
             )
         record = execute_request(request)
-    except (InvalidWorkloadError, RequestError) as exc:
+    except (InfeasibleError, InvalidWorkloadError, RequestError) as exc:
         print(f"plan: {exc}", file=sys.stderr)
         return 2
     if args.json:

@@ -6,9 +6,8 @@ Public surface:
   -- intra-operator optimum (Principles 1-3).
 * :func:`~repro.core.fusion.decide_fusion` / :func:`~repro.core.fusion.optimize_fused`
   -- inter-operator fusion profitability (Principle 4, Fig. 4 patterns).
-* :func:`~repro.core.graph_optimizer.optimize_graph` -- graph-level planning.
-* :func:`~repro.core.lower_bound.intra_lower_bound` /
-  :func:`~repro.core.lower_bound.graph_lower_bound` -- communication bounds.
+* :func:`~repro.core.lower_bound.intra_lower_bound` -- the per-operator
+  communication bound.
 * :func:`~repro.core.regimes.classify_buffer` -- the four buffer regimes.
 * :func:`~repro.core.memo.memo_stats` / :func:`~repro.core.memo.clear_memo`
   -- the process-wide analysis memo.
@@ -56,13 +55,6 @@ from .fusion import (
     profitable_patterns,
     solve_pattern,
 )
-from .graph_optimizer import (
-    GraphPlan,
-    Segment,
-    optimize_chain,
-    optimize_graph,
-    principle4_predicate,
-)
 from .generic import GenericCandidate, generic_candidates, optimize_generic
 from .multilevel import (
     TwoLevelResult,
@@ -75,7 +67,6 @@ from .inverse import ParetoPoint, minimal_buffer_for, minimal_buffer_for_ideal, 
 from .lower_bound import (
     CurvePoint,
     closed_form_curve,
-    graph_lower_bound,
     intra_lower_bound,
     shift_point_band,
     three_nra_threshold,
@@ -137,14 +128,8 @@ __all__ = [
     "per_op_nra_classes",
     "profitable_patterns",
     "solve_pattern",
-    "GraphPlan",
-    "Segment",
-    "optimize_chain",
-    "optimize_graph",
-    "principle4_predicate",
     "CurvePoint",
     "closed_form_curve",
-    "graph_lower_bound",
     "intra_lower_bound",
     "shift_point_band",
     "three_nra_threshold",

@@ -2,9 +2,10 @@
 
 The principles yield, for each operator and buffer size, the minimum
 memory<->buffer traffic any tiling/scheduling can achieve within the modeled
-space; :func:`intra_lower_bound` and :func:`graph_lower_bound` expose these
-directly.  :func:`closed_form_curve` additionally provides the paper's
-piecewise MA(BS) curve used in the Fig. 9 validation plots.
+space; :func:`intra_lower_bound` exposes it directly (a graph's bound is
+its plan's total, :func:`repro.plan.plan_dag`).  :func:`closed_form_curve`
+additionally provides the paper's piecewise MA(BS) curve used in the
+Fig. 9 validation plots.
 """
 
 from __future__ import annotations
@@ -12,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from ..ir.graph import OperatorGraph
 from ..ir.operator import TensorOperator
 from ..dataflow.cost import PartialSumConvention
-from .graph_optimizer import GraphPlan, optimize_graph
 from .intra import optimize_intra
 from .regimes import BufferRegime, classify_buffer
 
@@ -27,19 +26,6 @@ def intra_lower_bound(
 ) -> int:
     """Minimum memory access for one operator at the given buffer size."""
     return optimize_intra(operator, buffer_elems, convention).memory_access
-
-
-def graph_lower_bound(
-    graph: OperatorGraph,
-    buffer_elems: int,
-    enable_fusion: bool = True,
-    convention: PartialSumConvention = PartialSumConvention.SINGLE,
-) -> int:
-    """Minimum memory access for a graph, with or without operator fusion."""
-    plan: GraphPlan = optimize_graph(
-        graph, buffer_elems, enable_fusion=enable_fusion, convention=convention
-    )
-    return plan.memory_access
 
 
 @dataclass(frozen=True)

@@ -157,11 +157,6 @@ def tensor_multiplier(
     )
 
 
-def _output_passes(operator: TensorOperator, nest: LoopNest) -> int:
-    """Number of partial-sum passes over the output (1 = no spilling)."""
-    return tensor_multiplier(operator, nest, operator.output.name)
-
-
 def memory_access(
     operator: TensorOperator,
     dataflow: Dataflow,

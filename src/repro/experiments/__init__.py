@@ -33,7 +33,6 @@ from .sweep import (
     SweepCurve,
     SweepGridPoint,
     render_sweep,
-    render_sweep_grid,
     run_sweep,
     run_sweep_grid,
     sweep_grid_requests,
@@ -46,7 +45,6 @@ __all__ = [
     "SweepCurve",
     "SweepGridPoint",
     "render_sweep",
-    "render_sweep_grid",
     "run_sweep",
     "run_sweep_grid",
     "run_grid",

@@ -200,23 +200,3 @@ def run_sweep_grid(
                 )
             )
     return points
-
-
-def render_sweep_grid(points: Sequence[SweepGridPoint]) -> str:
-    """Table of the fixed-grid sweep (one row per sample)."""
-    rows = []
-    for point in points:
-        rows.append(
-            [
-                point.operator,
-                point.buffer_bytes // 1024,
-                "-" if point.memory_access is None else point.memory_access,
-                "-" if point.normalized is None else round(point.normalized, 4),
-                point.regime or (point.error or "-"),
-            ]
-        )
-    return format_table(
-        ["operator", "buffer (KB)", "MA", "MA / ideal", "regime"],
-        rows,
-        title="MA(BS) fixed-grid sweep (batch engine)",
-    )

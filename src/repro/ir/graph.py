@@ -9,8 +9,8 @@ their memory traffic entirely (paper Fig. 1).
 
 The graph also identifies *chains*: maximal linear producer/consumer runs
 whose intermediate tensors have exactly one consumer.  Operator fusion in
-the paper (and in this library's :mod:`repro.core.graph_optimizer`) is
-applied along such chains.
+the paper is applied along such chains; :mod:`repro.plan` segments each
+one by dynamic programming and also plans across joins.
 """
 
 from __future__ import annotations

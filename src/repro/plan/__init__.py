@@ -1,12 +1,16 @@
-"""DAG-scale fusion planning (the analytical layer above chain DP).
+"""Graph-level fusion planning: the repo's one graph planner.
 
 ``repro.plan`` plans *whole operator DAGs* into fused sets with retained
-intermediates, extending the paper's pairwise Principle 4 and the
-chain-at-a-time planner in :mod:`repro.core.graph_optimizer`:
+intermediates, extending the paper's pairwise Principle 4 from one chain
+to the whole graph:
 
 * :mod:`repro.plan.partition` -- the partition/retention model, the
-  shared :func:`cost_partition` primitive, and the principle-guided
-  :func:`plan_dag` planner;
+  shared :func:`cost_partition` primitive, the chain DP and the
+  chain-independent plan (:func:`optimize_graph`), and the
+  principle-guided :func:`plan_dag` planner.  ``plan_dag(...,
+  enable_retention=False)`` is "the plan" of a graph (``repro plan
+  MODEL``, ``graph_plan`` requests, FuseCU/UnfCU); every plan is a
+  :class:`DagPlan` whose segments are listed in execution order;
 * :mod:`repro.plan.enumerative` -- a LoopTree-style budgeted enumerative
   mapper over the same space, the independent search baseline;
 * :mod:`repro.plan.scenarios` -- the pinned scenario catalog (attention,
@@ -22,6 +26,7 @@ from .partition import (
     PlanSegment,
     clean_links,
     cost_partition,
+    optimize_graph,
     plan_dag,
     retention_candidates,
 )
@@ -46,6 +51,7 @@ __all__ = [
     "PlanSegment",
     "clean_links",
     "cost_partition",
+    "optimize_graph",
     "plan_dag",
     "retention_candidates",
     "DEFAULT_PLAN_BUDGET",

@@ -37,7 +37,6 @@ from ..ir.graph import OperatorGraph
 from ..ir.operator import TensorOperator, validate_buffer_elems
 from ..dataflow.cost import PartialSumConvention
 from ..core.fusion import FusionMedium
-from ..core.graph_optimizer import FusionPredicate
 from .partition import DagPlan, clean_links, cost_partition, retention_candidates
 
 #: Default cap on candidate costings per :func:`enumerate_plans` call.
@@ -150,7 +149,6 @@ def enumerate_plans(
     budget: int = DEFAULT_PLAN_BUDGET,
     enable_retention: bool = True,
     convention: PartialSumConvention = PartialSumConvention.SINGLE,
-    fusion_predicate: Optional[FusionPredicate] = None,
     medium: FusionMedium = FusionMedium.MEMORY,
     register_elems: Optional[int] = None,
 ) -> EnumerativeOutcome:
@@ -186,8 +184,8 @@ def enumerate_plans(
             evaluated += 1
             plan = cost_partition(
                 graph, segments_ops, retained, buffer_elems,
-                convention=convention, fusion_predicate=fusion_predicate,
-                medium=medium, register_elems=register_elems,
+                convention=convention, medium=medium,
+                register_elems=register_elems,
                 method="enumerative",
             )
             if plan is None:

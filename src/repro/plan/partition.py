@@ -1,8 +1,10 @@
 """Principle-guided partitioning of whole operator DAGs into fused sets.
 
-The paper's Principle 4 decides fusion *pairwise* and
-:mod:`repro.core.graph_optimizer` extends it to one maximal linear chain
-at a time.  This module plans the **whole DAG**:
+The paper's Principle 4 decides fusion *pairwise*; the chain DP
+(:func:`optimize_chain`) extends it to one linear chain, and
+:func:`optimize_graph` runs it over every maximal chain of
+:meth:`~repro.ir.graph.OperatorGraph.chains` (the chain-independent
+plan).  This module plans the **whole DAG**:
 
 * a *partition* splits the graph's operators into *segments* -- each a
   single operator or a producer/consumer run fusable as one nest
@@ -21,16 +23,15 @@ at a time.  This module plans the **whole DAG**:
   counted accesses, redundant re-reads included -- they all hit the
   resident copy) is elided.
 
-Costing goes through :func:`repro.core.graph_optimizer.segment_cost`
-(``optimize_intra`` / ``optimize_fused``), so a plan's claim is exactly
-the sum the certification layer can recount segment-by-segment.  The
-planner itself is *principle-guided search*: chain DP segments each
-path exactly, joins are resolved by the measured pairwise fusion gain
-(Principle 4's measured form), retention is accepted greedily when it
-strictly lowers the total, and the tested
-:meth:`~repro.ir.graph.OperatorGraph.chains` decomposition is always
-evaluated as a fallback -- so a DAG plan is never worse than the
-chain-independent plan.  Optimality over the whole partition space is
+Costing goes through :func:`segment_cost` (``optimize_intra`` /
+``optimize_fused``), so a plan's claim is exactly the sum the
+certification layer can recount segment-by-segment.  The planner itself
+is *principle-guided search*: chain DP segments each path exactly, joins
+are resolved by the measured pairwise fusion gain (Principle 4's
+measured form), retention is accepted greedily when it strictly lowers
+the total, and the chain-independent plan is always evaluated as a
+fallback -- so a DAG plan is never worse than it.  Every plan lists its
+segments in execution order.  Optimality over the whole partition space is
 *not* claimed; the budgeted enumerative mapper
 (:mod:`repro.plan.enumerative`) is the independent search baseline the
 principle-guided result is cross-checked (and, via
@@ -40,18 +41,21 @@ principle-guided result is cross-checked (and, via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..ir.graph import OperatorGraph
-from ..ir.operator import TensorOperator, validate_buffer_elems
-from ..dataflow.cost import PartialSumConvention
-from ..core.fusion import FusionMedium
-from ..core.graph_optimizer import (
-    FusionPredicate,
-    SegmentResult,
-    optimize_chain,
-    segment_cost,
+from ..ir.operator import (
+    InvalidWorkloadError,
+    TensorOperator,
+    validate_buffer_elems,
 )
+from ..dataflow.cost import PartialSumConvention
+from ..core.fusion import FusedResult, FusionMedium
+from ..core.intra import InfeasibleError, IntraResult
+from ..core.memo import cached_optimize_fused, cached_optimize_intra
+from ..core.nra import UnsupportedOperatorError
+
+SegmentResult = Union[IntraResult, FusedResult]
 
 
 @dataclass(frozen=True)
@@ -169,13 +173,15 @@ def _order_segments(
     segment DAG.
     """
 
-    rank = {op.name: index for index, op in enumerate(graph.topological_order())}
     return tuple(
-        sorted(
-            (tuple(ops) for ops in segments_ops),
-            key=lambda ops: rank[ops[-1].name],
-        )
+        sorted((tuple(ops) for ops in segments_ops), key=_last_op_rank(graph))
     )
+
+
+def _last_op_rank(graph: OperatorGraph):
+    """Sort key of a segment's ops: its last operator's topological rank."""
+    rank = {op.name: index for index, op in enumerate(graph.topological_order())}
+    return lambda ops: rank[ops[-1].name]
 
 
 def _segment_structure_ok(
@@ -250,7 +256,6 @@ def cost_partition(
     retained: Sequence[str],
     buffer_elems: int,
     convention: PartialSumConvention = PartialSumConvention.SINGLE,
-    fusion_predicate: Optional[FusionPredicate] = None,
     medium: FusionMedium = FusionMedium.MEMORY,
     register_elems: Optional[int] = None,
     method: str = "principle",
@@ -278,8 +283,7 @@ def cost_partition(
         if budget <= 0:
             return None
         result = segment_cost(
-            ops, budget, convention=convention,
-            fusion_predicate=fusion_predicate, medium=medium,
+            ops, budget, convention=convention, medium=medium,
             register_elems=register_elems,
         )
         if result is None:
@@ -324,14 +328,130 @@ def retention_candidates(
     return tuple(sorted(names))
 
 
+def segment_cost(
+    ops: Sequence[TensorOperator],
+    buffer_elems: int,
+    convention: PartialSumConvention = PartialSumConvention.SINGLE,
+    medium: FusionMedium = FusionMedium.MEMORY,
+    register_elems: Optional[int] = None,
+) -> Optional[SegmentResult]:
+    """Optimal cost of one candidate segment, or ``None`` when infeasible.
+
+    A length-1 segment costs its intra-operator optimum; longer segments
+    cost their best fused dataflow.  Results are memoized in
+    :mod:`repro.core.memo` -- identical segments recur across chains,
+    scenarios, and every candidate partition the planners evaluate, so
+    the planner's hot path is a table lookup.
+    """
+
+    if len(ops) == 1:
+        try:
+            return cached_optimize_intra(ops[0], buffer_elems, convention)
+        except (UnsupportedOperatorError, InfeasibleError):
+            return None
+    return cached_optimize_fused(
+        ops, buffer_elems, convention=convention,
+        medium=medium, register_elems=register_elems,
+    )
+
+
+def optimize_chain(
+    ops: Sequence[TensorOperator],
+    buffer_elems: int,
+    enable_fusion: bool = True,
+    max_group: int = 3,
+    convention: PartialSumConvention = PartialSumConvention.SINGLE,
+    medium: FusionMedium = FusionMedium.MEMORY,
+    register_elems: Optional[int] = None,
+) -> Tuple[PlanSegment, ...]:
+    """Optimal segmentation of one linear chain by dynamic programming.
+
+    Segments hold at most ``max_group`` operators (one without fusion).
+    Raises :class:`~repro.core.intra.InfeasibleError` when no
+    segmentation fits the buffer.
+    """
+
+    ops = tuple(ops)
+    if not ops:
+        return ()
+    best_cost: List[float] = [float("inf")] * (len(ops) + 1)
+    best_cut: List[Optional[Tuple[int, SegmentResult]]] = [None] * (len(ops) + 1)
+    best_cost[0] = 0.0
+    longest = max_group if enable_fusion else 1
+    for end in range(1, len(ops) + 1):
+        for start in range(max(0, end - longest), end):
+            if best_cost[start] == float("inf"):
+                continue
+            result = segment_cost(
+                ops[start:end], buffer_elems, convention=convention,
+                medium=medium, register_elems=register_elems,
+            )
+            if result is None:
+                continue
+            cost = best_cost[start] + result.memory_access
+            if cost < best_cost[end]:
+                best_cost[end] = cost
+                best_cut[end] = (start, result)
+    if best_cut[-1] is None:
+        raise InfeasibleError(
+            f"no feasible plan for chain starting at {ops[0].name!r} with "
+            f"buffer {buffer_elems}"
+        )
+    segments: List[PlanSegment] = []
+    end = len(ops)
+    while end > 0:
+        entry = best_cut[end]
+        assert entry is not None
+        start, result = entry
+        segments.append(PlanSegment(ops=ops[start:end], result=result))
+        end = start
+    segments.reverse()
+    return tuple(segments)
+
+
+def optimize_graph(
+    graph: OperatorGraph,
+    buffer_elems: int,
+    enable_fusion: bool = True,
+    max_group: int = 3,
+    convention: PartialSumConvention = PartialSumConvention.SINGLE,
+    medium: FusionMedium = FusionMedium.MEMORY,
+    register_elems: Optional[int] = None,
+) -> DagPlan:
+    """The chain-independent plan: chain DP over every maximal chain.
+
+    Each chain of :meth:`~repro.ir.graph.OperatorGraph.chains` is
+    segmented on its own, with no join choice and no retention.  This is
+    :func:`plan_dag`'s fallback candidate and the chain baseline that
+    ``dag_plan`` records and :func:`repro.verify.certify_plan` report.
+    """
+
+    buffer_elems = validate_buffer_elems(buffer_elems)
+    rank = _last_op_rank(graph)
+    segments = sorted(
+        (
+            segment
+            for chain in graph.chains()
+            for segment in optimize_chain(
+                chain, buffer_elems, enable_fusion=enable_fusion,
+                max_group=max_group, convention=convention, medium=medium,
+                register_elems=register_elems,
+            )
+        ),
+        key=lambda segment: rank(segment.ops),
+    )
+    return DagPlan(
+        graph_name=graph.name, buffer_elems=buffer_elems, segments=tuple(segments)
+    )
+
+
 def _principle_paths(
     graph: OperatorGraph,
     buffer_elems: int,
+    enable_fusion: bool,
     convention: PartialSumConvention,
-    fusion_predicate: Optional[FusionPredicate],
     medium: FusionMedium,
     register_elems: Optional[int],
-    enable_fusion: bool,
 ) -> Tuple[Tuple[TensorOperator, ...], ...]:
     """Vertex-disjoint paths over clean links, joins resolved by measured gain.
 
@@ -362,8 +482,7 @@ def _principle_paths(
                 producer = graph.operator(producer_name)
                 pair = segment_cost(
                     (producer, consumer), buffer_elems, convention=convention,
-                    fusion_predicate=fusion_predicate, medium=medium,
-                    register_elems=register_elems,
+                    medium=medium, register_elems=register_elems,
                 )
                 if pair is None:
                     continue
@@ -397,23 +516,19 @@ def _segment_paths(
     enable_fusion: bool,
     max_group: int,
     convention: PartialSumConvention,
-    fusion_predicate: Optional[FusionPredicate],
     medium: FusionMedium,
     register_elems: Optional[int],
 ) -> Tuple[Tuple[TensorOperator, ...], ...]:
     """Chain-DP each path exactly; returns the flat segment op-tuples."""
-    segments: List[Tuple[TensorOperator, ...]] = []
-    for path in paths:
-        segments.extend(
-            segment.ops
-            for segment in optimize_chain(
-                path, buffer_elems, enable_fusion=enable_fusion,
-                max_group=max_group, convention=convention,
-                fusion_predicate=fusion_predicate, medium=medium,
-                register_elems=register_elems,
-            )
+    return tuple(
+        segment.ops
+        for path in paths
+        for segment in optimize_chain(
+            path, buffer_elems, enable_fusion=enable_fusion,
+            max_group=max_group, convention=convention, medium=medium,
+            register_elems=register_elems,
         )
-    return tuple(segments)
+    )
 
 
 def _improve_retention(
@@ -421,7 +536,6 @@ def _improve_retention(
     plan: DagPlan,
     buffer_elems: int,
     convention: PartialSumConvention,
-    fusion_predicate: Optional[FusionPredicate],
     medium: FusionMedium,
     register_elems: Optional[int],
 ) -> DagPlan:
@@ -459,8 +573,8 @@ def _improve_retention(
             continue
         trial = cost_partition(
             graph, segments_ops, tuple(retained) + (name,), buffer_elems,
-            convention=convention, fusion_predicate=fusion_predicate,
-            medium=medium, register_elems=register_elems, method=plan.method,
+            convention=convention, medium=medium,
+            register_elems=register_elems, method=plan.method,
         )
         if trial is not None and trial.memory_access < best.memory_access:
             best = trial
@@ -474,63 +588,40 @@ def plan_dag(
     enable_fusion: bool = True,
     max_group: int = 3,
     convention: PartialSumConvention = PartialSumConvention.SINGLE,
-    fusion_predicate: Optional[FusionPredicate] = None,
     medium: FusionMedium = FusionMedium.MEMORY,
     register_elems: Optional[int] = None,
     enable_retention: bool = True,
 ) -> DagPlan:
     """Principle-guided DAG plan: join choices + chain DP + retention.
 
-    Both the join-resolved path decomposition and the tested
-    :meth:`~repro.ir.graph.OperatorGraph.chains` fallback are costed and
-    the better kept, so the result is never worse than
-    :func:`repro.core.graph_optimizer.optimize_graph` on the same graph
-    (the hypothesis suite asserts exactly this property).  Raises
-    :class:`ValueError` when some chain has no feasible plan at all,
-    matching :func:`~repro.core.graph_optimizer.optimize_chain`.
+    Both the join-resolved path decomposition and the chain-independent
+    plan (:func:`optimize_graph`, the fallback) are costed and the better
+    kept, so the result is never worse than :func:`optimize_graph` on
+    the same graph (the hypothesis suite asserts exactly this property);
+    with ``enable_retention=False`` and no join to resolve it equals it.
+    Raises :class:`~repro.ir.operator.InvalidWorkloadError` for a
+    non-positive buffer or ``max_group`` below 1, and
+    :class:`~repro.core.intra.InfeasibleError` when some chain has no
+    feasible plan at all.
     """
 
     buffer_elems = validate_buffer_elems(buffer_elems)
-    common = dict(
-        convention=convention, fusion_predicate=fusion_predicate,
-        medium=medium, register_elems=register_elems,
+    if max_group < 1:
+        raise InvalidWorkloadError(f"max_group must be at least 1, got {max_group}")
+    costing = dict(
+        convention=convention, medium=medium, register_elems=register_elems
     )
-    candidates: List[Tuple[Tuple[TensorOperator, ...], ...]] = []
-    candidates.append(
-        _segment_paths(
-            graph.chains(), buffer_elems, enable_fusion, max_group,
-            convention, fusion_predicate, medium, register_elems,
-        )
+    best = optimize_graph(graph, buffer_elems, enable_fusion, max_group, **costing)
+    paths = _principle_paths(graph, buffer_elems, enable_fusion, **costing)
+    principle = cost_partition(
+        graph,
+        _segment_paths(paths, buffer_elems, enable_fusion, max_group, **costing),
+        (), buffer_elems, **costing,
     )
-    principle = _segment_paths(
-        _principle_paths(
-            graph, buffer_elems, convention, fusion_predicate, medium,
-            register_elems, enable_fusion,
-        ),
-        buffer_elems, enable_fusion, max_group,
-        convention, fusion_predicate, medium, register_elems,
-    )
-    if principle not in candidates:
-        candidates.append(principle)
-    best: Optional[DagPlan] = None
-    for segments_ops in candidates:
-        plan = cost_partition(
-            graph, segments_ops, (), buffer_elems, method="principle", **common
-        )
-        if plan is None:
-            continue
-        if best is None or (plan.memory_access, plan.signature()) < (
-            best.memory_access, best.signature()
-        ):
-            best = plan
-    if best is None:
-        raise ValueError(
-            f"no feasible DAG plan for graph {graph.name!r} with buffer "
-            f"{buffer_elems}"
-        )
+    if principle is not None and (
+        principle.memory_access, principle.signature()
+    ) < (best.memory_access, best.signature()):
+        best = principle
     if enable_retention:
-        best = _improve_retention(
-            graph, best, buffer_elems, convention, fusion_predicate,
-            medium, register_elems,
-        )
+        best = _improve_retention(graph, best, buffer_elems, **costing)
     return best

@@ -896,6 +896,14 @@ class ReproServer:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "ReproServer":
+        """Serve from a background thread; a no-op once started.
+
+        ``with ReproServer(config).start() as server:`` calls this twice
+        (``__enter__`` starts too); a second ``serve_forever`` thread
+        would outlive ``shutdown`` until its join timed out.
+        """
+        if self._thread is not None:
+            return self
         self._thread = threading.Thread(
             target=self.httpd.serve_forever,
             name="repro-serve",

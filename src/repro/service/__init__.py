@@ -58,7 +58,6 @@ from .errors import (
     WorkerCrashError,
     classify_error_name,
     classify_exception,
-    error_record,
     record_category,
 )
 from .faults import (
@@ -112,7 +111,6 @@ from .requests import (
     graph_plan_request,
     intra_request,
     parse_request,
-    platform_compare_request,
     request_key,
     sweep_point_request,
 )
@@ -178,7 +176,6 @@ __all__ = [
     "classify_error_name",
     "classify_exception",
     "dag_plan_request",
-    "error_record",
     "execute_request",
     "fsck_file",
     "fused_cache_stats",
@@ -190,7 +187,6 @@ __all__ = [
     "lock_handle",
     "parse_fault_spec",
     "parse_request",
-    "platform_compare_request",
     "read_journal_completions",
     "record_category",
     "record_crc",

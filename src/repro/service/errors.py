@@ -121,15 +121,6 @@ def classify_error_name(name: Optional[str]) -> str:
     return TRANSIENT if name in _TRANSIENT_NAMES else PERMANENT
 
 
-def error_record(exc: BaseException) -> Dict[str, Any]:
-    """The structured error dict carried in batch result records."""
-    return {
-        "type": type(exc).__name__,
-        "message": str(exc),
-        "category": classify_exception(exc),
-    }
-
-
 def record_category(record: Dict[str, Any]) -> Optional[str]:
     """Category of a result record: ``None`` for successes.
 

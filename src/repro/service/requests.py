@@ -189,6 +189,12 @@ def parse_request(payload: Mapping[str, Any]) -> AnalysisRequest:
             )
         else:
             params[name] = default
+    if params.get("max_group", 1) < 1:
+        raise RequestError(
+            f"{kind} request: param 'max_group' must be at least 1, "
+            f"got {params['max_group']}",
+            kind=kind,
+        )
     return AnalysisRequest(
         kind=kind, params=tuple(sorted(params.items()))
     )
@@ -314,12 +320,6 @@ def dag_plan_request(
             "certify": certify,
             "paranoid": paranoid,
         }
-    )
-
-
-def platform_compare_request(model: str, buffer_elems: int) -> AnalysisRequest:
-    return parse_request(
-        {"kind": "platform_compare", "model": model, "buffer_elems": buffer_elems}
     )
 
 

@@ -27,11 +27,12 @@ import time
 from typing import Any, Dict, List, Mapping, Optional
 
 from ..arch import ALL_PLATFORMS, MemorySpec, evaluate_graph
-from ..core import decide_fusion, optimize_graph, optimize_intra
+from ..core import decide_fusion, optimize_intra
 from ..core.lower_bound import shift_point_band, three_nra_threshold
 from ..dataflow.cost import PartialSumConvention
 from ..dataflow.serialize import dataflow_to_dict
 from ..ir import matmul
+from ..plan import optimize_graph
 from ..workloads import build_layer_graph, model_by_name
 from .errors import classify_exception
 from .faults import CORRUPTED_RESULT, active_fault_plan
@@ -128,12 +129,15 @@ def _execute_fusion(params: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 def _execute_graph_plan(params: Mapping[str, Any]) -> Dict[str, Any]:
+    from ..plan import plan_dag
+
     graph = build_layer_graph(model_by_name(params["model"]))
-    plan = optimize_graph(
+    plan = plan_dag(
         graph,
         params["buffer_elems"],
         enable_fusion=params["enable_fusion"],
         max_group=params["max_group"],
+        enable_retention=False,
     )
     return {
         "model": params["model"],

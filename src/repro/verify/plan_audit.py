@@ -39,8 +39,9 @@ from ..ir.graph import OperatorGraph
 from ..ir.operator import validate_buffer_elems
 from ..dataflow.cost import PartialSumConvention
 from ..core.fusion import FusionMedium
+from ..core.intra import InfeasibleError
 from ..plan.enumerative import DEFAULT_PLAN_BUDGET, enumerate_plans
-from ..plan.partition import DagPlan, plan_dag
+from ..plan.partition import DagPlan, optimize_graph, plan_dag
 from .audit import (
     audit_footprint,
     audit_fused_footprint,
@@ -362,8 +363,6 @@ def certify_plan(
     recorded discrepancy.
     """
 
-    from ..core.graph_optimizer import optimize_graph
-
     buffer_elems = validate_buffer_elems(buffer_elems)
     knobs = dict(
         enable_fusion=enable_fusion, max_group=max_group,
@@ -383,7 +382,7 @@ def certify_plan(
         chain_total: Optional[int] = optimize_graph(
             graph, buffer_elems, **knobs
         ).memory_access
-    except ValueError:
+    except InfeasibleError:
         chain_total = None
     checks = _plan_checks(
         graph, plan, buffer_elems, convention, claimed, chain_total

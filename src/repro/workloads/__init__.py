@@ -17,7 +17,7 @@ from .cnn import RESNET50_LAYERS, layer_names
 from .decode import build_decode_graph
 from .full_model import MODEL_LAYERS, ModelTotals, evaluate_model, layer_count
 from .moe import build_moe_ffn_graph
-from .training import build_ffn_training_graph, training_flops_multiplier
+from .training import build_ffn_training_graph
 from .transformer import (
     attention_operators,
     build_layer_graph,
@@ -28,7 +28,6 @@ from .transformer import (
 
 __all__ = [
     "build_ffn_training_graph",
-    "training_flops_multiplier",
     "MODEL_LAYERS",
     "ModelTotals",
     "evaluate_model",

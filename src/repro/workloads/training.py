@@ -54,9 +54,3 @@ def build_ffn_training_graph(config: ModelConfig) -> OperatorGraph:
     graph.add(matmul(f"{config.name}.wgrad2", ffn_hidden, tokens, hidden))
     graph.add(matmul(f"{config.name}.wgrad1", hidden, tokens, ffn_hidden))
     return graph
-
-
-def training_flops_multiplier() -> int:
-    """Training GEMM FLOPs per layer relative to forward-only (the classic
-    3x: forward + input gradients + weight gradients)."""
-    return 3

@@ -117,13 +117,42 @@ class TestPlanOptions:
             ["--scenario", "attention", "--buffer", "0"],
             ["--scenario", "attention", "--buffer-kb", "0"],
             ["Blenderbot", "--buffer", "0"],
+            ["--scenario", "attention", "--buffer", "1"],
+            ["BERT", "--buffer", "1"],
+            ["BERT", "--buffer", "1", "--json"],
         ],
     )
     def test_non_positive_buffer_exits_2(self, argv, capsys):
+        """A buffer of 0 is invalid; one of 1 element fits no plan."""
         assert main(["plan", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "plan: buffer size must be positive\n"
+        if "0" in argv:
+            assert captured.err == "plan: buffer size must be positive\n"
+        else:
+            first_op = "plan-small.q_proj" if "--scenario" in argv else "Bert.q_proj"
+            assert captured.err == (
+                f"plan: no feasible plan for chain starting at {first_op!r} "
+                "with buffer 1\n"
+            )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["BERT", "--max-group", "0"],
+             "max_group must be at least 1, got 0"),
+            (["BERT", "--max-group", "-1", "--json"],
+             "graph_plan request: param 'max_group' must be at least 1, got -1"),
+            (["--scenario", "attention", "--buffer", "4096", "--max-group", "0"],
+             "dag_plan request: param 'max_group' must be at least 1, got 0"),
+        ],
+        ids=["model", "model-json", "scenario"],
+    )
+    def test_max_group_below_one_exits_2(self, argv, message, capsys):
+        assert main(["plan", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"plan: {message}\n"
 
 
 class TestMissingRequestFile:

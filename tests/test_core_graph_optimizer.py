@@ -1,14 +1,16 @@
-"""Tests for graph-level fusion planning."""
+"""Tests for the chain DP and the chain-independent plan in ``repro.plan``.
+
+``optimize_chain`` segments one linear chain; ``optimize_graph`` runs it
+over every maximal chain of a graph.  The brute-force exactness property
+of the chain DP lives in ``test_plan.py``.
+"""
 
 import pytest
 
-from repro.core import (
-    graph_lower_bound,
-    optimize_chain,
-    optimize_graph,
-    principle4_predicate,
-)
+from repro.core import InfeasibleError
 from repro.ir import OperatorGraph, matmul, rowwise_softmax
+from repro.plan import optimize_graph, plan_dag
+from repro.plan.partition import optimize_chain
 
 
 def ffn_like_graph(m=128, h=64, f=256):
@@ -62,7 +64,7 @@ class TestOptimizeChain:
 
     def test_infeasible_chain_raises(self):
         op = matmul("mm", 32, 16, 24)
-        with pytest.raises(ValueError, match="no feasible plan"):
+        with pytest.raises(InfeasibleError, match="no feasible plan"):
             optimize_chain([op], 1)
 
 
@@ -96,17 +98,18 @@ class TestOptimizeGraph:
         text = optimize_graph(graph, 10000).describe()
         assert "total MA=" in text
 
-    def test_principle4_predicate_plan(self):
-        graph = attention_like_graph()
-        plan = optimize_graph(
-            graph, 10000, fusion_predicate=principle4_predicate(10000)
-        )
-        assert plan.memory_access >= optimize_graph(graph, 10000).memory_access
-
     def test_max_group_limits_segments(self):
         graph = attention_like_graph()
         plan = optimize_graph(graph, 10000, max_group=2)
         assert all(len(segment.ops) <= 2 for segment in plan.segments)
+
+
+def graph_lower_bound(graph, buffer_elems, enable_fusion=True):
+    """A graph's communication bound: the total of its plan."""
+    return plan_dag(
+        graph, buffer_elems, enable_fusion=enable_fusion,
+        enable_retention=False,
+    ).memory_access
 
 
 class TestGraphLowerBound:

@@ -13,14 +13,9 @@ from repro.arch import (
     tpuv4i,
     unfcu,
 )
-from repro.core import (
-    decide_fusion,
-    graph_lower_bound,
-    intra_lower_bound,
-    optimize_graph,
-    optimize_intra,
-)
+from repro.core import decide_fusion, intra_lower_bound, optimize_intra
 from repro.ir import OperatorGraph, matmul, rowwise_softmax
+from repro.plan import optimize_graph, plan_dag
 from repro.search import exhaustive_search, genetic_search, GASettings
 from repro.workloads import BERT, build_layer_graph
 
@@ -62,7 +57,9 @@ class TestAttentionEndToEnd:
         unfused = optimize_graph(graph, buffer_elems, enable_fusion=False)
         assert fused.memory_access < unfused.memory_access
         assert fused.memory_access >= graph.ideal_memory_access()
-        assert fused.memory_access == graph_lower_bound(graph, buffer_elems)
+        assert fused.memory_access == plan_dag(
+            graph, buffer_elems, enable_retention=False
+        ).memory_access
 
     def test_fused_groups_are_attention_and_ffn(self):
         graph = build_layer_graph(BERT)

@@ -1,18 +1,21 @@
 """Unit + property tests for repro.plan (partitioner, enumerative, scenarios).
 
-Includes the issue's two headline properties:
+Includes three headline properties:
 
 * chain DP (``optimize_chain``) is *exactly* optimal against brute-force
   enumeration of every cut placement for chains of length <= 5;
 * a DAG plan's total MA is never worse than the chain-independent plan
-  on the same graph.
+  (``optimize_graph``) on the same graph;
+* on every Table II layer graph, ``plan_dag(..., enable_retention=False)``
+  -- the plan served for a model -- equals the chain-independent plan
+  segment for segment.
 """
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from repro.core.graph_optimizer import optimize_chain, optimize_graph, segment_cost
-from repro.ir import OperatorGraph, matmul, rowwise_softmax
+from repro.core import InfeasibleError
+from repro.ir import InvalidWorkloadError, OperatorGraph, matmul, rowwise_softmax
 from repro.plan import (
     SCENARIO_BUFFERS,
     SCENARIOS,
@@ -21,11 +24,14 @@ from repro.plan import (
     cost_partition,
     enumerate_plans,
     list_scenarios,
+    optimize_graph,
     plan_dag,
     retention_candidates,
     scenario_graph,
 )
 from repro.plan.enumerative import _compositions
+from repro.plan.partition import optimize_chain, segment_cost
+from repro.workloads import PAPER_MODELS, build_layer_graph
 
 
 # ----------------------------------------------------------------------
@@ -231,8 +237,25 @@ class TestPlanDag:
 
     def test_infeasible_buffer_raises(self):
         graph, _ = fanout_graph()
-        with pytest.raises(ValueError):
+        with pytest.raises(InfeasibleError, match="no feasible plan"):
             plan_dag(graph, 1)
+
+    @pytest.mark.parametrize("max_group", [0, -1])
+    def test_max_group_below_one_is_rejected(self, max_group):
+        graph, _ = fanout_graph()
+        with pytest.raises(InvalidWorkloadError, match="max_group"):
+            plan_dag(graph, 4096, max_group=max_group)
+
+    @pytest.mark.parametrize("enable_fusion", [True, False])
+    def test_segments_are_in_execution_order(self, enable_fusion):
+        # The layer graph's chains interleave in topological order, so
+        # chain-by-chain order is not execution order here.
+        graph = build_layer_graph(PAPER_MODELS[0])
+        rank = {op.name: i for i, op in enumerate(graph.topological_order())}
+        for planner in (optimize_graph, plan_dag):
+            plan = planner(graph, 512 * 1024, enable_fusion=enable_fusion)
+            last = [rank[segment.ops[-1].name] for segment in plan.segments]
+            assert last == sorted(last)
 
     def test_plan_covers_graph(self):
         graph, _ = diamond_graph()
@@ -373,7 +396,7 @@ class TestChainDPOptimality:
         ops = build_chain(dims)
         expected = brute_force_chain_total(ops, buffer_elems)
         if expected is None:
-            with pytest.raises(ValueError, match="no feasible plan"):
+            with pytest.raises(InfeasibleError, match="no feasible plan"):
                 optimize_chain(ops, buffer_elems, max_group=len(ops))
             return
         segments = optimize_chain(ops, buffer_elems, max_group=len(ops))
@@ -447,3 +470,31 @@ class TestDagPlanProperty:
                 segment.raw_memory_access - segment.elided_access
             )
             assert segment.memory_access >= 0
+
+
+#: Table II buffers, 32 KB to 8 MB (one byte per element).
+TABLE_II_BUFFERS = tuple(kb * 1024 for kb in (32, 128, 512, 2048, 8192))
+
+
+class TestServedPlanIsTheChainPlan:
+    @pytest.mark.parametrize("enable_fusion", [True, False])
+    @pytest.mark.parametrize("buffer_elems", TABLE_II_BUFFERS)
+    @pytest.mark.parametrize("model", PAPER_MODELS, ids=lambda m: m.name)
+    def test_plan_dag_without_retention_equals_optimize_graph(
+        self, model, buffer_elems, enable_fusion
+    ):
+        graph = build_layer_graph(model)
+        plan = plan_dag(
+            graph, buffer_elems, enable_fusion=enable_fusion,
+            enable_retention=False,
+        )
+        chain = optimize_graph(graph, buffer_elems, enable_fusion=enable_fusion)
+
+        def segments(p):
+            return sorted(
+                (tuple(op.name for op in s.ops), s.memory_access)
+                for s in p.segments
+            )
+
+        assert plan.memory_access == chain.memory_access
+        assert segments(plan) == segments(chain)

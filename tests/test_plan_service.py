@@ -62,6 +62,10 @@ class TestDagPlanRequests:
             {"kind": "dag_plan", "scenario": 7, "buffer_elems": 4096},
             {"kind": "dag_plan", "scenario": "attention",
              "buffer_elems": 4096, "bogus": 1},
+            {"kind": "dag_plan", "scenario": "attention",
+             "buffer_elems": 4096, "max_group": 0},
+            {"kind": "dag_plan", "scenario": "attention",
+             "buffer_elems": 4096, "max_group": -1},
         ],
     )
     def test_malformed_requests_raise(self, payload):
@@ -129,6 +133,20 @@ class TestDagPlanExecution:
             {"kind": "dag_plan", "scenario": "nope", "buffer_elems": 4096}
         )
         assert record["ok"] is False
+        assert record["error"]["category"] == "permanent"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "dag_plan", "scenario": "attention", "buffer_elems": 1},
+            {"kind": "graph_plan", "model": "Bert", "buffer_elems": 1},
+        ],
+        ids=["dag_plan", "graph_plan"],
+    )
+    def test_infeasible_buffer_is_a_permanent_infeasible_error(self, payload):
+        record = run_payload(payload)
+        assert record["ok"] is False
+        assert record["error"]["type"] == "InfeasibleError"
         assert record["error"]["category"] == "permanent"
 
     def test_unknown_model_is_permanent(self):

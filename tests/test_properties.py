@@ -148,7 +148,7 @@ class TestRandomGraphs:
     @given(st.data())
     @settings(max_examples=20, deadline=None)
     def test_random_chain_plans_are_sound(self, data):
-        from repro.core import optimize_graph
+        from repro.plan import optimize_graph
         from repro.ir import OperatorGraph
 
         length = data.draw(st.integers(1, 4), label="length")

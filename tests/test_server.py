@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -297,6 +298,19 @@ class TestDrain:
         server = make_server()
         assert server.shutdown(drain=True) is True
         assert server.shutdown(drain=True) is True
+
+    def test_started_context_managed_server_stops_promptly(self):
+        """``__enter__`` after ``start()`` must not start a second thread."""
+        before = set(threading.enumerate())
+        with make_server() as server:
+            with make_client(server) as client:
+                assert client.ready() is True
+            started = time.monotonic()
+        assert time.monotonic() - started < 1.0
+        assert [
+            t for t in set(threading.enumerate()) - before
+            if t.name == "repro-serve"
+        ] == []
 
 
 # ----------------------------------------------------------------------

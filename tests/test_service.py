@@ -88,6 +88,8 @@ class TestCanonicalization:
             {"kind": "fusion", "m": 8, "k": 8, "l": 8, "n": 8,
              "buffer_elems": 64, "include_cross": "yes"},
             "not a mapping",
+            {"kind": "graph_plan", "model": "Bert", "buffer_elems": 4096,
+             "max_group": 0},
         ],
     )
     def test_malformed_requests_raise(self, payload):

@@ -19,7 +19,7 @@ from repro.arch import (
     fusecu,
     validate_against_analytical,
 )
-from repro.core import optimize_fused, optimize_graph
+from repro.core import optimize_fused
 from repro.ir import matmul
 
 #: Small enough to execute, big enough to differentiate platforms.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arch import fusecu, tpuv4i
-from repro.core import optimize_graph
+from repro.plan import optimize_graph
 from repro.workloads import (
     BERT,
     LLAMA2,
