@@ -44,6 +44,7 @@ from ..core.fusion import FusedResult, FusionMedium
 from ..core.intra import optimize_intra
 from ..core.nra import (
     NRACandidate,
+    TileConstraint,
     all_candidates,
     is_mm_like,
     is_streaming,
@@ -202,8 +203,6 @@ def single_nra_square(
     operator: TensorOperator, stationary: str, buffer_elems: int
 ) -> Optional[Dataflow]:
     """Single-NRA with a *square* stationary tile (low tiling flexibility)."""
-    from ..core.nra import max_feasible
-
     dim_x, dim_y = operator.dims_of(stationary)
     remaining = [d for d in operator.dim_names if d not in (dim_x, dim_y)]
     if len(remaining) != 1:
@@ -214,12 +213,14 @@ def single_nra_square(
     # square edge -- that asymmetric growth is exactly what low-flexibility
     # designs lack.
     upper = min(operator.dims[dim_x], operator.dims[dim_y])
-
-    def square_footprint(edge: int) -> int:
-        tiling = Tiling({dim_x: edge, dim_y: edge, dim_z: 1})
-        return tiling.buffer_footprint(operator)
-
-    edge = max_feasible(square_footprint, upper, buffer_elems)
+    constraint = TileConstraint.from_footprint(
+        [operator.dims_of(tensor.name) for tensor in operator.tensors],
+        {dim_z: 1},
+        dim_x,
+        dim_y,
+        buffer_elems,
+    )
+    edge = constraint.max_balanced(upper, upper)
     if edge is None:
         return None
     tiling = Tiling({dim_x: edge, dim_y: edge, dim_z: 1})

@@ -16,15 +16,17 @@ certify M K L       independently certify the optimizer's answer for one
                     for the branch-and-bound probe, --corrupt-ma to prove
                     the auditor catches a corrupted claim)
 batch FILE          evaluate JSON-lines analysis requests through the
-                    batch engine (``--jobs``, ``--cache-file``, ``--stats``,
-                    retry/deadline/breaker knobs, ``--strict``,
-                    ``--paranoid`` for certified-and-probed results)
+                    batch engine (``--jobs``, ``--stats``, retry/deadline/
+                    breaker knobs, ``--strict``, ``--resume``)
 serve               run the long-lived HTTP serving daemon over the batch
-                    engine (``--port --jobs --queue-depth --rate-limit
-                    --paranoid --journal``; SIGTERM drains losslessly;
-                    ``--shards N`` puts N journal-backed worker processes
-                    behind the same endpoints with kill-one-shard
-                    resilience)
+                    engine (``--port --jobs --queue-depth --rate-limit``;
+                    SIGTERM drains losslessly; ``--shards N`` puts N
+                    journal-backed worker processes behind the same
+                    endpoints with kill-one-shard resilience)
+                    -- batch and serve share one declaration of the
+                    engine-state flags (``--cache-size --cache-file
+                    --journal --compact-max-records --compact-max-bytes
+                    --paranoid --inject-faults``)
 call FILE           evaluate requests against a running ``repro serve``
                     daemon via :class:`repro.server.ReproClient`
                     (deterministic retries on 429/503; ``--health``,
@@ -76,6 +78,62 @@ def _buffer_argument(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=512,
         help="on-chip buffer size in KB (1-byte elements); default 512",
+    )
+
+
+def _engine_arguments(parser: argparse.ArgumentParser) -> None:
+    """The engine-state flags ``batch`` and ``serve`` share, one meaning each."""
+    parser.add_argument(
+        "--cache-size",
+        type=int,
+        default=4096,
+        help="LRU result-cache bound in entries (default 4096)",
+    )
+    parser.add_argument(
+        "--cache-file",
+        default=None,
+        help="persistent result cache: warmed from this JSON file if it "
+        "exists, saved back when the batch ends or the daemon drains",
+    )
+    parser.add_argument(
+        "--journal",
+        default=None,
+        metavar="PATH",
+        help="write-ahead journal: every completed request is fsync'd to "
+        "this file, so a killed batch (with --resume) or daemon picks up "
+        "where it stopped instead of starting over",
+    )
+    parser.add_argument(
+        "--compact-max-records",
+        type=int,
+        default=None,
+        metavar="N",
+        help="auto-compact the journal (each shard's journal under serve "
+        "--shards) once it holds more than N on-disk lines with duplicates "
+        "to reclaim (default: disabled)",
+    )
+    parser.add_argument(
+        "--compact-max-bytes",
+        type=int,
+        default=None,
+        metavar="BYTES",
+        help="auto-compact the journal once the file exceeds BYTES with "
+        "duplicates to reclaim (default: disabled)",
+    )
+    parser.add_argument(
+        "--paranoid",
+        action="store_true",
+        help="run every certification-capable request under paranoid "
+        "certification: results are audited and probed against "
+        "branch-and-bound, healed on discrepancy",
+    )
+    parser.add_argument(
+        "--inject-faults",
+        default=None,
+        metavar="SPEC",
+        help="dev-only fault injection spec (e.g. "
+        "'raise:intra*:times=1;delay:sweep*:seconds=0.1'); requires "
+        "REPRO_ENABLE_FAULT_INJECTION=1 in the environment",
     )
 
 
@@ -260,52 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker pool size (default 1: in-process serial)",
     )
     batch.add_argument(
-        "--cache-size",
-        type=int,
-        default=4096,
-        help="LRU result-cache bound in entries (default 4096)",
-    )
-    batch.add_argument(
         "--executor",
         choices=("thread", "process"),
         default="thread",
         help="pool flavor for --jobs > 1 (default thread)",
     )
-    batch.add_argument(
-        "--cache-file",
-        default=None,
-        help="persistent cache: warmed from this JSON file if it exists, "
-        "saved back after the run",
-    )
-    batch.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="write-ahead journal: every completed request is fsync'd to "
-        "this file before the batch moves on, so a killed run resumes "
-        "with --resume instead of starting over",
-    )
+    _engine_arguments(batch)
     batch.add_argument(
         "--resume",
         action="store_true",
         help="replay an existing --journal (skipping completed requests); "
         "without it an existing journal is an error, never clobbered",
-    )
-    batch.add_argument(
-        "--compact-max-records",
-        type=int,
-        default=None,
-        metavar="N",
-        help="auto-compact the journal once it holds more than N on-disk "
-        "lines with duplicates to reclaim (default: disabled)",
-    )
-    batch.add_argument(
-        "--compact-max-bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="auto-compact the journal once the file exceeds BYTES with "
-        "duplicates to reclaim (default: disabled)",
     )
     batch.add_argument(
         "--stall-timeout",
@@ -373,21 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="multiprocessing start method for --executor process "
         "(default: platform default)",
     )
-    batch.add_argument(
-        "--paranoid",
-        action="store_true",
-        help="run every certification-capable request under paranoid "
-        "certification: results are audited and probed against "
-        "branch-and-bound, healed on discrepancy",
-    )
-    batch.add_argument(
-        "--inject-faults",
-        default=None,
-        metavar="SPEC",
-        help="dev-only fault injection spec (e.g. "
-        "'raise:intra*:times=1;delay:sweep*:seconds=0.1'); requires "
-        "REPRO_ENABLE_FAULT_INJECTION=1 in the environment",
-    )
 
     serve = commands.add_parser(
         "serve",
@@ -413,12 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="engine thread-pool width per analyze call (default 1)",
     )
-    serve.add_argument(
-        "--cache-size",
-        type=int,
-        default=4096,
-        help="LRU result-cache bound in entries (default 4096)",
-    )
+    _engine_arguments(serve)
     serve.add_argument(
         "--max-concurrency",
         type=int,
@@ -460,49 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="ceiling on client-requested deadlines (default: unbounded)",
-    )
-    serve.add_argument(
-        "--paranoid",
-        action="store_true",
-        help="run every certification-capable request under paranoid "
-        "certification (audited + branch-and-bound probed)",
-    )
-    serve.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="write-ahead journal: completed requests are fsync'd here "
-        "and flushed on drain, so a killed daemon resumes warm",
-    )
-    serve.add_argument(
-        "--compact-max-records",
-        type=int,
-        default=None,
-        metavar="N",
-        help="auto-compact the journal (each shard's journal under "
-        "--shards) once it holds more than N on-disk lines with "
-        "duplicates to reclaim (default: disabled)",
-    )
-    serve.add_argument(
-        "--compact-max-bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="auto-compact once the journal file exceeds BYTES with "
-        "duplicates to reclaim (default: disabled)",
-    )
-    serve.add_argument(
-        "--cache-file",
-        default=None,
-        help="persistent result cache: warmed at boot if it exists, "
-        "saved back on graceful shutdown",
-    )
-    serve.add_argument(
-        "--inject-faults",
-        default=None,
-        metavar="SPEC",
-        help="dev-only fault injection spec; requires "
-        "REPRO_ENABLE_FAULT_INJECTION=1 in the environment",
     )
     serve.add_argument(
         "--verbose",
@@ -763,6 +723,15 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     return 0
 
 
+def _lookup_model(command: str, name: str):
+    """``model_by_name``, or ``None`` after a one-line error."""
+    try:
+        return model_by_name(name)
+    except KeyError as exc:
+        print(f"{command}: {exc.args[0]}", file=sys.stderr)
+        return None
+
+
 def _cmd_plan(args: argparse.Namespace) -> int:
     import json
 
@@ -797,9 +766,13 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+    if args.model is not None:
+        model = _lookup_model("plan", args.model)
+        if model is None:
+            return 2
     try:
         if args.scenario is None and not args.json:
-            graph = build_layer_graph(model_by_name(args.model))
+            graph = build_layer_graph(model)
             plan = plan_dag(
                 graph, buffer_elems, max_group=args.max_group,
                 enable_retention=False,
@@ -880,8 +853,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    model = _lookup_model("compare", args.model)
+    if model is None:
+        return 2
     memory = MemorySpec(buffer_bytes=args.buffer_kb * 1024)
-    graph = build_layer_graph(model_by_name(args.model))
+    graph = build_layer_graph(model)
     perfs = {
         factory(memory).name: evaluate_graph(graph, factory(memory))
         for factory in ALL_PLATFORMS
@@ -1084,8 +1060,6 @@ def _arm_fault_injection(spec: Optional[str]) -> Optional[int]:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    import os
-
     from .service import (
         RESUMABLE_EXIT_CODE,
         BatchEngine,
@@ -1093,7 +1067,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         BatchJournal,
         EngineConfig,
         JournalError,
-        JournalExistsError,
         shutdown_guard,
     )
 
@@ -1107,6 +1080,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     payloads = _open_requests("batch", args.requests)
     if payloads is None:
         return 2
+
+    def warn(message: str) -> None:
+        print(f"warning: {message}", file=sys.stderr)
+
     engine = BatchEngine(
         EngineConfig(
             jobs=args.jobs,
@@ -1122,65 +1099,41 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             paranoid=args.paranoid,
         )
     )
-    if args.cache_file and os.path.exists(args.cache_file):
-        try:
-            engine.load_cache(args.cache_file)
-        except (ValueError, OSError, KeyError, TypeError) as exc:
-            # The cache is an optimization: a corrupt or unreadable file
-            # must not abort the batch. Start cold and overwrite on save.
-            print(
-                "warning: ignoring unreadable cache file %s (%s)"
-                % (args.cache_file, exc),
-                file=sys.stderr,
-            )
+    engine.warm_cache_file(args.cache_file, warn)
     journal = None
     if args.journal:
         try:
+            # The journal reports its own recovery (torn lines dropped,
+            # corrupt records quarantined) on stderr.
             journal = BatchJournal(
                 args.journal,
                 resume=args.resume,
                 compact_max_records=args.compact_max_records,
                 compact_max_bytes=args.compact_max_bytes,
             )
-        except JournalExistsError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         except (JournalError, ValueError) as exc:
-            # Unknown version / wrong format / bad knob: fail loud,
-            # never misread.
+            # An existing journal without --resume, an unknown version, a
+            # wrong format or a bad knob: fail loud, never misread.
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if journal.recovered_drops:
-            print(
-                f"journal: recovered {args.journal}, dropped "
-                f"{journal.recovered_drops} torn line(s); their requests "
-                "will be recomputed",
-                file=sys.stderr,
-            )
-        if journal.corrupt_quarantined:
-            print(
-                f"journal: quarantined {journal.corrupt_quarantined} "
-                f"corrupt record(s) from {args.journal} to "
-                f"{journal.quarantine_path}; their requests will be "
-                "recomputed, never served corrupted",
-                file=sys.stderr,
-            )
+    interrupted = None
     try:
         with shutdown_guard() as stop:
             report = engine.run_batch(
                 payloads, journal=journal, stop_event=stop
             )
     except BatchInterrupted as exc:
-        # Graceful shutdown: everything completed is journaled; persist
-        # the warm cache too, then exit distinctly so callers (and CI)
-        # can tell "interrupted, resumable" from a failed batch.
-        if args.cache_file:
-            engine.save_cache(args.cache_file)
-        print(f"batch: {exc}", file=sys.stderr)
-        return RESUMABLE_EXIT_CODE
+        interrupted = exc
     finally:
         if journal is not None:
             journal.close()
+    # Interrupted or not, the cache holds only completed results: keep it.
+    engine.save_cache_file(args.cache_file, warn)
+    if interrupted is not None:
+        # Exit distinctly so callers (and CI) can tell "interrupted,
+        # resumable" from a failed batch.
+        print(f"batch: {interrupted}", file=sys.stderr)
+        return RESUMABLE_EXIT_CODE
     results = report.to_jsonl()
     if args.output == "-":
         if results:
@@ -1188,8 +1141,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     else:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(results + ("\n" if results else ""))
-    if args.cache_file:
-        engine.save_cache(args.cache_file)
     if args.stats:
         print(report.render_text(), file=sys.stderr)
     if report.errors:

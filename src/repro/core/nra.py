@@ -94,7 +94,7 @@ def max_feasible(
     """Largest ``t`` in [1, upper] with ``footprint(t) <= budget``.
 
     Generic bisection over a monotone callable, for footprints that are not
-    a fixed bilinear form (:mod:`repro.core.generic`, square-tile designs).
+    a fixed bilinear form (:mod:`repro.core.generic`'s lock-step tiles).
     MM-like tiles are solved in closed form through :class:`TileConstraint`.
     """
     if upper < 1 or footprint(1) > budget:
@@ -233,7 +233,6 @@ def pair_candidates(
     constraints: Sequence[TileConstraint],
     upper_x: int,
     upper_y: int,
-    max_trip_delta: int = 4,
 ) -> List[Tuple[int, int]]:
     """Integer-refined candidate tile pairs under capacity constraints.
 
@@ -267,6 +266,7 @@ def pair_candidates(
         return []
 
     candidates: set = set()
+    max_trip_delta = 4  # trip-count perturbations tried around each seed
 
     def snap(extent: int, tile: int) -> int:
         """Smallest tile with the same trip count (minimal footprint)."""

@@ -37,7 +37,13 @@ from ..ir.graph import OperatorGraph
 from ..ir.operator import TensorOperator, validate_buffer_elems
 from ..dataflow.cost import PartialSumConvention
 from ..core.fusion import FusionMedium
-from .partition import DagPlan, clean_links, cost_partition, retention_candidates
+from .partition import (
+    DagPlan,
+    clean_links,
+    cost_partition,
+    retention_candidates,
+    validate_max_group,
+)
 
 #: Default cap on candidate costings per :func:`enumerate_plans` call.
 DEFAULT_PLAN_BUDGET = 4096
@@ -160,6 +166,7 @@ def enumerate_plans(
     """
 
     buffer_elems = validate_buffer_elems(buffer_elems)
+    validate_max_group(max_group)
     if budget < 1:
         raise ValueError(f"enumeration budget must be >= 1, got {budget}")
     best: Optional[DagPlan] = None

@@ -355,6 +355,12 @@ def segment_cost(
     )
 
 
+def validate_max_group(max_group: int) -> None:
+    """Reject a fused-set bound below one operator: no partition has one."""
+    if max_group < 1:
+        raise InvalidWorkloadError(f"max_group must be at least 1, got {max_group}")
+
+
 def optimize_chain(
     ops: Sequence[TensorOperator],
     buffer_elems: int,
@@ -427,6 +433,7 @@ def optimize_graph(
     """
 
     buffer_elems = validate_buffer_elems(buffer_elems)
+    validate_max_group(max_group)
     rank = _last_op_rank(graph)
     segments = sorted(
         (
@@ -606,8 +613,7 @@ def plan_dag(
     """
 
     buffer_elems = validate_buffer_elems(buffer_elems)
-    if max_group < 1:
-        raise InvalidWorkloadError(f"max_group must be at least 1, got {max_group}")
+    validate_max_group(max_group)
     costing = dict(
         convention=convention, medium=medium, register_elems=register_elems
     )

@@ -43,7 +43,6 @@ never loses accepted work.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import threading
 from dataclasses import dataclass, replace
@@ -645,19 +644,12 @@ class ServerApp(FrontDoor):
             self._journal.maybe_compact()
         #: The journal is single-writer; journaled runs serialize on this.
         self._journal_lock = threading.Lock()
-        cache_file = self.config.cache_file
-        if cache_file and os.path.exists(cache_file):
-            try:
-                loaded = self._base.load_cache(cache_file)
-            except (ValueError, OSError, KeyError, TypeError) as exc:
-                self.log(
-                    f"ignoring unreadable cache file {cache_file} ({exc})"
-                )
-            else:
-                self.log(
-                    f"warmed {loaded} cache entr"
-                    f"{'y' if loaded == 1 else 'ies'} from {cache_file}"
-                )
+        loaded = self._base.warm_cache_file(self.config.cache_file, self.log)
+        if loaded is not None:
+            self.log(
+                f"warmed {loaded} cache entr"
+                f"{'y' if loaded == 1 else 'ies'} from {self.config.cache_file}"
+            )
 
     def close(self) -> None:
         """Save the result cache, then flush and close the journal.
@@ -665,14 +657,9 @@ class ServerApp(FrontDoor):
         Safe to call again: the cache is rewritten with the same
         entries and the journal is closed only once.
         """
-        cache_file = self.config.cache_file
-        if cache_file:
-            try:
-                saved = self._base.save_cache(cache_file)
-            except OSError as exc:
-                self.log(f"cache save to {cache_file} failed: {exc}")
-            else:
-                self.log(f"saved {saved} cache entries to {cache_file}")
+        saved = self._base.save_cache_file(self.config.cache_file, self.log)
+        if saved is not None:
+            self.log(f"saved {saved} cache entries to {self.config.cache_file}")
         if self._journal is not None:
             self._journal.flush()
             self._journal.close()

@@ -44,6 +44,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     List,
     Mapping,
@@ -158,10 +159,6 @@ class EngineConfig:
     max_attempts: int = 1
     #: First backoff delay in seconds (0 = immediate retries).
     retry_base_delay: float = 0.0
-    #: Backoff cap in seconds.
-    retry_max_delay: float = 2.0
-    #: Deterministic jitter fraction on top of exponential backoff.
-    retry_jitter: float = 0.5
     #: Per-request deadline in seconds (None = unlimited).
     deadline_seconds: Optional[float] = None
     #: Consecutive permanent failures per kind before the circuit opens
@@ -218,8 +215,6 @@ class EngineConfig:
         return RetryPolicy(
             max_attempts=self.max_attempts,
             base_delay=self.retry_base_delay,
-            max_delay=self.retry_max_delay,
-            jitter=self.retry_jitter,
         )
 
 
@@ -1059,3 +1054,35 @@ class BatchEngine:
         return self.cache.load(
             (str(key), _encode_record(value)) for key, value in entries
         )
+
+    def warm_cache_file(
+        self, path: Optional[str], log: Callable[[str], None]
+    ) -> Optional[int]:
+        """Warm from ``path`` if it exists; entries loaded, or ``None``.
+
+        The cache-file policy of ``repro batch`` and ``repro serve``: the
+        file is an optimization, so an unreadable one is logged and
+        ignored (the next save overwrites it).
+        """
+        if not path or not os.path.exists(path):
+            return None
+        try:
+            return self.load_cache(path)
+        except (ValueError, OSError, KeyError, TypeError) as exc:
+            log(f"ignoring unreadable cache file {path} ({exc})")
+            return None
+
+    def save_cache_file(
+        self, path: Optional[str], log: Callable[[str], None]
+    ) -> Optional[int]:
+        """Save to ``path`` if given; entries saved, or ``None``.
+
+        A failed save is logged, never raised: its results were delivered.
+        """
+        if not path:
+            return None
+        try:
+            return self.save_cache(path)
+        except OSError as exc:
+            log(f"cache save to {path} failed: {exc}")
+            return None

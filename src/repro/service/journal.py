@@ -423,7 +423,9 @@ class BatchJournal:
         fsync after every completion record (the write-ahead guarantee).
         Disable only in tests that hammer thousands of appends.
     log:
-        Where degraded-mode announcements go (defaults to stderr).
+        Where recovery reports (torn lines dropped, corrupt records
+        quarantined) and degraded-mode announcements go (defaults to
+        stderr).
     compact_max_records / compact_max_bytes:
         Auto-compaction thresholds applied by :meth:`maybe_compact`
         (``None`` disables that bound).  Compaction only fires when the
@@ -606,8 +608,8 @@ class BatchJournal:
         if scan.header_status in ("missing", "torn"):
             # Even the header was torn: start the journal over (the
             # already-locked append handle survives the truncate).
-            self.recovered_drops += sum(
-                1 for chunk in raw.split(b"\n") if chunk.strip()
+            self._drop_torn(
+                sum(1 for chunk in raw.split(b"\n") if chunk.strip())
             )
             os.ftruncate(self._handle.fileno(), 0)
             self._write_header()
@@ -653,8 +655,7 @@ class BatchJournal:
                     f"record(s) so far ({len(self.completed)} durable)"
                 )
         self.disk_lines = kept_lines
-        if torn:
-            self.recovered_drops += len(torn)
+        self._drop_torn(len(torn))
         if corrupt:
             self._quarantine_raw(
                 b"".join(entry.raw + b"\n" for entry in corrupt),
@@ -679,6 +680,16 @@ class BatchJournal:
                 f"{len(self.completed)} durable, "
                 f"{self.replay_seconds:.2f}s"
             )
+
+    def _drop_torn(self, count: int) -> None:
+        """Count ``count`` torn lines dropped by recovery, and say so."""
+        if not count:
+            return
+        self.recovered_drops += count
+        self._log(
+            f"recovered {self.path!r}: dropped {count} torn line(s); their "
+            "requests will be recomputed"
+        )
 
     def _quarantine_raw(self, data: bytes, count: int, reason: str) -> None:
         """Append corrupt raw bytes to the quarantine sidecar, fsync'd."""

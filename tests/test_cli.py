@@ -1,10 +1,39 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+#: Every command's option strings and defaults, as pinned in the data file.
+OPTION_TABLE = Path(__file__).parent / "data" / "cli_options.json"
+
+
+def option_table(parser):
+    """``{command: {"--flag": default}}``; positionals appear by name."""
+
+    def options(command):
+        return {
+            "/".join(action.option_strings) or action.dest: action.default
+            for action in command._actions
+            if not isinstance(
+                action, (argparse._HelpAction, argparse._SubParsersAction)
+            )
+        }
+
+    subcommands = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    table = {"repro": options(parser)}
+    table.update(
+        (name, options(command))
+        for name, command in subcommands.choices.items()
+    )
+    return table
 
 
 class TestParser:
@@ -22,6 +51,12 @@ class TestParser:
             ["optimize", "64", "32", "48", "--buffer-kb", "64"]
         )
         assert args.buffer_kb == 64
+
+    def test_options_and_defaults_are_pinned(self):
+        # Shared flags are declared once; no option may appear, vanish or
+        # change its default in doing so.
+        expected = json.loads(OPTION_TABLE.read_text(encoding="utf-8"))
+        assert option_table(build_parser()) == expected
 
     def test_unknown_command(self):
         # "bench" and "selfcheck --skip-chaos" were removed.
@@ -49,9 +84,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fused[" in out
 
-    def test_plan_unknown_model(self):
-        with pytest.raises(KeyError):
-            main(["plan", "NotAModel"])
+    def test_plan_unknown_model(self, capsys):
+        for argv in (["plan", "Nope"], ["plan", "Nope", "--json"],
+                     ["compare", "Nope"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"{argv[0]}: unknown model 'Nope'; choose from Bert, GPT-2, "
+                "Blenderbot, XLM, DeBERTa-v2, LLaMA2, ALBERT\n"
+            )
 
     def test_compare(self, capsys):
         assert main(["compare", "Blenderbot"]) == 0

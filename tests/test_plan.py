@@ -242,9 +242,12 @@ class TestPlanDag:
 
     @pytest.mark.parametrize("max_group", [0, -1])
     def test_max_group_below_one_is_rejected(self, max_group):
+        # No partition exists: an enumeration must not claim it exhausted
+        # an empty space, and the chain planner must not call it infeasible.
         graph, _ = fanout_graph()
-        with pytest.raises(InvalidWorkloadError, match="max_group"):
-            plan_dag(graph, 4096, max_group=max_group)
+        for planner in (plan_dag, optimize_graph, enumerate_plans):
+            with pytest.raises(InvalidWorkloadError, match="max_group"):
+                planner(graph, 4096, max_group=max_group)
 
     @pytest.mark.parametrize("enable_fusion", [True, False])
     def test_segments_are_in_execution_order(self, enable_fusion):

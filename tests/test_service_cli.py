@@ -93,25 +93,42 @@ class TestBatchCommand:
         assert record["result"]["memory_access"] > 0
 
     def test_corrupt_cache_file_ignored(self, tmp_path, capsys):
-        requests = tmp_path / "requests.jsonl"
-        requests.write_text(
-            json.dumps({"kind": "intra", "m": 64, "k": 32, "l": 48,
-                        "buffer_elems": 4096}) + "\n",
-            encoding="utf-8",
-        )
-        cache_file = tmp_path / "cache.json"
-        cache_file.write_text("garbage not json", encoding="utf-8")
-        assert main(["batch", str(requests), "--cache-file",
-                     str(cache_file)]) == 0
-        captured = capsys.readouterr()
-        assert "ignoring unreadable cache file" in captured.err
-        assert json.loads(captured.out.strip())["ok"] is True
-        # The save pass repairs the file for the next run.
+        from repro.server import ServerApp, ServerConfig
         from repro.service import CACHE_SCHEMA_VERSION
 
-        persisted = json.loads(cache_file.read_text(encoding="utf-8"))
-        assert persisted["version"] == CACHE_SCHEMA_VERSION
-        assert len(persisted["entries"]) == 1
+        request = json.dumps({"kind": "intra", "m": 64, "k": 32, "l": 48,
+                              "buffer_elems": 4096})
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(request + "\n", encoding="utf-8")
+        # Both front ends share one policy; each logs with its own prefix.
+        for front_end, prefix in (("batch", "warning"),
+                                  ("serve", "repro serve")):
+            cache_file = tmp_path / f"{front_end}.cache.json"
+            cache_file.write_text("garbage not json", encoding="utf-8")
+            if front_end == "batch":
+                assert main(["batch", str(requests), "--cache-file",
+                             str(cache_file)]) == 0
+                output, err = capsys.readouterr()
+            else:
+                app = ServerApp(ServerConfig(cache_file=str(cache_file)))
+                try:
+                    response = app.handle(
+                        "POST", "/v1/analyze", {},
+                        {"content-type": "application/json"},
+                        request.encode("utf-8"), "test",
+                    )
+                finally:
+                    app.close()
+                assert response.status == 200
+                output = response.body.decode("utf-8")
+                err = capsys.readouterr().err
+            assert err.count("ignoring unreadable cache file") == 1
+            assert f"{prefix}: ignoring unreadable cache file" in err
+            assert json.loads(output.strip())["ok"] is True
+            # The save pass repairs the file for the next run.
+            persisted = json.loads(cache_file.read_text(encoding="utf-8"))
+            assert persisted["version"] == CACHE_SCHEMA_VERSION
+            assert len(persisted["entries"]) == 1
 
     def test_malformed_line_isolated(self, tmp_path, capsys):
         requests = tmp_path / "requests.jsonl"
@@ -216,6 +233,54 @@ class TestResilienceCli:
         captured = capsys.readouterr()
         assert "selfcheck ok" in captured.out
         assert "batch summary" in captured.err
+
+
+class TestJournalRecoveryReports:
+    """Both front ends report each journal recovery once, through the journal."""
+
+    @pytest.fixture
+    def damaged(self, tmp_path, capsys):
+        """A batch journal with one corrupt record and one torn tail."""
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(
+            "".join(
+                json.dumps({"kind": "intra", "m": m, "k": 16, "l": 24,
+                            "buffer_elems": 4096}) + "\n"
+                for m in (20, 24, 28)
+            ),
+            encoding="utf-8",
+        )
+        journal = tmp_path / "batch.journal"
+        assert main(["batch", str(requests), "--journal", str(journal)]) == 0
+        clean = capsys.readouterr().out
+        lines = journal.read_bytes().split(b"\n")
+        # Flip one CRC digit of the first record: a mid-file corruption.
+        pos = lines[1].index(b'"crc":"') + len(b'"crc":"')
+        flip = b"0" if lines[1][pos:pos + 1] != b"0" else b"f"
+        lines[1] = lines[1][:pos] + flip + lines[1][pos + 1:]
+        # Half a copy of the last record, no newline: a torn tail.
+        last = lines[-2]
+        journal.write_bytes(b"\n".join(lines) + last[: len(last) // 2])
+        return requests, journal, clean
+
+    def test_batch_resume_reports_each_recovery_once(self, damaged, capsys):
+        requests, journal, clean = damaged
+        assert main(["batch", str(requests), "--journal", str(journal),
+                     "--resume"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == clean  # recomputed, never served corrupted
+        assert captured.err.count("QUARANTINED 1 corrupt journal line") == 1
+        assert captured.err.count("dropped 1 torn line") == 1
+        assert len(captured.err.splitlines()) == 2
+
+    def test_server_boot_reports_the_torn_drop(self, damaged, capsys):
+        from repro.server import ServerApp, ServerConfig
+
+        _, journal, _ = damaged
+        ServerApp(ServerConfig(journal_path=str(journal))).close()
+        err = capsys.readouterr().err
+        assert err.count("QUARANTINED 1 corrupt journal line") == 1
+        assert err.count("dropped 1 torn line") == 1
 
 
 class TestEngineRoutedHarnesses:
