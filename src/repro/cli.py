@@ -1023,6 +1023,37 @@ def _open_requests(command: str, source: str):
         return None
 
 
+def _check_output(command: str, target: str) -> bool:
+    """Open the results file now, before any work runs.
+
+    A path that cannot be written fails here with one stderr line, as a
+    missing request file does in :func:`_open_requests`; ``'-'`` is stdout.
+    Append mode leaves the file's content alone until the results replace
+    it, so the output may name the request file itself.
+    """
+    if target == "-":
+        return True
+    try:
+        open(target, "a", encoding="utf-8").close()
+    except OSError as exc:
+        print(
+            f"{command}: cannot write {target}: {exc.strerror or exc}",
+            file=sys.stderr,
+        )
+        return False
+    return True
+
+
+def _write_results(target: str, results: str) -> None:
+    """JSON-lines ``results`` to ``target`` (a file path, or ``'-'``)."""
+    if target == "-":
+        if results:
+            print(results)
+    else:
+        with open(target, "w", encoding="utf-8") as handle:
+            handle.write(results + ("\n" if results else ""))
+
+
 def _arm_fault_injection(spec: Optional[str]) -> Optional[int]:
     """Arm the env-guarded dev fault harness; returns an exit code on error.
 
@@ -1077,15 +1108,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if args.resume and not args.journal:
         print("error: --resume requires --journal PATH", file=sys.stderr)
         return 2
-    payloads = _open_requests("batch", args.requests)
-    if payloads is None:
-        return 2
-
-    def warn(message: str) -> None:
-        print(f"warning: {message}", file=sys.stderr)
-
-    engine = BatchEngine(
-        EngineConfig(
+    try:
+        config = EngineConfig(
             jobs=args.jobs,
             cache_size=args.cache_size,
             executor=args.executor,
@@ -1098,7 +1122,17 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             stall_timeout_seconds=args.stall_timeout,
             paranoid=args.paranoid,
         )
-    )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    payloads = _open_requests("batch", args.requests)
+    if payloads is None or not _check_output("batch", args.output):
+        return 2
+
+    def warn(message: str) -> None:
+        print(f"warning: {message}", file=sys.stderr)
+
+    engine = BatchEngine(config)
     engine.warm_cache_file(args.cache_file, warn)
     journal = None
     if args.journal:
@@ -1134,13 +1168,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         # resumable" from a failed batch.
         print(f"batch: {interrupted}", file=sys.stderr)
         return RESUMABLE_EXIT_CODE
-    results = report.to_jsonl()
-    if args.output == "-":
-        if results:
-            print(results)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(results + ("\n" if results else ""))
+    _write_results(args.output, report.to_jsonl())
     if args.stats:
         print(report.render_text(), file=sys.stderr)
     if report.errors:
@@ -1306,7 +1334,7 @@ def _cmd_call(args: argparse.Namespace) -> int:
             print(json.dumps(summary, sort_keys=True, indent=2))
             return 0 if summary.get("ok") else 1
         payloads = _open_requests("call", args.requests)
-        if payloads is None:
+        if payloads is None or not _check_output("call", args.output):
             return 2
         if args.chunk_size > 0:
             lines = [
@@ -1318,13 +1346,7 @@ def _cmd_call(args: argparse.Namespace) -> int:
             ]
         else:
             lines = client.batch_lines(list(payloads), deadline=args.deadline)
-        results = "\n".join(lines)
-        if args.output == "-":
-            if results:
-                print(results)
-        else:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(results + ("\n" if results else ""))
+        _write_results(args.output, "\n".join(lines))
         errors = sum(
             1 for line in lines if not json.loads(line).get("ok")
         )

@@ -86,18 +86,20 @@ def _pick_best(
     convention: PartialSumConvention,
 ) -> Tuple[NRACandidate, MemoryAccessReport]:
     best: Optional[Tuple[NRACandidate, MemoryAccessReport]] = None
+    best_total = 0
     for candidate in candidates:
         if not fits_buffer(operator, candidate.dataflow, buffer_elems):
             continue
         report = memory_access(operator, candidate.dataflow, convention)
-        if best is None or report.total < best[1].total or (
+        total = report.total
+        if best is None or total < best_total or (
             # Tie-break toward the higher realized NRA class so the chosen
             # label matches the regime narrative (several constructor
             # families can collapse to the same dataflow at boundaries).
-            report.total == best[1].total
+            total == best_total
             and report.nra_class.value > best[1].nra_class.value
         ):
-            best = (candidate, report)
+            best, best_total = (candidate, report), total
     if best is None:
         raise InfeasibleError(
             f"no dataflow for {operator.name!r} fits a buffer of "

@@ -13,13 +13,16 @@ The footprint (Eq. 2 / Eq. 4) is compiled once into the integer
 coefficients of ``a*x*y + b*x + c*y + d`` over the free tiles
 (:class:`TileConstraint`), so the largest feasible tile for a given partner
 is one integer division -- no search of any kind.
-Single-NRA ranks its integer tile pairs by the shared reuse rule
-(:func:`repro.dataflow.cost.reuse_multiplier`) applied straight to their
-trip counts, and builds a :class:`Dataflow` only for the winner.  The
-intra-operator optimizer then counts the feasible candidates through the
-shared access counter and keeps the minimum; this *is* the paper's
-principle-based one-shot optimization, since the candidate count is a small
-constant independent of tensor sizes.
+Candidate tile pairs come one per trip pair, the first in sorted order: a
+pair's score depends only on its trip counts, and every caller keeps the
+first minimum in sorted order.  Single-NRA ranks them by the shared reuse
+rule (:func:`repro.dataflow.cost.reuse_multiplier`), compiled once per call
+into integer arithmetic on their trip counts, and builds a
+:class:`Dataflow` only for the winner.  The intra-operator optimizer then
+counts the feasible candidates through the shared access counter and
+keeps the minimum; this *is* the paper's principle-based one-shot
+optimization, since the candidate count is a small constant independent of
+tensor sizes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.operator import TensorOperator
-from ..dataflow.cost import reuse_multiplier
 from ..dataflow.scheduling import Schedule, stationary_schedule
 from ..dataflow.spec import Dataflow, NRAClass
 from ..dataflow.tiling import Tiling
@@ -247,6 +249,11 @@ def pair_candidates(
     constraint coefficients; callers rank all of them by the reuse rule on
     their trip counts, keep the best and build a dataflow only for it (still
     a constant amount of work -- no design-space search).
+
+    The list is sorted and holds one pair per trip pair ``(ceil(upper_x /
+    t_x), ceil(upper_y / t_y))``: the first in sorted order.  A pair's score
+    depends only on its trip pair and callers keep the first minimum in
+    sorted order, so no other pair of a trip pair can win.
     """
 
     balanced = [c.max_balanced(upper_x, upper_y) for c in constraints]
@@ -265,7 +272,8 @@ def pair_candidates(
     if not seeds:
         return []
 
-    candidates: set = set()
+    # The first pair in sorted order of each trip pair; no other can win.
+    by_trips: dict = {}
     max_trip_delta = 4  # trip-count perturbations tried around each seed
 
     def snap(extent: int, tile: int) -> int:
@@ -273,10 +281,12 @@ def pair_candidates(
         return _ceil_div(extent, _ceil_div(extent, tile))
 
     def add(tile_x: int, tile_y: int) -> None:
-        tile_x = max(1, min(tile_x, upper_x))
-        tile_y = max(1, min(tile_y, upper_y))
-        if all(c.fits(tile_x, tile_y) for c in constraints):
-            candidates.add((tile_x, tile_y))
+        # Every probe lies in [1, upper] and fits every constraint: each
+        # partner tile is grown by _max_x / _max_y, or snapped below it.
+        trips = (_ceil_div(upper_x, tile_x), _ceil_div(upper_y, tile_y))
+        kept = by_trips.get(trips)
+        if kept is None or (tile_x, tile_y) < kept:
+            by_trips[trips] = (tile_x, tile_y)
 
     for seed_x, seed_y in seeds:
         add(seed_x, seed_y)
@@ -288,13 +298,11 @@ def pair_candidates(
             regrown = _max_y(constraints, tile_x, upper_y)
             if regrown is not None:
                 add(tile_x, snap(upper_y, regrown))
-                add(tile_x, regrown)
             # Coarsen y's trips, regrow and snap x.
             tile_y = _ceil_div(upper_y, trips_y + delta)
             regrown_x = _max_x(constraints, tile_y, upper_x)
             if regrown_x is not None:
                 add(snap(upper_x, regrown_x), tile_y)
-                add(regrown_x, tile_y)
 
     # Exactness sweep for small problems: any optimal pair has its smaller
     # tile bounded by the balanced edge (+1), and for a fixed tile on one
@@ -323,14 +331,12 @@ def pair_candidates(
             grown = _max_y(constraints, tile_x, upper_y)
             if grown is not None:
                 add(tile_x, snap(upper_y, grown))
-                add(tile_x, grown)
     if 2 * math.isqrt(upper_y) + 2 <= sweep_cap:
         for tile_y in distinct_tiles(upper_y, sweep_cap):
             grown_x = _max_x(constraints, tile_y, upper_x)
             if grown_x is not None:
                 add(snap(upper_x, grown_x), tile_y)
-                add(grown_x, tile_y)
-    return sorted(candidates)
+    return sorted(by_trips.values())
 
 
 # ----------------------------------------------------------------------
@@ -373,9 +379,16 @@ def single_nra_scorer(
 
     ``x``/``y`` are the stationary tensor's dims and the third dim's tile
     is 1, so the trips are ``ceil(D_x/t_x)``, ``ceil(D_y/t_y)`` and
-    ``D_z``.  Each tensor is charged its size times the reuse rule over the
-    stationary schedule's order -- the count
-    :func:`repro.dataflow.cost.memory_access` gives, with no dataflow built.
+    ``D_z``.  Each tensor is charged its size times the reuse rule
+    (:func:`repro.dataflow.cost.reuse_multiplier`) over the stationary
+    schedule's order -- the count :func:`repro.dataflow.cost.memory_access`
+    gives, with no dataflow built.
+
+    The order is compiled once into slot indices.  Each MM-like tensor
+    misses exactly one dim, a different one per tensor, so the rule reduces
+    to: the tensor missing the loop in slot ``p`` is re-fetched once per
+    trip of that loop when a loop inside it has more than one trip, and
+    fetched once otherwise.
     """
 
     dim_x, dim_y = operator.dims_of(stationary)
@@ -384,19 +397,24 @@ def single_nra_scorer(
         operator.dims[dim] for dim in (dim_x, dim_y, dim_z)
     )
     order = stationary_schedule(operator, stationary).order
-    tensors = [
-        (operator.dims_of(tensor.name), tensor.size)
-        for tensor in operator.tensors
-    ]
+    slot_x, slot_y, slot_z = (order.index(dim) for dim in (dim_x, dim_y, dim_z))
+    sizes = [0, 0, 0]  # by the slot of the dim the tensor misses
+    for tensor in operator.tensors:
+        missing = _other_dim(operator, operator.dims_of(tensor.name))
+        sizes[order.index(missing)] = tensor.size
+    size_0, size_1, size_2 = sizes
 
     def score(tile_x: int, tile_y: int) -> int:
-        trips = {
-            dim_x: _ceil_div(extent_x, tile_x),
-            dim_y: _ceil_div(extent_y, tile_y),
-            dim_z: extent_z,
-        }
-        loops = [(dim, trips[dim]) for dim in order]
-        return sum(size * reuse_multiplier(loops, dims) for dims, size in tensors)
+        trips = [0, 0, 0]
+        trips[slot_x] = _ceil_div(extent_x, tile_x)
+        trips[slot_y] = _ceil_div(extent_y, tile_y)
+        trips[slot_z] = extent_z
+        trip_0, trip_1, trip_2 = trips
+        return (
+            size_0 * (trip_0 if trip_1 * trip_2 > 1 else 1)
+            + size_1 * (trip_1 if trip_2 > 1 else 1)
+            + size_2
+        )
 
     return score
 

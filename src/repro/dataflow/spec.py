@@ -47,7 +47,7 @@ class Dataflow:
 
     def loop_nest(self, operator: TensorOperator) -> LoopNest:
         """Materialize the tiled loop nest, outermost first."""
-        self.validate(operator)
+        self.schedule.validate(operator)
         resolved = self.tiling.for_operator(operator)
         return LoopNest(
             tuple(

@@ -87,8 +87,10 @@ class Tiling:
         operator: ``sum_t prod_{d in dims(t)} T_d``.
         """
 
+        resolved = self.for_operator(operator)
         return sum(
-            self.tile_footprint(operator, tensor.name) for tensor in operator.tensors
+            math.prod(resolved[dim] for dim in operator.dims_of(tensor.name))
+            for tensor in operator.tensors
         )
 
 

@@ -5,7 +5,8 @@ Before the footprints were compiled into integer coefficients
 probe bisected over a footprint callable that built and resolved a
 :class:`~repro.dataflow.tiling.Tiling`.  That solver is kept here, verbatim
 in behaviour, so the property tests can assert the closed forms return
-exactly the same candidate lists, NRA tiles and fused dataflows.  It also
+exactly the same candidate lists (cut to the first pair of each trip pair,
+:func:`first_per_trip_pair`), NRA tiles and fused dataflows.  It also
 keeps the slow scoring path: every candidate pair is ranked by building its
 dataflow and counting it through
 :func:`~repro.dataflow.cost.memory_access` /
@@ -146,6 +147,22 @@ def pair_candidates(
                 add(snap(upper_x, grown_x), tile_y)
                 add(grown_x, tile_y)
     return sorted(candidates)
+
+
+def first_per_trip_pair(
+    pairs: List[Tuple[int, int]], upper_x: int, upper_y: int
+) -> List[Tuple[int, int]]:
+    """Sorted ``pairs`` cut to the first pair of each trip pair.
+
+    A pair's score depends only on ``(ceil(upper_x/t_x), ceil(upper_y/t_y))``
+    and callers keep the first minimum in sorted order, so no later pair of
+    a trip pair can win.
+    """
+    kept: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    for tile_x, tile_y in pairs:
+        trips = (_ceil_div(upper_x, tile_x), _ceil_div(upper_y, tile_y))
+        kept.setdefault(trips, (tile_x, tile_y))
+    return list(kept.values())
 
 
 # ----------------------------------------------------------------------

@@ -213,6 +213,18 @@ class TestMissingRequestFile:
         assert captured.err == (
             f"{command}: cannot read {missing}: No such file or directory\n"
         )
+        # An output path that cannot be written fails the same way, before
+        # any request is sent or computed.
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text('{"kind": "intra"}\n', encoding="utf-8")
+        argv[1] = str(requests)
+        unwritable = str(tmp_path / "missing" / "out.jsonl")
+        assert main(argv + ["--output", unwritable]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{command}: cannot write {unwritable}: No such file or directory\n"
+        )
 
     def test_batch_opens_the_file_before_the_journal(self, tmp_path):
         journal = tmp_path / "batch.journal"

@@ -3,9 +3,11 @@
 :class:`repro.core.nra.TileConstraint` solves every "largest feasible
 tile" probe from integer footprint coefficients.  These properties pin
 that it returns exactly what the previous solver (kept in
-``callback_oracle.py``) returned: the same ``pair_candidates`` lists, the
-same Single-/Two-NRA tiles and the same fused-pattern dataflows, under
-both fusion media.
+``callback_oracle.py``) returned: the same ``pair_candidates`` lists, cut
+to the first pair of each trip pair, the same Single-/Two-NRA tiles and the
+same fused-pattern dataflows, under both fusion media.  Any score that does
+not decrease in either trip count has the same first minimum over the cut
+list as over the full one.
 """
 
 import itertools
@@ -43,30 +45,73 @@ def two_op_chains(draw):
     return op1, op2
 
 
+CONSTRAINT_SETS = st.lists(
+    st.tuples(
+        st.integers(0, 40),
+        st.integers(0, 40),
+        st.integers(0, 40),
+        st.integers(0, 200),
+        st.integers(0, 1 << 20),
+    ).map(lambda coefficients: TileConstraint(*coefficients)),
+    min_size=1,
+    max_size=3,
+)
+
+
+def oracle_pairs(constraints, upper_x, upper_y):
+    """The bisection oracle's full candidate list."""
+
+    def footprint(x, y):
+        return 0 if all(c.fits(x, y) for c in constraints) else 1
+
+    return oracle.pair_candidates(footprint, upper_x, upper_y, 0)
+
+
 class TestCoefficientSolver:
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(0, 40),
-                st.integers(0, 40),
-                st.integers(0, 40),
-                st.integers(0, 200),
-                st.integers(0, 1 << 20),
-            ).map(lambda coefficients: TileConstraint(*coefficients)),
-            min_size=1,
-            max_size=3,
-        ),
-        st.integers(1, 4096),
-        st.integers(1, 4096),
-    )
+    @given(CONSTRAINT_SETS, st.integers(1, 4096), st.integers(1, 4096))
     def test_pair_candidates_match_bisection(self, constraints, upper_x, upper_y):
-        def footprint(x, y):
-            return 0 if all(c.fits(x, y) for c in constraints) else 1
-
         assert pair_candidates(constraints, upper_x, upper_y) == (
-            oracle.pair_candidates(footprint, upper_x, upper_y, 0)
+            oracle.first_per_trip_pair(
+                oracle_pairs(constraints, upper_x, upper_y), upper_x, upper_y
+            )
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        CONSTRAINT_SETS,
+        st.integers(1, 4096),
+        st.integers(1, 4096),
+        st.tuples(st.integers(0, 50), st.integers(0, 50), st.integers(0, 3)),
+        st.integers(1, 5000),
+    )
+    def test_first_minimum_equals_oracle(
+        self, constraints, upper_x, upper_y, weights, divisor
+    ):
+        """Fast equals slow: any score that does not decrease in either trip
+        count has the same first minimum over both lists."""
+
+        def score(pair):
+            trips_x = -(-upper_x // pair[0])
+            trips_y = -(-upper_y // pair[1])
+            weight_x, weight_y, weight_xy = weights
+            # Floor division makes ties, so the tie-break is exercised.
+            total = weight_x * trips_x + weight_y * trips_y
+            return (total + weight_xy * trips_x * trips_y) // divisor
+
+        pairs = pair_candidates(constraints, upper_x, upper_y)
+        slow = oracle_pairs(constraints, upper_x, upper_y)
+        assert bool(pairs) == bool(slow)
+        if pairs:
+            assert min(pairs, key=score) == min(slow, key=score)
+        trip_pairs = {
+            (-(-upper_x // tile_x), -(-upper_y // tile_y))
+            for tile_x, tile_y in pairs
+        }
+        assert len(trip_pairs) == len(pairs)
+        for tile_x, tile_y in pairs:
+            assert 1 <= tile_x <= upper_x and 1 <= tile_y <= upper_y
+            assert all(c.fits(tile_x, tile_y) for c in constraints)
 
 
 class TestNRATiles:
@@ -79,9 +124,14 @@ class TestNRATiles:
             constraint = TileConstraint.from_footprint(
                 _index_sets(operator), {dim_z: 1}, dim_x, dim_y, buffer_elems
             )
+            upper_x, upper_y = operator.dims[dim_x], operator.dims[dim_y]
             assert pair_candidates(
-                (constraint,), operator.dims[dim_x], operator.dims[dim_y]
-            ) == oracle.single_nra_pairs(operator, tensor.name, buffer_elems)
+                (constraint,), upper_x, upper_y
+            ) == oracle.first_per_trip_pair(
+                oracle.single_nra_pairs(operator, tensor.name, buffer_elems),
+                upper_x,
+                upper_y,
+            )
             assert _single_nra_impl(
                 operator, tensor.name, buffer_elems
             ) == oracle.single_nra(operator, tensor.name, buffer_elems)

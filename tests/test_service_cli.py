@@ -192,6 +192,26 @@ class TestResilienceCli:
         assert FAULTS_GUARD_ENV in captured.err
         assert captured.out == ""  # refused before running anything
 
+        # Bad engine settings and an unwritable output are refused the same
+        # way: one stderr line, exit 2, and no request computed.
+        def never_run(self, *args, **kwargs):
+            raise AssertionError("the batch ran")
+
+        monkeypatch.setattr(BatchEngine, "run_batch", never_run)
+        missing = tmp_path / "missing" / "out.jsonl"
+        for flags, message in (
+            (["--jobs", "0"], "error: jobs must be positive"),
+            (["--cache-size", "0"], "error: cache_size must be positive"),
+            (
+                ["--output", str(missing)],
+                f"batch: cannot write {missing}: No such file or directory",
+            ),
+        ):
+            assert main(["batch", str(requests), *flags]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == message + "\n"
+
     def test_inject_faults_rejects_bad_spec(self, tmp_path, capsys,
                                             monkeypatch):
         from repro.service import FAULTS_GUARD_ENV
