@@ -973,25 +973,31 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return 0 if certificate.ok else 1
 
 
-def _read_batch_payloads(source: str):
-    """Open a JSON-lines request file now; stream its lines later.
+class _RequestLines:
+    """A JSON-lines request file, opened now and streamed later.
 
     The file is opened eagerly, so a missing or unreadable path raises
     ``OSError`` here, before any engine, journal or connection exists.
-    The returned generator reads one line at a time: a million-request
-    input costs one line of buffering, not O(file) memory.  Undecodable
-    lines are reported to stderr *with their line number* and passed
-    through as raw strings so the engine still records a structured
-    per-line error at the right position in the output stream.
+    Iteration reads one line at a time: a million-request input costs one
+    line of buffering, not O(file) memory.  Undecodable lines are reported
+    to stderr *with their line number* and passed through as raw strings so
+    the engine still records a structured per-line error at the right
+    position in the output stream.  The file closes when iteration ends,
+    or on :meth:`close` -- which a command exiting before the batch runs
+    must call, since then iteration never starts.
     """
 
-    import json
+    def __init__(self, source: str):
+        self.source = source
+        self.handle = (
+            sys.stdin if source == "-" else open(source, encoding="utf-8")
+        )
 
-    handle = sys.stdin if source == "-" else open(source, encoding="utf-8")
+    def __iter__(self):
+        import json
 
-    def lines():
         try:
-            for lineno, line in enumerate(handle, start=1):
+            for lineno, line in enumerate(self.handle, start=1):
                 line = line.strip()
                 if not line:
                     continue
@@ -999,22 +1005,24 @@ def _read_batch_payloads(source: str):
                     yield json.loads(line)
                 except ValueError as exc:
                     print(
-                        f"warning: {source} line {lineno}: not valid JSON "
-                        f"({exc})",
+                        f"warning: {self.source} line {lineno}: not valid "
+                        f"JSON ({exc})",
                         file=sys.stderr,
                     )
                     yield line
         finally:
-            if handle is not sys.stdin:
-                handle.close()
+            self.close()
 
-    return lines()
+    def close(self) -> None:
+        if self.handle is not sys.stdin:
+            self.handle.close()
 
 
 def _open_requests(command: str, source: str):
-    """``_read_batch_payloads``, or ``None`` after a one-line error."""
+    """The request file as :class:`_RequestLines`, or ``None`` after a
+    one-line error."""
     try:
-        return _read_batch_payloads(source)
+        return _RequestLines(source)
     except OSError as exc:
         print(
             f"{command}: cannot read {source}: {exc.strerror or exc}",
@@ -1126,7 +1134,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payloads = _open_requests("batch", args.requests)
-    if payloads is None or not _check_output("batch", args.output):
+    if payloads is None:
+        return 2
+    if not _check_output("batch", args.output):
+        payloads.close()
         return 2
 
     def warn(message: str) -> None:
@@ -1149,6 +1160,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             # An existing journal without --resume, an unknown version, a
             # wrong format or a bad knob: fail loud, never misread.
             print(f"error: {exc}", file=sys.stderr)
+            payloads.close()
             return 2
     interrupted = None
     try:
@@ -1334,7 +1346,10 @@ def _cmd_call(args: argparse.Namespace) -> int:
             print(json.dumps(summary, sort_keys=True, indent=2))
             return 0 if summary.get("ok") else 1
         payloads = _open_requests("call", args.requests)
-        if payloads is None or not _check_output("call", args.output):
+        if payloads is None:
+            return 2
+        if not _check_output("call", args.output):
+            payloads.close()
             return 2
         if args.chunk_size > 0:
             lines = [

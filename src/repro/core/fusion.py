@@ -21,31 +21,41 @@ belong to a single operator, e.g. MM1's reduction K and MM2's output N.)
 Tile sizes for MAXIMIZE roles are solved in closed form from the integer
 coefficients of the fused buffer footprint (and, for compute-unit fusion,
 of each intermediate's register footprint) -- the same one-shot
-construction as the intra candidates, no search.  The candidate tile pairs
-are ranked by the shared reuse rule applied straight to their trip counts
-(:func:`fused_scorer`), skipping any pair that breaks the fusability
-requirement (non-redundant intermediates); only the winner is built as a
-:class:`FusedDataflow` and counted exactly through
-:func:`repro.dataflow.fusion_nest.fused_memory_access`.
+construction as the intra candidates, no search.  Each pattern's tile list
+is built once per medium and scored under every shared-loop order by the
+shared reuse rule applied straight to the trip counts (:func:`fused_scorer`,
+compiled once per pattern and order), skipping any tiling that breaks the
+fusability requirement (non-redundant intermediates).
+:func:`optimize_fused` scores every candidate and builds one winner: only
+it becomes a :class:`FusedDataflow`, counted exactly through
+:func:`repro.dataflow.fusion_nest.fused_memory_access` and classified.
 
 :func:`decide_fusion` compares the best fused dataflow against the sum of
-the operators' unfused optima and reports both the measured profitability
-and the Principle 4 prediction (same NRA class).
+the operators' unfused optima, solved once per operator, and reports both
+the measured profitability and the Principle 4 prediction (same NRA class).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..ir.operator import TensorOperator, validate_buffer_elems
-from ..dataflow.cost import (
-    PartialSumConvention,
-    reuse_multiplier,
-    tensor_multiplier,
-)
+from ..dataflow.cost import PartialSumConvention, tensor_multiplier
 from ..dataflow.fusion_nest import (
     FusedAccessReport,
     FusedChain,
@@ -56,9 +66,9 @@ from ..dataflow.fusion_nest import (
 )
 from ..dataflow.spec import NRAClass
 from ..dataflow.tiling import Tiling
-from .intra import IntraResult, optimize_intra
+from .intra import IntraResult, _maybe_certify_intra, optimize_intra
 from .nra import TileConstraint, _ceil_div, max_tile, pair_candidates
-from .principles import principle4_same_nra
+from .principles import principle4_predicts
 
 
 class Role(Enum):
@@ -294,67 +304,162 @@ def fused_scorer(
     chain: FusedChain,
     shared_order: Tuple[str, ...],
     private_orders: Mapping[str, Tuple[str, ...]],
-) -> Callable[[Mapping[str, int]], Optional[int]]:
-    """Fused access count of a global tiling, from its trip counts.
+    fixed: Mapping[str, int],
+    dim_x: Optional[str] = None,
+    dim_y: Optional[str] = None,
+) -> Callable[[int, int], Optional[int]]:
+    """Fused access count of the free tiles ``(t_x, t_y)``, from their trips.
 
-    Each operator's loop order (the shared loops over its dims, then its
-    private order) is compiled once.  A tiling (every global dim's tile)
-    then charges each external tensor its worst reuse-rule access over the
-    operators, as :func:`fused_memory_access` does under the paper's
-    partial-sum convention.  ``None`` means an intermediate would be
-    re-fetched (multiplier above 1): the tiling is not fusable.
+    ``dim_x``/``dim_y`` are the free dims (``None`` when there are fewer;
+    the missing tile is then ignored) and every other dim takes its tile
+    from ``fixed``.  A score charges each external tensor its worst
+    reuse-rule access over the operators, as :func:`fused_memory_access`
+    does under the paper's partial-sum convention.  ``None`` means an
+    intermediate would be re-fetched (multiplier above 1): the tiling is
+    not fusable.
+
+    The reuse rule skips loops of one trip, so the nests' shape depends
+    only on whether each free trip exceeds 1.  Each of those four shapes is
+    compiled on first use, with the fixed dims' trips folded in: a
+    tensor's multiplier becomes a constant times ``trip_x`` and/or
+    ``trip_y``, an intermediate's fusability a constant, and a score is
+    integer arithmetic on the two trips.
     """
 
     intermediates = {tensor.name for tensor in chain.intermediates()}
+    extents = chain.global_dims
     nests = []
     for index, op in enumerate(chain.ops):
         op_dims = set(chain.op_global_dims(index))
         order = tuple(dim for dim in shared_order if dim in op_dims)
+        # (dim, fixed trip, is dim_x, is dim_y); a free dim's trip varies.
+        loops = tuple(
+            (dim, 1, True, False) if dim == dim_x
+            else (dim, 1, False, True) if dim == dim_y
+            else (dim, _ceil_div(extents[dim], fixed[dim]), False, False)
+            for dim in order + tuple(private_orders[op.name])
+        )
         tensors = tuple(
             (tensor.name, chain.global_dims_of_tensor(index, tensor.name), tensor.size)
             for tensor in op.tensors
         )
-        nests.append((order + tuple(private_orders[op.name]), tensors))
-    extents = chain.global_dims
+        nests.append((loops, tensors))
 
-    def score(tiles: Mapping[str, int]) -> Optional[int]:
-        trips = {dim: _ceil_div(extents[dim], tile) for dim, tile in tiles.items()}
-        worst: Dict[str, int] = {}
-        for order, tensors in nests:
-            loops = [(dim, trips[dim]) for dim in order]
+    def compile_shape(big_x: bool, big_y: bool):
+        """``(k, k_x, k_y, k_xy, rest)``, or ``None`` if not fusable."""
+        worst: Dict[str, set] = {}
+        for loops, tensors in nests:
+            effective = [
+                loop for loop in loops
+                if loop[1] > 1 or (loop[2] and big_x) or (loop[3] and big_y)
+            ]
             for name, dims, size in tensors:
-                multiplier = reuse_multiplier(loops, dims)
-                if name not in intermediates:
-                    worst[name] = max(worst.get(name, 0), size * multiplier)
-                elif multiplier > 1:
-                    return None
-        return chain.count * sum(worst.values())
+                # The reuse rule: the effective loops not indexing the tensor
+                # outside its innermost indexing one, free trips as powers.
+                inner = max(
+                    (i for i, loop in enumerate(effective) if loop[0] in dims),
+                    default=0,
+                )
+                outside = [loop for loop in effective[:inner] if loop[0] not in dims]
+                coef = math.prod(loop[1] for loop in outside)
+                pow_x = sum(loop[2] for loop in outside)
+                pow_y = sum(loop[3] for loop in outside)
+                if name in intermediates:
+                    if coef > 1 or pow_x or pow_y:
+                        return None
+                else:
+                    worst.setdefault(name, set()).add((size * coef, pow_x, pow_y))
+        # One term per tensor sums into the coefficients of 1, t_x, t_y and
+        # t_x*t_y; a tensor whose operators disagree keeps its max.
+        linear = [0, 0, 0, 0]
+        rest = []
+        for terms in worst.values():
+            if len(terms) == 1:
+                ((k, pow_x, pow_y),) = terms
+                linear[pow_x + 2 * pow_y] += k
+            else:
+                rest.append(tuple(terms))
+        return (*linear, tuple(rest))
+
+    extent_x = 1 if dim_x is None else extents[dim_x]
+    extent_y = 1 if dim_y is None else extents[dim_y]
+    count = chain.count
+    shapes: Dict[int, Any] = {}
+
+    def score(tile_x: int, tile_y: int) -> Optional[int]:
+        trip_x = _ceil_div(extent_x, tile_x)
+        trip_y = _ceil_div(extent_y, tile_y)
+        key = (trip_x > 1) + 2 * (trip_y > 1)
+        if key not in shapes:
+            shapes[key] = compile_shape(trip_x > 1, trip_y > 1)
+        shape = shapes[key]
+        if shape is None:
+            return None
+        k, k_x, k_y, k_xy, rest = shape
+        total = k + k_x * trip_x + k_y * trip_y + k_xy * trip_x * trip_y
+        for terms in rest:
+            total += max(
+                weight * (trip_x if pow_x else 1) * (trip_y if pow_y else 1)
+                for weight, pow_x, pow_y in terms
+            )
+        return count * total
 
     return score
 
 
-def solve_pattern(
+class _PatternTiles(NamedTuple):
+    """A pattern's fixed tiles, free dims and capacity-feasible free tiles.
+
+    ``pairs`` holds ``(t_x, t_y)`` for the free dims ``dim_x``/``dim_y``
+    (a missing free dim's tile is 1), sorted; it is empty when even the
+    minimal tiles overflow.  None of it depends on the shared-loop order.
+    """
+
+    fixed: Dict[str, int]
+    dim_x: Optional[str]
+    dim_y: Optional[str]
+    pairs: List[Tuple[int, int]]
+
+    def dataflow(
+        self,
+        pair: Tuple[int, int],
+        shared_order: Tuple[str, ...],
+        private_orders: Mapping[str, Tuple[str, ...]],
+    ) -> FusedDataflow:
+        free = {
+            dim: tile
+            for dim, tile in zip((self.dim_x, self.dim_y), pair)
+            if dim is not None
+        }
+        return FusedDataflow(
+            shared_order=shared_order,
+            private_orders=private_orders,
+            tiling=Tiling({**self.fixed, **free}),
+        )
+
+    def first_minimum(
+        self, score: Callable[[int, int], Optional[int]]
+    ) -> Optional[Tuple[int, Tuple[int, int]]]:
+        """``(score, pair)`` of the first fusable pair scoring least."""
+        best: Optional[Tuple[int, Tuple[int, int]]] = None
+        for pair in self.pairs:
+            total = score(*pair)
+            if total is not None and (best is None or total < best[0]):
+                best = (total, pair)
+        return best
+
+
+def _pattern_tiles(
     chain: FusedChain,
     pattern: FusedPattern,
     buffer_elems: int,
-    medium: FusionMedium = FusionMedium.MEMORY,
-    register_elems: Optional[int] = None,
-    shared_order: Optional[Tuple[str, ...]] = None,
-) -> Optional[FusedDataflow]:
-    """Resolve a pattern's MAXIMIZE tiles against the capacity constraints.
+    medium: FusionMedium,
+    register_elems: Optional[int],
+) -> _PatternTiles:
+    """Resolve a pattern's roles and its free tiles' capacity candidates.
 
-    With :attr:`FusionMedium.MEMORY` every tile (intermediates included)
-    consumes buffer.  With :attr:`FusionMedium.COMPUTE_UNIT` the
-    intermediate tiles live in the PE accumulators instead: they are
-    excluded from the buffer footprint but must each fit ``register_elems``
-    (the group's accumulator count).  Returns ``None`` when even the
-    minimal tiles overflow.
-
-    ``shared_order`` fixes the order of the shared (common-dim) loops;
-    ``None`` uses the role-priority default (:func:`_shared_order`).  The
-    order never changes feasibility (the footprint is order-invariant) but
-    does change cost when a tensor is indexed by only one common dim, so
-    callers chasing the exact optimum must try every permutation.
+    Two free dims get every pair :func:`pair_candidates` yields, one gets
+    its largest feasible tile, none gets the minimal tiles if they fit.
     """
 
     if medium is FusionMedium.BEST:
@@ -382,41 +487,63 @@ def solve_pattern(
             f"pattern {pattern.label!r} has {len(free)} free dims; at most 2 "
             "supported"
         )
-    if shared_order is None:
-        shared_order = _shared_order(chain, roles)
-    private_orders = _private_orders(chain)
-
-    def build(tiles: Mapping[str, int]) -> FusedDataflow:
-        return FusedDataflow(
-            shared_order=shared_order,
-            private_orders=private_orders,
-            tiling=Tiling({**fixed, **tiles}),
-        )
-
     dim_x, dim_y = (free + [None, None])[:2]
     constraints = _capacity_constraints(
         chain, fixed, dim_x, dim_y, buffer_elems, medium, register_elems
     )
     if dim_x is None:
-        return build({}) if all(c.fits(1, 1) for c in constraints) else None
-    if dim_y is None:
+        pairs = [(1, 1)] if all(c.fits(1, 1) for c in constraints) else []
+    elif dim_y is None:
         tile = max_tile(constraints, chain.global_dims[dim_x])
-        return None if tile is None else build({dim_x: tile})
-    pairs = pair_candidates(
-        constraints, chain.global_dims[dim_x], chain.global_dims[dim_y]
-    )
-    if not pairs:
+        pairs = [] if tile is None else [(tile, 1)]
+    else:
+        pairs = pair_candidates(
+            constraints, chain.global_dims[dim_x], chain.global_dims[dim_y]
+        )
+    return _PatternTiles(fixed, dim_x, dim_y, pairs)
+
+
+def solve_pattern(
+    chain: FusedChain,
+    pattern: FusedPattern,
+    buffer_elems: int,
+    medium: FusionMedium = FusionMedium.MEMORY,
+    register_elems: Optional[int] = None,
+    shared_order: Optional[Tuple[str, ...]] = None,
+) -> Optional[FusedDataflow]:
+    """Resolve a pattern's MAXIMIZE tiles against the capacity constraints.
+
+    With :attr:`FusionMedium.MEMORY` every tile (intermediates included)
+    consumes buffer.  With :attr:`FusionMedium.COMPUTE_UNIT` the
+    intermediate tiles live in the PE accumulators instead: they are
+    excluded from the buffer footprint but must each fit ``register_elems``
+    (the group's accumulator count).  Returns the fusable candidate of
+    least access count (the first in sorted tile order on a tie), or
+    ``None`` when even the minimal tiles overflow or no candidate fuses.
+
+    ``shared_order`` fixes the order of the shared (common-dim) loops;
+    ``None`` uses the role-priority default (:func:`_shared_order`).  The
+    order never changes feasibility (the footprint is order-invariant) but
+    does change cost when a tensor is indexed by only one common dim, so
+    callers chasing the exact optimum must try every permutation.
+    """
+
+    tiles = _pattern_tiles(chain, pattern, buffer_elems, medium, register_elems)
+    if not tiles.pairs:
         return None
-    # Every pair shares the dataflow's structure: check it once.
-    build({dim_x: pairs[0][0], dim_y: pairs[0][1]}).validate(chain)
-    score = fused_scorer(chain, shared_order, private_orders)
-    best: Optional[Tuple[int, Dict[str, int]]] = None
-    for tile_x, tile_y in pairs:
-        tiles = {dim_x: tile_x, dim_y: tile_y}
-        total = score({**fixed, **tiles})
-        if total is not None and (best is None or total < best[0]):
-            best = (total, tiles)
-    return None if best is None else build(best[1])
+    if shared_order is None:
+        shared_order = _shared_order(chain, pattern.roles)
+    private_orders = _private_orders(chain)
+    # Every candidate shares the dataflow's structure: check it once.
+    tiles.dataflow(tiles.pairs[0], shared_order, private_orders).validate(chain)
+    best = tiles.first_minimum(
+        fused_scorer(
+            chain, shared_order, private_orders, tiles.fixed, tiles.dim_x, tiles.dim_y
+        )
+    )
+    if best is None:
+        return None
+    return tiles.dataflow(best[1], shared_order, private_orders)
 
 
 def _capacity_constraints(
@@ -489,6 +616,12 @@ def optimize_fused(
     role-priority one (the ROADMAP counterexample needed the reduction-dim-
     outermost order to match branch and bound).
 
+    Every candidate is scored and one winner is built: the first strict
+    minimum in pattern -> medium -> order order is the only dataflow built,
+    recounted and classified.  Under :attr:`PartialSumConvention.SINGLE`
+    the score is the fused total; under other conventions each order's
+    winner is recounted to rank it.
+
     ``certify``/``paranoid`` route the winner through :mod:`repro.verify`:
     certification failures raise
     :class:`repro.verify.CertificationError`, and in paranoid mode a
@@ -507,31 +640,58 @@ def optimize_fused(
         media = (FusionMedium.MEMORY, FusionMedium.COMPUTE_UNIT)
     else:
         media = (medium,)
+    private_orders = _private_orders(chain)
     shared_orders = tuple(itertools.permutations(chain.common_dims))
-    best: Optional[FusedResult] = None
+    # (total, pattern, medium, dataflow builder) of the first strict
+    # minimum, in pattern -> medium -> order order.
+    best: Optional[Tuple[int, FusedPattern, FusionMedium, Callable]] = None
+    validated = False
     for pattern in patterns:
-      for active_medium in media:
-       for shared_order in shared_orders:
-        dataflow = solve_pattern(
-            chain, pattern, buffer_elems, medium=active_medium,
-            register_elems=register_elems, shared_order=shared_order,
-        )
-        if dataflow is None:
-            continue
-        report = fused_memory_access(chain, dataflow, convention)
-        if not report.fusable:
-            continue
-        if best is None or report.total < best.report.total:
-            best = FusedResult(
-                chain=chain,
-                pattern=pattern,
-                dataflow=dataflow,
-                report=report,
-                per_op_nra=per_op_nra_classes(chain, dataflow),
-                medium=active_medium,
+        scorers: Dict[Tuple[str, ...], Callable[[int, int], Optional[int]]] = {}
+        for active_medium in media:
+            tiles = _pattern_tiles(
+                chain, pattern, buffer_elems, active_medium, register_elems
             )
+            if not tiles.pairs:
+                continue
+            if not validated:
+                # Every candidate shares the dataflow's structure: check it once.
+                tiles.dataflow(
+                    tiles.pairs[0], shared_orders[0], private_orders
+                ).validate(chain)
+                validated = True
+            for shared_order in shared_orders:
+                if shared_order not in scorers:
+                    scorers[shared_order] = fused_scorer(
+                        chain, shared_order, private_orders,
+                        tiles.fixed, tiles.dim_x, tiles.dim_y,
+                    )
+                found = tiles.first_minimum(scorers[shared_order])
+                if found is None:
+                    continue
+                total, pair = found
+                build = functools.partial(
+                    tiles.dataflow, pair, shared_order, private_orders
+                )
+                if convention is not PartialSumConvention.SINGLE:
+                    # The score is the fused total under SINGLE only.
+                    total = fused_memory_access(chain, build(), convention).total
+                if best is None or total < best[0]:
+                    best = (total, pattern, active_medium, build)
+    result = None
+    if best is not None:
+        _, pattern, active_medium, build = best
+        dataflow = build()
+        result = FusedResult(
+            chain=chain,
+            pattern=pattern,
+            dataflow=dataflow,
+            report=fused_memory_access(chain, dataflow, convention),
+            per_op_nra=per_op_nra_classes(chain, dataflow),
+            medium=active_medium,
+        )
     return _maybe_certify_fused(
-        best, ops, buffer_elems, include_cross, convention,
+        result, ops, buffer_elems, include_cross, convention,
         register_elems, certify, paranoid,
     )
 
@@ -638,24 +798,25 @@ def decide_fusion(
     buffer_elems = validate_buffer_elems(buffer_elems)
     if len(ops) < 2:
         raise FusionError("fusion decision needs at least two operators")
-    unfused = tuple(
-        optimize_intra(
-            op, buffer_elems, convention, certify=certify, paranoid=paranoid
+    # Each operator's optimum is solved once: certified for ``unfused``,
+    # and as solved for the Principle 4 prediction.
+    optima: List[IntraResult] = []
+    unfused: List[IntraResult] = []
+    for op in ops:
+        optima.append(optimize_intra(op, buffer_elems, convention))
+        unfused.append(
+            _maybe_certify_intra(
+                optima[-1], buffer_elems, convention, certify, paranoid
+            )
         )
-        for op in ops
-    )
     fused = optimize_fused(
         ops, buffer_elems, include_cross, convention,
         medium=medium, register_elems=register_elems,
         certify=certify, paranoid=paranoid,
     )
-    predicted = all(
-        principle4_same_nra(a, b, buffer_elems, convention)
-        for a, b in zip(ops, ops[1:])
-    )
     return FusionDecision(
         ops=ops,
         fused=fused,
-        unfused=unfused,
-        predicted_profitable=predicted,
+        unfused=tuple(unfused),
+        predicted_profitable=principle4_predicts(optima),
     )

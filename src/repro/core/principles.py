@@ -10,12 +10,12 @@ for a given operator) and as *machinery* (the closed-form constructors in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..ir.operator import TensorOperator
 from ..dataflow.cost import PartialSumConvention
 from ..dataflow.spec import NRAClass
-from .intra import optimize_intra
+from .intra import IntraResult, optimize_intra
 from .nra import is_mm_like
 from .regimes import classify_buffer
 
@@ -131,11 +131,30 @@ def principle4_same_nra(
     same NRA class (streaming operators are neutral and never block fusion).
     """
 
-    nra_a = optimal_nra_class(producer, buffer_elems, convention)
-    nra_b = optimal_nra_class(consumer, buffer_elems, convention)
-    if nra_a is None or nra_b is None:
-        return True
-    return nra_a == nra_b
+    return _same_nra(
+        optimal_nra_class(producer, buffer_elems, convention),
+        optimal_nra_class(consumer, buffer_elems, convention),
+    )
+
+
+def principle4_predicts(optima: Sequence[IntraResult]) -> bool:
+    """Principle 4 over a chain, from its operators' optimal intra results.
+
+    True when every adjacent pair passes :func:`principle4_same_nra`; the
+    results must be the uncertified optima, as :func:`optimal_nra_class`
+    solves them, so a caller that already holds them solves nothing twice.
+    """
+
+    classes = [
+        result.nra_class if is_mm_like(result.operator) else None
+        for result in optima
+    ]
+    return all(_same_nra(a, b) for a, b in zip(classes, classes[1:]))
+
+
+def _same_nra(nra_a: Optional[NRAClass], nra_b: Optional[NRAClass]) -> bool:
+    # A streaming operator (``None``) is neutral and never blocks fusion.
+    return nra_a is None or nra_b is None or nra_a == nra_b
 
 
 def regime_summary(operator: TensorOperator, buffer_elems: int) -> str:

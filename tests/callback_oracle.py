@@ -11,28 +11,36 @@ keeps the slow scoring path: every candidate pair is ranked by building its
 dataflow and counting it through
 :func:`~repro.dataflow.cost.memory_access` /
 :func:`~repro.dataflow.fusion_nest.fused_memory_access`, not by the
-trip-count scorers the library now uses.
+trip-count scorers the library now uses.  :func:`optimize_fused` is the
+fused search's all-recount loop: every pattern, medium and shared order's
+solution is built, recounted and classified, where the library scores
+them all and builds only the winner.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.fusion import (
     FusedPattern,
+    FusedResult,
     FusionMedium,
     Role,
     _private_orders,
     _shared_order,
+    cross_patterns,
+    per_op_nra_classes,
+    profitable_patterns,
 )
 from repro.core.nra import NRACandidate, _other_dim
-from repro.dataflow.cost import memory_access
+from repro.dataflow.cost import PartialSumConvention, memory_access
 from repro.dataflow.fusion_nest import FusedChain, FusedDataflow, fused_memory_access
 from repro.dataflow.scheduling import Schedule, stationary_schedule
 from repro.dataflow.spec import Dataflow, NRAClass
 from repro.dataflow.tiling import Tiling
-from repro.ir.operator import TensorOperator
+from repro.ir.operator import TensorOperator, validate_buffer_elems
 
 
 def max_feasible(
@@ -324,3 +332,59 @@ def solve_pattern(
         if best is None or report.total < best[0]:
             best = (report.total, dataflow)
     return None if best is None else best[1]
+
+
+# ----------------------------------------------------------------------
+# Fused search
+# ----------------------------------------------------------------------
+def optimize_fused(
+    ops: Sequence[TensorOperator],
+    buffer_elems: int,
+    include_cross: bool = False,
+    convention: PartialSumConvention = PartialSumConvention.SINGLE,
+    medium: FusionMedium = FusionMedium.MEMORY,
+    register_elems: Optional[int] = None,
+    solve: Callable[..., Optional[FusedDataflow]] = solve_pattern,
+) -> Optional[FusedResult]:
+    """The all-recount fused search: every solved candidate is built and
+    counted through ``fused_memory_access``, the cheapest kept.
+
+    ``solve`` is the per-(pattern, medium, order) solver; the default is
+    this module's callback solver.
+    """
+
+    buffer_elems = validate_buffer_elems(buffer_elems)
+    chain = FusedChain.from_ops(ops)
+    if len(chain.common_dims) != 2:
+        return None
+    patterns = profitable_patterns(chain)
+    if include_cross:
+        patterns = patterns + cross_patterns(chain)
+    if medium is FusionMedium.BEST:
+        media = (FusionMedium.MEMORY, FusionMedium.COMPUTE_UNIT)
+    else:
+        media = (medium,)
+    shared_orders = tuple(itertools.permutations(chain.common_dims))
+    best: Optional[FusedResult] = None
+    for pattern in patterns:
+      for active_medium in media:
+       for shared_order in shared_orders:
+        dataflow = solve(
+            chain, pattern, buffer_elems, medium=active_medium,
+            register_elems=register_elems, shared_order=shared_order,
+        )
+        if dataflow is None:
+            continue
+        report = fused_memory_access(chain, dataflow, convention)
+        if not report.fusable:
+            continue
+        if best is None or report.total < best.report.total:
+            best = FusedResult(
+                chain=chain,
+                pattern=pattern,
+                dataflow=dataflow,
+                report=report,
+                per_op_nra=per_op_nra_classes(chain, dataflow),
+                medium=active_medium,
+            )
+    return best

@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
 import argparse
+import gc
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -219,12 +221,17 @@ class TestMissingRequestFile:
         requests.write_text('{"kind": "intra"}\n', encoding="utf-8")
         argv[1] = str(requests)
         unwritable = str(tmp_path / "missing" / "out.jsonl")
-        assert main(argv + ["--output", unwritable]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--output", unwritable]) == 2
+            gc.collect()
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
             f"{command}: cannot write {unwritable}: No such file or directory\n"
         )
+        # The request file it had opened is closed, not leaked.
+        assert not [w for w in caught if w.category is ResourceWarning]
 
     def test_batch_opens_the_file_before_the_journal(self, tmp_path):
         journal = tmp_path / "batch.journal"

@@ -7,10 +7,11 @@ numbers the materialized-nest counters give:
 
 * ``single_nra_scorer`` equals ``memory_access(...).per_instance_total``;
 * ``fused_scorer`` equals ``fused_memory_access(...).total``, and returns
-  ``None`` exactly when that report is not ``fusable`` -- on the pairs the
-  patterns yield, and on random tilings and loop orders of a chain whose
-  consumer also reads the producer's input (so a shared loop can sit
-  outside the intermediate and break fusability);
+  ``None`` exactly when that report is not ``fusable`` -- on the tiles
+  every pattern yields (0, 1 or 2 free dims), and on random tilings, free
+  dims and loop orders of a chain whose consumer also reads the producer's
+  input (so a shared loop can sit outside the intermediate and break
+  fusability, and one tensor's operators can charge it differently);
 * ``reuse_multiplier`` (and ``tensor_multiplier``, which delegates to it)
   equals the rule written out positionally, on random loop nests.
 """
@@ -22,8 +23,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import DTYPES, buffer_sizes, mm_like_ops
 from repro.core.fusion import (
     FusionMedium,
-    Role,
-    _capacity_constraints,
+    _pattern_tiles,
     _private_orders,
     cross_patterns,
     fused_scorer,
@@ -88,32 +88,21 @@ def test_fused_score_equals_fused_memory_access(ops, buffer_elems, register_elem
     chain = FusedChain.from_ops(ops)
     private_orders = _private_orders(chain)
     for pattern in profitable_patterns(chain) + cross_patterns(chain):
-        fixed = {
-            dim: chain.global_dims[dim] if role is Role.UNTILE else 1
-            for dim, role in pattern.roles.items()
-            if role is not Role.MAXIMIZE
-        }
-        free = [dim for dim, role in pattern.roles.items() if role is Role.MAXIMIZE]
-        if len(free) != 2:
-            continue
-        dim_x, dim_y = free
         for medium in (FusionMedium.MEMORY, FusionMedium.COMPUTE_UNIT):
-            constraints = _capacity_constraints(
-                chain, fixed, dim_x, dim_y, buffer_elems, medium, register_elems
-            )
-            pairs = pair_candidates(
-                constraints, chain.global_dims[dim_x], chain.global_dims[dim_y]
+            tiles = _pattern_tiles(
+                chain, pattern, buffer_elems, medium, register_elems
             )
             for order in itertools.permutations(chain.common_dims):
-                score = fused_scorer(chain, order, private_orders)
-                for tile_x, tile_y in pairs:
-                    tiles = {**fixed, dim_x: tile_x, dim_y: tile_y}
+                score = fused_scorer(
+                    chain, order, private_orders,
+                    tiles.fixed, tiles.dim_x, tiles.dim_y,
+                )
+                for pair in tiles.pairs:
                     report = fused_memory_access(
-                        chain,
-                        FusedDataflow(order, private_orders, Tiling(tiles)),
+                        chain, tiles.dataflow(pair, order, private_orders)
                     )
                     expected = report.total if report.fusable else None
-                    assert score(tiles) == expected, (pattern.label, order, tiles)
+                    assert score(*pair) == expected, (pattern.label, order, pair)
 
 
 @st.composite
@@ -151,18 +140,22 @@ def shared_input_cases(draw):
     tiles = {
         dim: draw(st.integers(1, extent)) for dim, extent in chain.global_dims.items()
     }
-    return chain, tuple(shared), private_orders, tiles
+    free = draw(st.permutations(sorted(chain.global_dims)))[: draw(st.integers(0, 2))]
+    return chain, tuple(shared), private_orders, tiles, free
 
 
 @settings(max_examples=300, deadline=None)
 @given(shared_input_cases())
 def test_fused_score_equals_fused_memory_access_on_any_tiling(case):
-    chain, shared_order, private_orders, tiles = case
+    chain, shared_order, private_orders, tiles, free = case
     report = fused_memory_access(
         chain, FusedDataflow(shared_order, private_orders, Tiling(tiles))
     )
     expected = report.total if report.fusable else None
-    assert fused_scorer(chain, shared_order, private_orders)(tiles) == expected
+    dim_x, dim_y = (list(free) + [None, None])[:2]
+    fixed = {dim: tile for dim, tile in tiles.items() if dim not in free}
+    score = fused_scorer(chain, shared_order, private_orders, fixed, dim_x, dim_y)
+    assert score(tiles.get(dim_x, 1), tiles.get(dim_y, 1)) == expected
 
 
 @st.composite

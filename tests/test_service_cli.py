@@ -1,6 +1,8 @@
 """End-to-end tests: ``repro batch`` CLI and the engine-routed harnesses."""
 
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -199,6 +201,8 @@ class TestResilienceCli:
 
         monkeypatch.setattr(BatchEngine, "run_batch", never_run)
         missing = tmp_path / "missing" / "out.jsonl"
+        journal = tmp_path / "existing.journal"
+        journal.write_text("{}\n", encoding="utf-8")
         for flags, message in (
             (["--jobs", "0"], "error: jobs must be positive"),
             (["--cache-size", "0"], "error: cache_size must be positive"),
@@ -206,11 +210,21 @@ class TestResilienceCli:
                 ["--output", str(missing)],
                 f"batch: cannot write {missing}: No such file or directory",
             ),
+            (
+                ["--journal", str(journal)],
+                f"error: journal {str(journal)!r} already exists; resume it "
+                "explicitly or delete it to start over",
+            ),
         ):
-            assert main(["batch", str(requests), *flags]) == 2
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["batch", str(requests), *flags]) == 2
+                gc.collect()
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == message + "\n"
+            # No exit leaks the request file's handle.
+            assert not [w for w in caught if w.category is ResourceWarning]
 
     def test_inject_faults_rejects_bad_spec(self, tmp_path, capsys,
                                             monkeypatch):
