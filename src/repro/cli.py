@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["enumerative"],
         default=None,
         help="also run the budgeted enumerative mapper; exit 1 if the "
-        "principle-guided plan loses to it",
+        "plan loses to it",
     )
     plan.add_argument(
         "--budget",
@@ -841,7 +841,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     baseline = record.get("baseline")
     if baseline is not None and not baseline["agrees"]:
         print(
-            "plan: principle-guided plan LOSES to the enumerative baseline",
+            "plan: the plan LOSES to the enumerative baseline",
             file=sys.stderr,
         )
         code = 1

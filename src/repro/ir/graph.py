@@ -156,8 +156,9 @@ class OperatorGraph:
         operators with different repetition factors is not meaningful).
         Every operator appears in exactly one chain (possibly of length 1).
 
-        Behavior at branch points (deliberate, and relied on by
-        :mod:`repro.plan` as its fallback decomposition):
+        Behavior at branch points (deliberate: these chains are the
+        decomposition of :func:`repro.plan.partition.optimize_graph`, the
+        chain baseline that :mod:`repro.plan` reports next to its plans):
 
         * **Fan-out** -- an output with two or more consumers ends the
           chain at its producer; every consumer starts (or continues)
@@ -167,9 +168,9 @@ class OperatorGraph:
         * **Join** -- an operator drawing produced inputs from more than
           one producer starts its own chain, even when one incoming edge
           is a single-consumer link: a linear chain cannot contain both
-          producers, and this detector refuses to pick a side.  DAG-level
-          planners (:func:`repro.plan.partition.plan_dag`) relax exactly
-          this rule by *choosing* one in-link per join.
+          producers, and this detector refuses to pick a side.  The DAG
+          planner (:func:`repro.plan.partition.plan_dag`) relaxes exactly
+          this rule by searching every choice of one in-link per join.
         * **Count mismatch** -- neighbors with different repetition
           factors never link, regardless of consumer multiplicity.
 

@@ -4,10 +4,10 @@
 intermediates, extending the paper's pairwise Principle 4 from one chain
 to the whole graph:
 
-* :mod:`repro.plan.partition` -- the partition/retention model, the
-  shared :func:`cost_partition` primitive, the chain DP and the
-  chain-independent plan (:func:`optimize_graph`), and the
-  principle-guided :func:`plan_dag` planner.  ``plan_dag(...,
+* :mod:`repro.plan.partition` -- the partition/retention model and its
+  space, the shared :func:`cost_partition` primitive, the chain DP and
+  the chain-independent plan (:func:`optimize_graph`), and
+  :func:`plan_dag`, exact over the whole space.  ``plan_dag(...,
   enable_retention=False)`` is "the plan" of a graph (``repro plan
   MODEL``, ``graph_plan`` requests, FuseCU/UnfCU); every plan is a
   :class:`DagPlan` whose segments are listed in execution order;
@@ -17,8 +17,8 @@ to the whole graph:
   moe, decode, training-backward) shared by CLI, service, CI, and bench.
 
 Certification of plans lives in :func:`repro.verify.certify_plan`, which
-recounts a plan segment-by-segment and cross-checks (and self-heals)
-principle vs. enumerative.
+recounts a plan segment-by-segment and cross-checks (and, should the two
+searches ever disagree, self-heals) the planner against the enumeration.
 """
 
 from .partition import (

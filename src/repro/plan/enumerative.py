@@ -2,8 +2,8 @@
 
 LoopTree and Fast-and-Fusiest explore fused-set mappings by *enumeration*
 rather than by closed-form principles.  This module is the repo's version
-of that idea, scoped to the same partition space the principle-guided
-planner optimizes over (see :mod:`repro.plan.partition`):
+of that idea, over the partition space :mod:`repro.plan.partition`
+defines (and :func:`~repro.plan.partition.plan_dag` searches exactly):
 
 * one kept in-link per join operator (including "keep none"),
 * every cut placement of every resulting path into segments of at most
@@ -11,37 +11,34 @@ planner optimizes over (see :mod:`repro.plan.partition`):
 * every subset of the eligible retained-intermediate tensors (capped --
   see :data:`MAX_RETENTION_CANDIDATES`).
 
-Each candidate is costed through the *shared*
-:func:`repro.plan.partition.cost_partition` primitive, so a disagreement
-between this mapper and :func:`repro.plan.partition.plan_dag` is a
-*search* gap, never a cost-model gap -- the cost model itself is audited
-independently by :func:`repro.verify.certify_plan`.  The search is
-budgeted: evaluation stops after ``budget`` candidate costings and the
-outcome reports whether the space was exhausted, exactly the contract a
-LoopTree-style mapper gives on large graphs.
-
-Because the enumeration covers every chain-DP cut placement, an
-*exhausted* run can never be beaten by the principle planner's DP -- and
-when the principle planner loses (a greedy join choice or greedy
-retention going wrong), :func:`repro.verify.certify_plan` adopts this
-mapper's plan and records a structured discrepancy.
+Each candidate is costed through the *shared* cost path of
+:func:`repro.plan.partition.cost_partition`, with no pruning, so a
+disagreement between this mapper and the planner is a *search* bug,
+never a cost-model gap -- the cost model itself is audited independently
+by :func:`repro.verify.certify_plan`.  The search is budgeted:
+evaluation stops after ``budget`` candidate costings and the outcome
+reports whether the space was exhausted, exactly the contract a
+LoopTree-style mapper gives on large graphs.  An exhausted run with no
+retention cap hit covers the planner's whole space, so the two must
+agree on the total; when they do not, :func:`repro.verify.certify_plan`
+adopts this mapper's plan and records a structured discrepancy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, List, Optional, Tuple
 
 from ..ir.graph import OperatorGraph
-from ..ir.operator import TensorOperator, validate_buffer_elems
+from ..ir.operator import validate_buffer_elems
 from ..dataflow.cost import PartialSumConvention
 from ..core.fusion import FusionMedium
 from .partition import (
     DagPlan,
-    clean_links,
-    cost_partition,
-    retention_candidates,
+    _candidate_partitions,
+    _cost_ordered,
+    _retention_candidates,
     validate_max_group,
 )
 
@@ -81,72 +78,6 @@ class EnumerativeOutcome:
     stats: EnumerationStats
 
 
-def _compositions(length: int, max_part: int) -> Iterator[Tuple[int, ...]]:
-    """All ordered part-size tuples summing to ``length`` (parts <= cap)."""
-    if length == 0:
-        yield ()
-        return
-    for first in range(1, min(length, max_part) + 1):
-        for rest in _compositions(length - first, max_part):
-            yield (first,) + rest
-
-
-def _paths_from_links(
-    graph: OperatorGraph, kept: Dict[str, str]
-) -> Tuple[Tuple[TensorOperator, ...], ...]:
-    """Vertex-disjoint paths induced by a producer->consumer link choice."""
-    has_kept_predecessor = set(kept.values())
-    paths: List[Tuple[TensorOperator, ...]] = []
-    for operator in graph.topological_order():
-        if operator.name in has_kept_predecessor:
-            continue
-        path = [operator]
-        current = operator.name
-        while current in kept:
-            current = kept[current]
-            path.append(graph.operator(current))
-        paths.append(tuple(path))
-    return tuple(paths)
-
-
-def _candidate_partitions(
-    graph: OperatorGraph, max_group: int, enable_fusion: bool
-) -> Iterator[Tuple[Tuple[TensorOperator, ...], ...]]:
-    """Every (join choice, cut placement) partition, deterministically."""
-    links = clean_links(graph)
-    in_links: Dict[str, List[str]] = {}
-    for producer, consumer in links.items():
-        in_links.setdefault(consumer, []).append(producer)
-    choices: List[List[Optional[str]]] = []
-    consumers: List[str] = []
-    for consumer_name in sorted(in_links):
-        producers = sorted(in_links[consumer_name])
-        consumers.append(consumer_name)
-        if len(producers) == 1:
-            # A single clean in-link is always kept: cutting it is one of
-            # the DP's cut placements, so "keep none" adds nothing here.
-            choices.append([producers[0]])
-        else:
-            choices.append([None] + producers)
-    longest = max_group if enable_fusion else 1
-    for combo in product(*choices):
-        kept = {
-            producer: consumer
-            for producer, consumer in zip(combo, consumers)
-            if producer is not None
-        }
-        paths = _paths_from_links(graph, kept)
-        per_path = [list(_compositions(len(path), longest)) for path in paths]
-        for cut_combo in product(*per_path):
-            segments: List[Tuple[TensorOperator, ...]] = []
-            for path, parts in zip(paths, cut_combo):
-                start = 0
-                for part in parts:
-                    segments.append(path[start : start + part])
-                    start += part
-            yield tuple(segments)
-
-
 def enumerate_plans(
     graph: OperatorGraph,
     buffer_elems: int,
@@ -169,13 +100,16 @@ def enumerate_plans(
     validate_max_group(max_group)
     if budget < 1:
         raise ValueError(f"enumeration budget must be >= 1, got {budget}")
+    costing = dict(
+        convention=convention, medium=medium, register_elems=register_elems
+    )
     best: Optional[DagPlan] = None
     evaluated = 0
     truncated = False
     exhausted = True
-    for segments_ops in _candidate_partitions(graph, max_group, enable_fusion):
+    for ordered in _candidate_partitions(graph, max_group, enable_fusion):
         if enable_retention:
-            candidates = retention_candidates(graph, segments_ops)
+            candidates = _retention_candidates(graph, ordered)
             if len(candidates) > MAX_RETENTION_CANDIDATES:
                 candidates = candidates[:MAX_RETENTION_CANDIDATES]
                 truncated = True
@@ -189,11 +123,8 @@ def enumerate_plans(
                 exhausted = False
                 break
             evaluated += 1
-            plan = cost_partition(
-                graph, segments_ops, retained, buffer_elems,
-                convention=convention, medium=medium,
-                register_elems=register_elems,
-                method="enumerative",
+            plan = _cost_ordered(
+                graph, ordered, retained, buffer_elems, "enumerative", **costing
             )
             if plan is None:
                 continue

@@ -1,4 +1,4 @@
-"""Principle-guided partitioning of whole operator DAGs into fused sets.
+"""Exact partitioning of whole operator DAGs into fused sets.
 
 The paper's Principle 4 decides fusion *pairwise*; the chain DP
 (:func:`optimize_chain`) extends it to one linear chain, and
@@ -23,25 +23,25 @@ plan).  This module plans the **whole DAG**:
   counted accesses, redundant re-reads included -- they all hit the
   resident copy) is elided.
 
-Costing goes through :func:`segment_cost` (``optimize_intra`` /
+The partition space -- join in-links x chain cuts x retention sets -- is
+defined once here (:func:`_candidate_partitions`) and walked by both
+searches over it.  :func:`plan_dag` is exact over that space: the chain
+DP segments every join choice's paths exactly, and retained candidates
+are costed unless a sound lower bound already rules them out.  Costing
+goes through :func:`segment_cost` (``optimize_intra`` /
 ``optimize_fused``), so a plan's claim is exactly the sum the
-certification layer can recount segment-by-segment.  The planner itself
-is *principle-guided search*: chain DP segments each path exactly, joins
-are resolved by the measured pairwise fusion gain (Principle 4's
-measured form), retention is accepted greedily when it strictly lowers
-the total, and the chain-independent plan is always evaluated as a
-fallback -- so a DAG plan is never worse than it.  Every plan lists its
-segments in execution order.  Optimality over the whole partition space is
-*not* claimed; the budgeted enumerative mapper
-(:mod:`repro.plan.enumerative`) is the independent search baseline the
-principle-guided result is cross-checked (and, via
-:func:`repro.verify.certify_plan`, self-healed) against.
+certification layer can recount segment-by-segment.  Every plan lists
+its segments in execution order.  The budgeted enumerative mapper
+(:mod:`repro.plan.enumerative`) walks the same space independently of
+the planner's pruning, and :func:`repro.verify.certify_plan`
+cross-checks the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import combinations, product
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..ir.graph import OperatorGraph
 from ..ir.operator import (
@@ -161,8 +161,13 @@ def clean_links(graph: OperatorGraph) -> Dict[str, str]:
     return links
 
 
+def _execution_rank(order: Sequence[TensorOperator]) -> Dict[str, int]:
+    """Each operator's position in a topological order of its graph."""
+    return {op.name: index for index, op in enumerate(order)}
+
+
 def _order_segments(
-    graph: OperatorGraph, segments_ops: Sequence[Tuple[TensorOperator, ...]]
+    rank: Mapping[str, int], segments_ops: Sequence[Sequence[TensorOperator]]
 ) -> Tuple[Tuple[TensorOperator, ...], ...]:
     """Segments in a valid execution order (by last-op topological rank).
 
@@ -174,14 +179,8 @@ def _order_segments(
     """
 
     return tuple(
-        sorted((tuple(ops) for ops in segments_ops), key=_last_op_rank(graph))
+        sorted((tuple(ops) for ops in segments_ops), key=lambda ops: rank[ops[-1].name])
     )
-
-
-def _last_op_rank(graph: OperatorGraph):
-    """Sort key of a segment's ops: its last operator's topological rank."""
-    rank = {op.name: index for index, op in enumerate(graph.topological_order())}
-    return lambda ops: rank[ops[-1].name]
 
 
 def _segment_structure_ok(
@@ -262,39 +261,47 @@ def cost_partition(
 ) -> Optional[DagPlan]:
     """Cost one candidate (partition, retention set); ``None`` if invalid.
 
-    This is the *single* cost path shared by the principle-guided
-    planner and the enumerative baseline, so their cross-check compares
-    search quality, not cost models -- the cost model itself is audited
-    independently by :func:`repro.verify.certify_plan`.
+    This is the *single* cost path shared by the planner and the
+    enumerative baseline, so their cross-check compares search quality,
+    not cost models -- the cost model itself is audited independently by
+    :func:`repro.verify.certify_plan`.
     """
 
     buffer_elems = validate_buffer_elems(buffer_elems)
-    ordered = _order_segments(graph, [tuple(ops) for ops in segments_ops])
+    ordered = _order_segments(
+        _execution_rank(graph.topological_order()), segments_ops
+    )
+    return _cost_ordered(
+        graph, ordered, retained, buffer_elems, method,
+        convention=convention, medium=medium, register_elems=register_elems,
+    )
+
+
+def _cost_ordered(
+    graph: OperatorGraph,
+    ordered: Sequence[Tuple[TensorOperator, ...]],
+    retained: Sequence[str],
+    buffer_elems: int,
+    method: str,
+    **costing,
+) -> Optional[DagPlan]:
+    """:func:`cost_partition` for segments already in execution order."""
     if not _segment_structure_ok(graph, ordered):
         return None
     retained = tuple(sorted(set(retained)))
     structure = _retention_structure(graph, ordered, retained)
     if structure is None:
         return None
-    reserved, resident = structure
     segments: List[PlanSegment] = []
-    for index, ops in enumerate(ordered):
-        budget = buffer_elems - reserved[index]
+    for ops, reserve, names in zip(ordered, *structure):
+        budget = buffer_elems - reserve
         if budget <= 0:
             return None
-        result = segment_cost(
-            ops, budget, convention=convention, medium=medium,
-            register_elems=register_elems,
-        )
+        result = segment_cost(ops, budget, **costing)
         if result is None:
             return None
         segments.append(
-            PlanSegment(
-                ops=ops,
-                result=result,
-                resident=resident[index],
-                reserved_elems=reserved[index],
-            )
+            PlanSegment(ops=ops, result=result, resident=names, reserved_elems=reserve)
         )
     return DagPlan(
         graph_name=graph.name,
@@ -309,7 +316,16 @@ def retention_candidates(
     graph: OperatorGraph, segments_ops: Sequence[Sequence[TensorOperator]]
 ) -> Tuple[str, ...]:
     """Tensor names eligible for retention under a given partition."""
-    ordered = _order_segments(graph, [tuple(ops) for ops in segments_ops])
+    return _retention_candidates(
+        graph,
+        _order_segments(_execution_rank(graph.topological_order()), segments_ops),
+    )
+
+
+def _retention_candidates(
+    graph: OperatorGraph, ordered: Sequence[Tuple[TensorOperator, ...]]
+) -> Tuple[str, ...]:
+    """:func:`retention_candidates` for segments already in execution order."""
     segment_of: Dict[str, int] = {}
     for index, ops in enumerate(ordered):
         for op in ops:
@@ -428,84 +444,85 @@ def optimize_graph(
 
     Each chain of :meth:`~repro.ir.graph.OperatorGraph.chains` is
     segmented on its own, with no join choice and no retention.  This is
-    :func:`plan_dag`'s fallback candidate and the chain baseline that
-    ``dag_plan`` records and :func:`repro.verify.certify_plan` report.
+    the chain baseline that ``dag_plan`` records and
+    :func:`repro.verify.certify_plan` reports; :func:`plan_dag` searches
+    a space that contains it.
     """
 
     buffer_elems = validate_buffer_elems(buffer_elems)
     validate_max_group(max_group)
-    rank = _last_op_rank(graph)
+    return _chain_dp_plan(
+        graph, _execution_rank(graph.topological_order()), graph.chains(),
+        buffer_elems, enable_fusion, max_group,
+        convention=convention, medium=medium, register_elems=register_elems,
+    )
+
+
+def _chain_dp_plan(
+    graph: OperatorGraph,
+    rank: Mapping[str, int],
+    paths: Sequence[Tuple[TensorOperator, ...]],
+    buffer_elems: int,
+    enable_fusion: bool,
+    max_group: int,
+    **costing,
+) -> DagPlan:
+    """Chain DP over each path; the segments as one plan in execution order."""
     segments = sorted(
         (
             segment
-            for chain in graph.chains()
+            for path in paths
             for segment in optimize_chain(
-                chain, buffer_elems, enable_fusion=enable_fusion,
-                max_group=max_group, convention=convention, medium=medium,
-                register_elems=register_elems,
+                path, buffer_elems, enable_fusion=enable_fusion,
+                max_group=max_group, **costing,
             )
         ),
-        key=lambda segment: rank(segment.ops),
+        key=lambda segment: rank[segment.ops[-1].name],
     )
     return DagPlan(
         graph_name=graph.name, buffer_elems=buffer_elems, segments=tuple(segments)
     )
 
 
-def _principle_paths(
-    graph: OperatorGraph,
-    buffer_elems: int,
-    enable_fusion: bool,
-    convention: PartialSumConvention,
-    medium: FusionMedium,
-    register_elems: Optional[int],
-) -> Tuple[Tuple[TensorOperator, ...], ...]:
-    """Vertex-disjoint paths over clean links, joins resolved by measured gain.
+# ----------------------------------------------------------------------
+# The partition space: join choices x chain cuts (x retention sets)
+# ----------------------------------------------------------------------
+def _join_choices(graph: OperatorGraph) -> Iterator[Dict[str, str]]:
+    """Every kept-link map: one in-link (or none) per join, deterministically.
 
     Every operator has at most one clean out-link (its output's sole
-    consumer), so after each join keeps at most one in-link the kept
-    links form disjoint paths.  The join choice is Principle 4's
-    measured form: keep the producer whose pairwise fused nest saves the
-    most versus running both unfused (ties and the no-feasible-fusion
-    case fall back to the lexicographically first producer -- the chain
-    DP can always cut a kept link, so keeping one is never harmful).
+    consumer), so once each join keeps at most one in-link the kept
+    links form vertex-disjoint paths.  A single clean in-link is always
+    kept: cutting it is one of the chain DP's cut placements, so "keep
+    none" adds nothing there.
     """
 
-    links = clean_links(graph)
     in_links: Dict[str, List[str]] = {}
-    for producer, consumer in links.items():
+    for producer, consumer in clean_links(graph).items():
         in_links.setdefault(consumer, []).append(producer)
-    kept: Dict[str, str] = {}
-    for consumer_name in sorted(in_links):
-        producers = sorted(in_links[consumer_name])
-        if len(producers) == 1:
-            kept[producers[0]] = consumer_name
-            continue
-        choice = producers[0]
-        if enable_fusion:
-            consumer = graph.operator(consumer_name)
-            best_gain: Optional[int] = None
-            for producer_name in producers:
-                producer = graph.operator(producer_name)
-                pair = segment_cost(
-                    (producer, consumer), buffer_elems, convention=convention,
-                    medium=medium, register_elems=register_elems,
-                )
-                if pair is None:
-                    continue
-                solo_p = segment_cost((producer,), buffer_elems, convention=convention)
-                solo_c = segment_cost((consumer,), buffer_elems, convention=convention)
-                if solo_p is None or solo_c is None:
-                    continue
-                gain = (
-                    solo_p.memory_access + solo_c.memory_access - pair.memory_access
-                )
-                if best_gain is None or gain > best_gain:
-                    best_gain, choice = gain, producer_name
-        kept[choice] = consumer_name
+    consumers = sorted(in_links)
+    choices = [
+        sorted(in_links[name]) if len(in_links[name]) == 1
+        else [None] + sorted(in_links[name])
+        for name in consumers
+    ]
+    for combo in product(*choices):
+        yield {
+            producer: consumer
+            for producer, consumer in zip(combo, consumers)
+            if producer is not None
+        }
+
+
+def _paths_from_links(
+    graph: OperatorGraph,
+    order: Sequence[TensorOperator],
+    kept: Mapping[str, str],
+) -> Tuple[Tuple[TensorOperator, ...], ...]:
+    """Vertex-disjoint paths induced by a producer->consumer link choice."""
     has_kept_predecessor = set(kept.values())
     paths: List[Tuple[TensorOperator, ...]] = []
-    for operator in graph.topological_order():
+    for operator in order:
         if operator.name in has_kept_predecessor:
             continue
         path = [operator]
@@ -517,75 +534,112 @@ def _principle_paths(
     return tuple(paths)
 
 
-def _segment_paths(
-    paths: Sequence[Tuple[TensorOperator, ...]],
+def _compositions(length: int, max_part: int) -> Iterator[Tuple[int, ...]]:
+    """All ordered part-size tuples summing to ``length`` (parts <= cap)."""
+    if length == 0:
+        yield ()
+        return
+    for first in range(1, min(length, max_part) + 1):
+        for rest in _compositions(length - first, max_part):
+            yield (first,) + rest
+
+
+def _candidate_partitions(
+    graph: OperatorGraph, max_group: int, enable_fusion: bool
+) -> Iterator[Tuple[Tuple[TensorOperator, ...], ...]]:
+    """Every (join choice, cut placement) partition, in execution order."""
+    order = graph.topological_order()
+    rank = _execution_rank(order)
+    longest = max_group if enable_fusion else 1
+    for kept in _join_choices(graph):
+        paths = _paths_from_links(graph, order, kept)
+        per_path = [list(_compositions(len(path), longest)) for path in paths]
+        for cut_combo in product(*per_path):
+            segments: List[Tuple[TensorOperator, ...]] = []
+            for path, parts in zip(paths, cut_combo):
+                start = 0
+                for part in parts:
+                    segments.append(path[start : start + part])
+                    start += part
+            yield _order_segments(rank, segments)
+
+
+# ----------------------------------------------------------------------
+# The planner
+# ----------------------------------------------------------------------
+def _retention_lower_bound(
+    ordered: Sequence[Tuple[TensorOperator, ...]],
+    full: Sequence[Optional[SegmentResult]],
+    reserved: Sequence[int],
+    resident: Sequence[Tuple[str, ...]],
     buffer_elems: int,
-    enable_fusion: bool,
-    max_group: int,
-    convention: PartialSumConvention,
-    medium: FusionMedium,
-    register_elems: Optional[int],
-) -> Tuple[Tuple[TensorOperator, ...], ...]:
-    """Chain-DP each path exactly; returns the flat segment op-tuples."""
-    return tuple(
-        segment.ops
-        for path in paths
-        for segment in optimize_chain(
-            path, buffer_elems, enable_fusion=enable_fusion,
-            max_group=max_group, convention=convention, medium=medium,
-            register_elems=register_elems,
+) -> Optional[int]:
+    """A lower bound on a retained candidate's total; ``None`` if it misfits.
+
+    A segment outside every live range costs exactly its full-buffer
+    optimum (``full``).  One inside a live range runs at a smaller
+    budget, where the full-buffer optimum bounds nothing
+    (``optimize_intra`` is not monotone in the buffer), but it still
+    moves each non-resident external tensor once per instance.
+    """
+
+    total = 0
+    for ops, result, reserve, names in zip(ordered, full, reserved, resident):
+        if reserve >= buffer_elems:
+            return None
+        if reserve == 0:
+            if result is None:
+                return None
+            total += result.memory_access
+            continue
+        skip = set(names) | {op.output.name for op in ops[:-1]}
+        external = {t.name: t.size for op in ops for t in op.tensors}
+        total += ops[0].count * sum(
+            size for name, size in external.items() if name not in skip
         )
-    )
+    return total
 
 
-def _improve_retention(
+def _best_retention(
     graph: OperatorGraph,
     plan: DagPlan,
     buffer_elems: int,
-    convention: PartialSumConvention,
-    medium: FusionMedium,
-    register_elems: Optional[int],
+    enable_fusion: bool,
+    max_group: int,
+    **costing,
 ) -> DagPlan:
-    """Greedy retention: accept candidates that strictly lower the total.
+    """Phase 2 of :func:`plan_dag`: the best retained plan, else ``plan``.
 
-    Candidates are tried in descending order of the DRAM traffic they
-    could absorb under the current plan (ties by name), because a
-    retained tensor's benefit is bounded by its counted accesses while
-    its cost -- shrinking the budget of every live-range segment -- is
-    shared.  The partition is held fixed; only budgets and elisions
-    move.
+    ``plan`` enters with the empty signature, which sorts before every
+    real one, so a retained plan replaces it only on a strictly lower
+    total.  A candidate is costed only if its lower bound, keyed the same
+    way, stays below the incumbent.
     """
 
-    segments_ops = tuple(segment.ops for segment in plan.segments)
-    candidates = retention_candidates(graph, segments_ops)
-    if not candidates:
-        return plan
-
-    def potential(name: str) -> int:
-        saved = 0
-        for segment in plan.segments:
-            per_tensor = segment.result.report.per_tensor
-            if name in per_tensor:
-                touches = name == segment.ops[-1].output.name or any(
-                    name in (t.name for t in op.inputs) for op in segment.ops
-                )
-                if touches:
-                    saved += segment.result.report.count * per_tensor[name].accesses
-        return saved
-
-    best = plan
-    retained: List[str] = list(plan.retained)
-    for name in sorted(candidates, key=lambda n: (-potential(n), n)):
-        if name in retained:
+    best, best_key = plan, (plan.memory_access, ())
+    for ordered in _candidate_partitions(graph, max_group, enable_fusion):
+        candidates = _retention_candidates(graph, ordered)
+        if not candidates:
             continue
-        trial = cost_partition(
-            graph, segments_ops, tuple(retained) + (name,), buffer_elems,
-            convention=convention, medium=medium,
-            register_elems=register_elems, method=plan.method,
-        )
-        if trial is not None and trial.memory_access < best.memory_access:
-            best = trial
-            retained.append(name)
+        names = tuple(tuple(op.name for op in ops) for ops in ordered)
+        full = [segment_cost(ops, buffer_elems, **costing) for ops in ordered]
+        for size in range(1, len(candidates) + 1):
+            for retained in combinations(candidates, size):
+                structure = _retention_structure(graph, ordered, retained)
+                assert structure is not None, "candidates are retainable"
+                bound = _retention_lower_bound(
+                    ordered, full, *structure, buffer_elems
+                )
+                if bound is None or (bound, (names, retained)) >= best_key:
+                    continue
+                trial = _cost_ordered(
+                    graph, ordered, retained, buffer_elems, plan.method, **costing
+                )
+                if trial is None:
+                    continue
+                key = (trial.memory_access, trial.signature())
+                if key < best_key:
+                    best, best_key = trial, key
     return best
 
 
@@ -599,35 +653,50 @@ def plan_dag(
     register_elems: Optional[int] = None,
     enable_retention: bool = True,
 ) -> DagPlan:
-    """Principle-guided DAG plan: join choices + chain DP + retention.
+    """The exact DAG plan over join choices x chain cuts x retention sets.
 
-    Both the join-resolved path decomposition and the chain-independent
-    plan (:func:`optimize_graph`, the fallback) are costed and the better
-    kept, so the result is never worse than :func:`optimize_graph` on
-    the same graph (the hypothesis suite asserts exactly this property);
-    with ``enable_retention=False`` and no join to resolve it equals it.
+    This is the space :func:`~repro.plan.enumerative.enumerate_plans`
+    walks, searched in two phases:
+
+    1. Without retention a partition's cost is a sum over its segments,
+       so the chain DP is exact on each path: every join choice is
+       segmented by DP, and the minimum by ``(memory_access,
+       signature)`` is kept.  The chain plan (:func:`optimize_graph`) is
+       one of these partitions, so the result never loses to it.
+    2. With ``enable_retention``, :func:`_best_retention` walks every
+       retained candidate, pruned by a sound lower bound.
+
     Raises :class:`~repro.ir.operator.InvalidWorkloadError` for a
     non-positive buffer or ``max_group`` below 1, and
-    :class:`~repro.core.intra.InfeasibleError` when some chain has no
-    feasible plan at all.
+    :class:`~repro.core.intra.InfeasibleError` when no partition in the
+    space fits the buffer.
     """
 
     buffer_elems = validate_buffer_elems(buffer_elems)
     validate_max_group(max_group)
-    costing = dict(
-        convention=convention, medium=medium, register_elems=register_elems
-    )
-    best = optimize_graph(graph, buffer_elems, enable_fusion, max_group, **costing)
-    paths = _principle_paths(graph, buffer_elems, enable_fusion, **costing)
-    principle = cost_partition(
-        graph,
-        _segment_paths(paths, buffer_elems, enable_fusion, max_group, **costing),
-        (), buffer_elems, **costing,
-    )
-    if principle is not None and (
-        principle.memory_access, principle.signature()
-    ) < (best.memory_access, best.signature()):
-        best = principle
+    costing = dict(convention=convention, medium=medium, register_elems=register_elems)
+    order = graph.topological_order()
+    rank = _execution_rank(order)
+    best: Optional[DagPlan] = None
+    for kept in _join_choices(graph):
+        try:
+            plan = _chain_dp_plan(
+                graph, rank, _paths_from_links(graph, order, kept),
+                buffer_elems, enable_fusion, max_group, **costing,
+            )
+        except InfeasibleError:
+            continue
+        if best is None or (plan.memory_access, plan.signature()) < (
+            best.memory_access, best.signature()
+        ):
+            best = plan
+    if best is None:
+        # The chain plan is one of these partitions, so it misfits too;
+        # its DP raises, naming the first chain with no feasible cut.
+        optimize_graph(graph, buffer_elems, enable_fusion, max_group, **costing)
+        raise AssertionError("the chain plan lies in the searched space")
     if enable_retention:
-        best = _improve_retention(graph, best, buffer_elems, **costing)
+        best = _best_retention(
+            graph, best, buffer_elems, enable_fusion, max_group, **costing
+        )
     return best

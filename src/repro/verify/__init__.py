@@ -2,7 +2,7 @@
 
 Independently validates optimization results from :mod:`repro.core`
 against first-principles recounts (:mod:`repro.verify.audit`), the
-Theorem lower bound, and -- in paranoid mode -- a budgeted
+infinite-buffer ideal, and -- in paranoid mode -- a budgeted
 branch-and-bound probe with a self-healing fallback
 (:mod:`repro.verify.certify`).
 

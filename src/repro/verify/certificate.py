@@ -4,7 +4,7 @@ A :class:`Certificate` is the structured outcome of independently
 re-deriving everything a result claims: that its dataflow fits the buffer
 (feasibility), that its memory-access count is what the loop nest actually
 incurs (cost audit + bounded simulation), that the count respects the
-Theorem lower bound and the regime classification (bound/consistency
+infinite-buffer ideal and the regime classification (bound/consistency
 checks), and -- in paranoid mode -- that a budgeted branch-and-bound probe
 cannot beat it (optimality probe).
 

@@ -1,9 +1,12 @@
 """Unit + property tests for repro.plan (partitioner, enumerative, scenarios).
 
-Includes three headline properties:
+Includes four headline properties:
 
 * chain DP (``optimize_chain``) is *exactly* optimal against brute-force
   enumeration of every cut placement for chains of length <= 5;
+* ``plan_dag`` equals the whole-space enumeration (``enumerate_plans``)
+  wherever that enumeration is exhausted, on join / stacked-join /
+  fan-out / diamond graphs, with retention and fusion on or off;
 * a DAG plan's total MA is never worse than the chain-independent plan
   (``optimize_graph``) on the same graph;
 * on every Table II layer graph, ``plan_dag(..., enable_retention=False)``
@@ -29,8 +32,7 @@ from repro.plan import (
     retention_candidates,
     scenario_graph,
 )
-from repro.plan.enumerative import _compositions
-from repro.plan.partition import optimize_chain, segment_cost
+from repro.plan.partition import _compositions, optimize_chain, segment_cost
 from repro.workloads import PAPER_MODELS, build_layer_graph
 
 
@@ -70,6 +72,59 @@ DAG_SHAPES = {
     "fanout": lambda dim: fanout_graph(dim)[0],
     "diamond": lambda dim: diamond_graph(dim, dim, dim)[0],
 }
+
+
+def join_after_chain_graph(m, k1, l1, l2, k2, n, p, q=None):
+    """a1 -> a2 -> j <- b1, then j -> c1 (-> c2): a chain meets a branch."""
+    graph = OperatorGraph("join-after-chain")
+    a1 = graph.add(matmul("a1", m, k1, l1))
+    a2 = graph.add(matmul("a2", m, l1, l2, a=a1.output))
+    b1 = graph.add(matmul("b1", l2, k2, n))
+    j = graph.add(matmul("j", m, l2, n, a=a2.output, b=b1.output))
+    c1 = graph.add(matmul("c1", m, n, p, a=j.output))
+    if q is not None:
+        graph.add(matmul("c2", m, p, q, a=c1.output))
+    return graph
+
+
+def stacked_joins_graph(m, k1, l1, k2, n1, k3, n2, p):
+    """a, b -> j1; j1, c -> j2 -> d: two joins in a row."""
+    graph = OperatorGraph("stacked-joins")
+    a = graph.add(matmul("a", m, k1, l1))
+    b = graph.add(matmul("b", l1, k2, n1))
+    j1 = graph.add(matmul("j1", m, l1, n1, a=a.output, b=b.output))
+    c = graph.add(matmul("c", n1, k3, n2))
+    j2 = graph.add(matmul("j2", m, n1, n2, a=j1.output, b=c.output))
+    graph.add(matmul("d", m, n2, p, a=j2.output))
+    return graph
+
+
+def fanout_chain_graph(m, k, l, p, q, r):
+    """x -> {c1 -> d, c2}: a fan-out whose branches differ in length."""
+    graph = OperatorGraph("fanout-chain")
+    x = graph.add(matmul("x", m, k, l))
+    c1 = graph.add(matmul("c1", m, l, p, a=x.output))
+    graph.add(matmul("c2", m, l, q, a=x.output))
+    graph.add(matmul("d", m, p, r, a=c1.output))
+    return graph
+
+
+#: name -> (builder, number of dims it takes), for the exact-planner property.
+DAG_FAMILIES = {
+    "join-chain-1": (join_after_chain_graph, 7),
+    "join-chain-2": (join_after_chain_graph, 8),
+    "stacked-joins": (stacked_joins_graph, 8),
+    "fanout-chain": (fanout_chain_graph, 6),
+    **{name: (build, 1) for name, build in DAG_SHAPES.items()},
+}
+
+
+@st.composite
+def dag_cells(draw):
+    name = draw(st.sampled_from(sorted(DAG_FAMILIES)))
+    arity = DAG_FAMILIES[name][1]
+    return name, draw(st.tuples(*[st.integers(4, 64)] * arity))
+
 
 # (shape, dim, buffer) cells whose enumeration must exhaust; each is also
 # an explicit example of the DAG-optimality property.
@@ -266,6 +321,30 @@ class TestPlanDag:
         names = sorted(op.name for s in plan.segments for op in s.ops)
         assert names == sorted(op.name for op in graph)
 
+    def test_join_choice_sees_past_the_pairwise_gain(self):
+        # (a1, a2) saves more than (a2, j), so a pairwise-gain join choice
+        # keeps the chain plan; fusing (b1, j) instead is 5.7% cheaper.
+        graph = join_after_chain_graph(8, 24, 32, 12, 48, 8, 24, 12)
+        outcome = enumerate_plans(graph, 1021, enable_retention=False)
+        assert outcome.stats.exhausted
+        plan = plan_dag(graph, 1021, enable_retention=False)
+        assert plan.memory_access == outcome.plan.memory_access == 3200
+        assert optimize_graph(graph, 1021).memory_access == 3392
+
+    def test_retention_is_searched_with_the_partition(self):
+        # The winner fuses (a2, j) and retains b1.C: neither greedy step
+        # on top of the best unretained plan finds it.
+        graph = join_after_chain_graph(48, 64, 32, 32, 4, 32, 64, 32)
+        outcome = enumerate_plans(graph, 1674)
+        assert outcome.stats.exhausted
+        assert not outcome.stats.retention_truncated
+        plan = plan_dag(graph, 1674)
+        assert plan.memory_access == outcome.plan.memory_access == 24320
+        assert plan.retained == ("b1.C",)
+        assert ("a2", "j") in [
+            tuple(op.name for op in s.ops) for s in plan.segments
+        ]
+
 
 # ----------------------------------------------------------------------
 # Enumerative baseline
@@ -310,8 +389,8 @@ class TestEnumerative:
         if (shape, dim, buffer_elems) in PINNED_EXHAUSTED:
             assert outcome.stats.exhausted
         assume(outcome.stats.exhausted and outcome.plan is not None)
-        # An exhausted enumeration covers the principle planner's space,
-        # so equality is the best the principle can do.
+        # An exhausted enumeration covers the planner's whole space, and
+        # the planner is exact over it.
         plan = plan_dag(graph, buffer_elems)
         assert plan.memory_access == outcome.plan.memory_access
 
@@ -473,6 +552,42 @@ class TestDagPlanProperty:
                 segment.raw_memory_access - segment.elided_access
             )
             assert segment.memory_access >= 0
+
+
+class TestExactPlanner:
+    @given(
+        dag_cells(),
+        st.integers(64, 1 << 15),
+        st.booleans(),
+        st.booleans(),
+    )
+    @example(("join-chain-2", (8, 24, 32, 12, 48, 8, 24, 12)), 1021, False, True)
+    @example(("join-chain-2", (48, 64, 32, 32, 4, 32, 64, 32)), 1674, True, True)
+    @settings(max_examples=150, deadline=None)
+    def test_plan_dag_equals_whole_space_enumeration(
+        self, cell, buffer_elems, enable_retention, enable_fusion
+    ):
+        """plan_dag searches enumerate_plans' whole space exactly."""
+        name, dims = cell
+        graph = DAG_FAMILIES[name][0](*dims)
+        knobs = dict(
+            enable_retention=enable_retention, enable_fusion=enable_fusion
+        )
+        outcome = enumerate_plans(graph, buffer_elems, **knobs)
+        assume(outcome.stats.exhausted and not outcome.stats.retention_truncated)
+        if outcome.plan is None:
+            with pytest.raises(InfeasibleError, match="no feasible plan"):
+                plan_dag(graph, buffer_elems, **knobs)
+            return
+        plan = plan_dag(graph, buffer_elems, **knobs)
+        assert plan.memory_access == outcome.plan.memory_access
+        try:
+            chain = optimize_graph(
+                graph, buffer_elems, enable_fusion=enable_fusion
+            )
+        except InfeasibleError:
+            return
+        assert plan.memory_access <= chain.memory_access
 
 
 #: Table II buffers, 32 KB to 8 MB (one byte per element).

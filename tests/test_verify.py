@@ -208,6 +208,19 @@ class TestCorruptionAndHealing:
         reports = drain_discrepancies()
         assert len(reports) == 1 and reports[0].healed
 
+    def test_paranoid_heals_single_nra_gap(self):
+        """A real Single-NRA loss: the probe beats the principle answer
+        (8,098,031,454) and the healed result must pass every check --
+        the bound is the infinite-buffer ideal, not the engine's answer."""
+        op = matmul("mm", 3079, 3517, 3537)
+        certified = certify_intra(op, 116, paranoid=True)
+        certificate = certified.certificate
+        assert certificate.ok and certificate.healed
+        assert certified.result.memory_access == 7_994_656_273
+        assert certificate.discrepancy is not None
+        assert certificate.discrepancy.reason == "probe_beat_analytical"
+        assert certificate.discrepancy.claimed_memory_access == 8_098_031_454
+
     def test_paranoid_heals_green_only_counterexample(self):
         """The seeded search-layer fault: green-only picks MA=4050; the
         B&B fallback returns the certified 3936 dataflow."""
