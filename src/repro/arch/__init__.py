@@ -6,7 +6,8 @@
 * :mod:`repro.arch.memory` / :mod:`repro.arch.perf` -- the memory system and
   first-order cycle/utilization model.
 * :mod:`repro.arch.accelerators` -- the five evaluated platforms and their
-  dataflow spaces (paper Table III).
+  dataflow spaces (paper Table III), a layer graph's timing on each
+  (:func:`evaluate_graph`), and whole-model totals (:func:`evaluate_model`).
 * :mod:`repro.arch.area` -- the gate-level area model (paper Fig. 12).
 """
 
@@ -25,9 +26,11 @@ from .perf import (
 from .accelerators import (
     ALL_PLATFORMS,
     AcceleratorSpec,
+    ModelTotals,
     TilingFlex,
     constrained_intra,
     evaluate_graph,
+    evaluate_model,
     fusecu,
     gemmini,
     planaria,
@@ -100,9 +103,11 @@ __all__ = [
     "streaming_segment_perf",
     "ALL_PLATFORMS",
     "AcceleratorSpec",
+    "ModelTotals",
     "TilingFlex",
     "constrained_intra",
     "evaluate_graph",
+    "evaluate_model",
     "fusecu",
     "gemmini",
     "planaria",

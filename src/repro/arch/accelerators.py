@@ -31,8 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+# ``plan.plan_dag`` resolves through the package at call time, so a tracer
+# that patches ``repro.plan.plan_dag`` sees FuseCU/UnfCU's plans too.
+from .. import plan
 from ..ir.graph import OperatorGraph
 from ..ir.operator import TensorOperator
 from ..dataflow.cost import PartialSumConvention, memory_access
@@ -41,7 +44,6 @@ from ..dataflow.scheduling import stationary_schedule
 from ..dataflow.spec import Dataflow
 from ..dataflow.tiling import Tiling
 from ..core.fusion import FusedResult, FusionMedium
-from ..core.intra import optimize_intra
 from ..core.nra import (
     NRACandidate,
     TileConstraint,
@@ -50,16 +52,16 @@ from ..core.nra import (
     is_streaming,
     streaming_dataflow,
 )
+from ..workloads import ModelConfig, build_layer_graph, layer_count
+from .energy import EnergyModel, EnergyReport, energy_of
 from .memory import MemorySpec, PAPER_DEFAULT_MEMORY
 from .perf import (
     PlatformPerf,
     SegmentPerf,
     matmul_segment_perf,
+    spatial_efficiency,
     streaming_segment_perf,
 )
-
-if TYPE_CHECKING:
-    from ..plan import PlanSegment
 
 
 class TilingFlex(Enum):
@@ -288,8 +290,6 @@ def _mm_mapping_dims(
     pick the operand whose dims best cover the available shapes.
     """
 
-    from .perf import spatial_efficiency
-
     def dims_of(tensor_name: str) -> Tuple[int, int]:
         dims = operator.dims_of(tensor_name)
         return (operator.dims[dims[0]], operator.dims[dims[1]])
@@ -306,32 +306,37 @@ def _mm_mapping_dims(
     return dims_of(resident), operator.dims[stream_dim]
 
 
+def _operator_perf(
+    operator: TensorOperator, ma_elems: int, spec: AcceleratorSpec
+) -> SegmentPerf:
+    """Timing of one operator run alone with ``ma_elems`` accesses."""
+    if is_streaming(operator):
+        return streaming_segment_perf(
+            name=operator.name,
+            points=operator.macs,
+            ma_elems=ma_elems,
+            total_pes=spec.total_pes,
+            memory=spec.memory,
+        )
+    stationary_dims, stream_len = _mm_mapping_dims(operator, spec)
+    return matmul_segment_perf(
+        name=operator.name,
+        macs=operator.macs,
+        ma_elems=ma_elems,
+        stationary_dims=stationary_dims,
+        stream_len=stream_len,
+        shapes=spec.shapes,
+        total_pes=spec.total_pes,
+        memory=spec.memory,
+    )
+
+
 def _segment_perf(
-    segment: PlanSegment, spec: AcceleratorSpec
+    segment: plan.PlanSegment, spec: AcceleratorSpec
 ) -> SegmentPerf:
     ops = segment.ops
-    macs = sum(op.macs for op in ops)
-    ma_elems = segment.memory_access
-    if len(ops) == 1 and is_streaming(ops[0]):
-        return streaming_segment_perf(
-            name=ops[0].name,
-            points=macs,
-            ma_elems=ma_elems,
-            total_pes=spec.total_pes,
-            memory=spec.memory,
-        )
     if len(ops) == 1:
-        stationary_dims, stream_len = _mm_mapping_dims(ops[0], spec)
-        return matmul_segment_perf(
-            name=ops[0].name,
-            macs=macs,
-            ma_elems=ma_elems,
-            stationary_dims=stationary_dims,
-            stream_len=stream_len,
-            shapes=spec.shapes,
-            total_pes=spec.total_pes,
-            memory=spec.memory,
-        )
+        return _operator_perf(ops[0], segment.memory_access, spec)
     # Fused group: the intermediate tensor tile is the PE-resident tile
     # (tile fusion) or the moving tile between halves (column fusion); both
     # map the intermediate's dims across the group, and the private dims
@@ -350,8 +355,8 @@ def _segment_perf(
     stream_len = max(private_extents) if private_extents else 1
     return matmul_segment_perf(
         name="+".join(op.name for op in ops),
-        macs=macs,
-        ma_elems=ma_elems,
+        macs=sum(op.macs for op in ops),
+        ma_elems=segment.memory_access,
         stationary_dims=stationary_dims,
         stream_len=stream_len,
         shapes=spec.shapes,
@@ -372,14 +377,10 @@ def evaluate_graph(
     within their restricted candidate sets.
     """
 
-    # Function-level: ``repro.plan`` imports the workloads, which import
-    # this module.
-    from ..plan import plan_dag
-
     buffer_elems = spec.memory.buffer_elems
     segments: List[SegmentPerf] = []
     if spec.tiling is TilingFlex.MIDDLE and spec.stationary_flexible:
-        plan = plan_dag(
+        graph_plan = plan.plan_dag(
             graph,
             buffer_elems,
             enable_fusion=spec.fusion,
@@ -391,38 +392,75 @@ def evaluate_graph(
             register_elems=spec.total_pes,
             enable_retention=False,
         )
-        for segment in plan.segments:
+        for segment in graph_plan.segments:
             segments.append(_segment_perf(segment, spec))
     else:
         for operator in graph.topological_order():
-            dataflow, report, _label = constrained_intra(operator, spec, convention)
-            if is_streaming(operator):
-                segments.append(
-                    streaming_segment_perf(
-                        name=operator.name,
-                        points=operator.macs,
-                        ma_elems=report.total,
-                        total_pes=spec.total_pes,
-                        memory=spec.memory,
-                    )
-                )
-            else:
-                stationary_dims, stream_len = _mm_mapping_dims(operator, spec)
-                segments.append(
-                    matmul_segment_perf(
-                        name=operator.name,
-                        macs=operator.macs,
-                        ma_elems=report.total,
-                        stationary_dims=stationary_dims,
-                        stream_len=stream_len,
-                        shapes=spec.shapes,
-                        total_pes=spec.total_pes,
-                        memory=spec.memory,
-                    )
-                )
+            _dataflow, report, _label = constrained_intra(
+                operator, spec, convention
+            )
+            segments.append(_operator_perf(operator, report.total, spec))
     return PlatformPerf(
         platform=spec.name,
         workload=graph.name,
         segments=tuple(segments),
         total_pes=spec.total_pes,
+    )
+
+
+# ----------------------------------------------------------------------
+# Whole-model totals
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ModelTotals:
+    """End-to-end (all-layer) totals for one model on one platform."""
+
+    model: str
+    platform: str
+    layers: int
+    layer_perf: PlatformPerf
+
+    @property
+    def total_memory_access(self) -> int:
+        return self.layer_perf.total_memory_access * self.layers
+
+    @property
+    def total_cycles(self) -> float:
+        return self.layer_perf.total_cycles * self.layers
+
+    @property
+    def total_macs(self) -> int:
+        return self.layer_perf.total_macs * self.layers
+
+    @property
+    def latency_ms(self) -> float:
+        """End-to-end latency at 1 GHz (the evaluation clock)."""
+        return self.total_cycles / 1e6
+
+    def energy(self, model: EnergyModel = EnergyModel()) -> EnergyReport:
+        """All-layer energy decomposition."""
+        layer_energy = energy_of(self.layer_perf, model)
+        return EnergyReport(
+            platform=self.platform,
+            workload=f"{self.model} x{self.layers}",
+            dram_pj=layer_energy.dram_pj * self.layers,
+            buffer_pj=layer_energy.buffer_pj * self.layers,
+            compute_pj=layer_energy.compute_pj * self.layers,
+        )
+
+
+def evaluate_model(
+    model: ModelConfig,
+    spec: AcceleratorSpec,
+    layers: int = 0,
+) -> ModelTotals:
+    """End-to-end totals: one optimized layer scaled by the model's depth.
+
+    The depth defaults to :func:`repro.workloads.layer_count`.
+    """
+    return ModelTotals(
+        model=model.name,
+        platform=spec.name,
+        layers=layers or layer_count(model),
+        layer_perf=evaluate_graph(build_layer_graph(model), spec),
     )

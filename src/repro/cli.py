@@ -53,7 +53,7 @@ from typing import List, Optional
 
 from .arch import ALL_PLATFORMS, MemorySpec, evaluate_graph
 from .chaos import CHAOS_PROFILES
-from .core import decide_fusion, optimize_intra
+from .core import InfeasibleError, decide_fusion, optimize_intra
 from .experiments import (
     format_table,
     render_fig9,
@@ -723,6 +723,22 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_explain(args: argparse.Namespace) -> int:
+    from .core import explain_fusion, explain_intra
+
+    op = matmul("mm", args.m, args.k, args.l)
+    consumer = (
+        None
+        if args.consumer_n is None
+        else matmul("mm2", args.m, args.l, args.consumer_n, a=op.output)
+    )
+    print(explain_intra(op, args.buffer_kb * 1024))
+    if consumer is not None:
+        print()
+        print(explain_fusion([op, consumer], args.buffer_kb * 1024))
+    return 0
+
+
 def _lookup_model(command: str, name: str):
     """``model_by_name``, or ``None`` after a one-line error."""
     try:
@@ -735,15 +751,8 @@ def _lookup_model(command: str, name: str):
 def _cmd_plan(args: argparse.Namespace) -> int:
     import json
 
-    from .core import InfeasibleError
-    from .ir import InvalidWorkloadError
     from .plan import DEFAULT_PLAN_BUDGET, plan_dag
-    from .service import (
-        RequestError,
-        dag_plan_request,
-        execute_request,
-        graph_plan_request,
-    )
+    from .service import dag_plan_request, execute_request, graph_plan_request
 
     buffer_elems = (
         args.buffer if args.buffer is not None else args.buffer_kb * 1024
@@ -770,37 +779,33 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         model = _lookup_model("plan", args.model)
         if model is None:
             return 2
-    try:
-        if args.scenario is None and not args.json:
-            graph = build_layer_graph(model)
-            plan = plan_dag(
-                graph, buffer_elems, max_group=args.max_group,
-                enable_retention=False,
-            )
-            print(plan.describe())
-            return 0
-        if args.scenario is None:
-            request = graph_plan_request(
-                args.model, buffer_elems, max_group=args.max_group
-            )
-        else:
-            request = dag_plan_request(
-                args.scenario,
-                buffer_elems,
-                model=args.model or "",
-                max_group=args.max_group,
-                retention=not args.no_retention,
-                baseline=args.baseline is not None,
-                budget=(
-                    DEFAULT_PLAN_BUDGET if args.budget is None else args.budget
-                ),
-                certify=args.certify,
-                paranoid=args.paranoid,
-            )
-        record = execute_request(request)
-    except (InfeasibleError, InvalidWorkloadError, RequestError) as exc:
-        print(f"plan: {exc}", file=sys.stderr)
-        return 2
+    if args.scenario is None and not args.json:
+        graph = build_layer_graph(model)
+        plan = plan_dag(
+            graph, buffer_elems, max_group=args.max_group,
+            enable_retention=False,
+        )
+        print(plan.describe())
+        return 0
+    if args.scenario is None:
+        request = graph_plan_request(
+            args.model, buffer_elems, max_group=args.max_group
+        )
+    else:
+        request = dag_plan_request(
+            args.scenario,
+            buffer_elems,
+            model=args.model or "",
+            max_group=args.max_group,
+            retention=not args.no_retention,
+            baseline=args.baseline is not None,
+            budget=(
+                DEFAULT_PLAN_BUDGET if args.budget is None else args.budget
+            ),
+            certify=args.certify,
+            paranoid=args.paranoid,
+        )
+    record = execute_request(request)
     if args.json:
         print(json.dumps(record, indent=2, sort_keys=True))
     else:
@@ -927,11 +932,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             ops, buffer_elems, include_cross=not args.no_cross
         )
         if baseline is None:
-            print(
-                f"error: no fused dataflow fits {buffer_elems} elements",
-                file=sys.stderr,
+            raise InfeasibleError(
+                f"no fused dataflow fits {buffer_elems} elements"
             )
-            return 2
         claimed = (
             None
             if args.corrupt_ma is None
@@ -1649,18 +1652,27 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Commands that answer one question from their arguments.
+_ONE_SHOT = {
+    "optimize": _cmd_optimize,
+    "fuse": _cmd_fuse,
+    "plan": _cmd_plan,
+    "compare": _cmd_compare,
+    "explain": _cmd_explain,
+    "certify": _cmd_certify,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "optimize":
-        return _cmd_optimize(args)
-    if args.command == "fuse":
-        return _cmd_fuse(args)
-    if args.command == "plan":
-        return _cmd_plan(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    if args.command == "certify":
-        return _cmd_certify(args)
+    if args.command in _ONE_SHOT:
+        # Bad input -- a non-positive dim or buffer, a buffer no dataflow
+        # fits, an invalid request -- raises ValueError: one line, exit 2.
+        try:
+            return _ONE_SHOT[args.command](args)
+        except ValueError as exc:
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 2
     if args.command == "batch":
         return _cmd_batch(args)
     if args.command == "serve":
@@ -1673,18 +1685,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_selfcheck(args)
     if args.command == "chaos":
         return _cmd_chaos(args)
-    if args.command == "explain":
-        from .core import explain_fusion, explain_intra
-
-        op = matmul("mm", args.m, args.k, args.l)
-        print(explain_intra(op, args.buffer_kb * 1024))
-        if args.consumer_n is not None:
-            consumer = matmul(
-                "mm2", args.m, args.l, args.consumer_n, a=op.output
-            )
-            print()
-            print(explain_fusion([op, consumer], args.buffer_kb * 1024))
-        return 0
     if args.command == "tables":
         print(table1())
         print()

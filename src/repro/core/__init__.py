@@ -9,15 +9,17 @@ Public surface:
 * :func:`~repro.core.lower_bound.intra_lower_bound` -- the per-operator
   communication bound.
 * :func:`~repro.core.regimes.classify_buffer` -- the four buffer regimes.
-* :func:`~repro.core.memo.memo_stats` / :func:`~repro.core.memo.clear_memo`
-  -- the process-wide analysis memo.
+* :func:`~repro.core.intra.cached_optimize_intra` /
+  :func:`~repro.core.fusion.cached_optimize_fused` -- the same answers
+  through the process-wide analysis memo, whose counters are
+  :func:`~repro.core.memo.memo_stats` / :func:`~repro.core.memo.clear_memo`.
+
+Certification sits above this package: :mod:`repro.verify` checks these
+answers, and nothing here imports it.
 """
 
 from ..ir.operator import InvalidWorkloadError, validate_buffer_elems
-
-# First: ``nra`` reads its table from ``memo`` at call time, while ``memo``
-# imports the optimizers that import ``nra``.
-from .memo import cached_optimize_fused, cached_optimize_intra, clear_memo, memo_stats
+from .memo import clear_memo, memo_stats
 from .regimes import BufferRegime, RegimeReport, classify_buffer
 from .nra import (
     NRACandidate,
@@ -30,7 +32,13 @@ from .nra import (
     three_nra,
     two_nra,
 )
-from .intra import InfeasibleError, IntraResult, one_shot_dataflow, optimize_intra
+from .intra import (
+    InfeasibleError,
+    IntraResult,
+    cached_optimize_intra,
+    one_shot_dataflow,
+    optimize_intra,
+)
 from .principles import (
     ALL_PRINCIPLES,
     Principle,
@@ -48,6 +56,7 @@ from .fusion import (
     FusedResult,
     FusionDecision,
     Role,
+    cached_optimize_fused,
     cross_patterns,
     decide_fusion,
     optimize_fused,

@@ -33,6 +33,8 @@ it becomes a :class:`FusedDataflow`, counted exactly through
 :func:`decide_fusion` compares the best fused dataflow against the sum of
 the operators' unfused optima, solved once per operator, and reports both
 the measured profitability and the Principle 4 prediction (same NRA class).
+:func:`cached_optimize_fused` answers :func:`optimize_fused`'s question
+through the memo's ``fused`` table (:mod:`repro.core.memo`).
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ from ..dataflow.fusion_nest import (
 )
 from ..dataflow.spec import NRAClass
 from ..dataflow.tiling import Tiling
-from .intra import IntraResult, _maybe_certify_intra, optimize_intra
+from . import memo
+from .intra import IntraResult, optimize_intra
 from .nra import TileConstraint, _ceil_div, max_tile, pair_candidates
 from .principles import principle4_predicts
 
@@ -122,8 +125,8 @@ class FusedResult:
     #: Where the intermediate tiles lived when this dataflow was solved
     #: (never :attr:`FusionMedium.BEST`; that is resolved per candidate).
     medium: FusionMedium = FusionMedium.MEMORY
-    #: Attached by the certification layer (:mod:`repro.verify`); typed
-    #: loosely to keep :mod:`repro.core` import-cycle-free.
+    #: Attached by :func:`repro.verify.certify_fused`; typed loosely
+    #: because :mod:`repro.verify` sits above :mod:`repro.core`.
     certificate: Optional[Any] = field(default=None, compare=False)
 
     @property
@@ -605,8 +608,6 @@ def optimize_fused(
     convention: PartialSumConvention = PartialSumConvention.SINGLE,
     medium: FusionMedium = FusionMedium.MEMORY,
     register_elems: Optional[int] = None,
-    certify: bool = False,
-    paranoid: bool = False,
 ) -> Optional[FusedResult]:
     """Best fused dataflow for a chain, or ``None`` if none fits/fuses.
 
@@ -620,13 +621,8 @@ def optimize_fused(
     minimum in pattern -> medium -> order order is the only dataflow built,
     recounted and classified.  Under :attr:`PartialSumConvention.SINGLE`
     the score is the fused total; under other conventions each order's
-    winner is recounted to rank it.
-
-    ``certify``/``paranoid`` route the winner through :mod:`repro.verify`:
-    certification failures raise
-    :class:`repro.verify.CertificationError`, and in paranoid mode a
-    budgeted branch-and-bound probe that certifies a better dataflow
-    replaces the analytical answer (self-healing fallback).
+    winner is recounted to rank it.  :func:`repro.verify.certify_fused`
+    checks the answer independently.
     """
 
     buffer_elems = validate_buffer_elems(buffer_elems)
@@ -678,57 +674,53 @@ def optimize_fused(
                     total = fused_memory_access(chain, build(), convention).total
                 if best is None or total < best[0]:
                     best = (total, pattern, active_medium, build)
-    result = None
-    if best is not None:
-        _, pattern, active_medium, build = best
-        dataflow = build()
-        result = FusedResult(
-            chain=chain,
-            pattern=pattern,
-            dataflow=dataflow,
-            report=fused_memory_access(chain, dataflow, convention),
-            per_op_nra=per_op_nra_classes(chain, dataflow),
-            medium=active_medium,
-        )
-    return _maybe_certify_fused(
-        result, ops, buffer_elems, include_cross, convention,
-        register_elems, certify, paranoid,
+    if best is None:
+        return None
+    _, pattern, active_medium, build = best
+    dataflow = build()
+    return FusedResult(
+        chain=chain,
+        pattern=pattern,
+        dataflow=dataflow,
+        report=fused_memory_access(chain, dataflow, convention),
+        per_op_nra=per_op_nra_classes(chain, dataflow),
+        medium=active_medium,
     )
 
 
-def _maybe_certify_fused(
-    result: Optional[FusedResult],
+def cached_optimize_fused(
     ops: Sequence[TensorOperator],
     buffer_elems: int,
-    include_cross: bool,
-    convention: PartialSumConvention,
-    register_elems: Optional[int],
-    certify: bool,
-    paranoid: bool,
+    convention: PartialSumConvention = PartialSumConvention.SINGLE,
+    medium: FusionMedium = FusionMedium.MEMORY,
+    register_elems: Optional[int] = None,
 ) -> Optional[FusedResult]:
-    if result is None or not (certify or paranoid):
-        return result
-    # Lazy import: repro.verify depends on repro.core (cycle otherwise).
-    from ..verify import CertificationError, certify_fused
+    """:func:`optimize_fused` backed by the memo's ``fused`` table.
 
-    certified = certify_fused(
-        ops,
+    Infeasible outcomes (``None``) are cached too -- the enumerative DAG
+    mapper asks about the same impossible segment across many candidate
+    partitions, and re-deriving "does not fit" each time is as expensive
+    as re-deriving a feasible dataflow.
+    """
+
+    key = (
+        tuple((op.name, memo.operator_signature(op)) for op in ops),
         buffer_elems,
-        result=result,
-        include_cross=include_cross,
-        convention=convention,
-        register_elems=register_elems,
-        paranoid=paranoid,
+        convention.value,
+        medium.value,
+        register_elems,
     )
-    if not certified.certificate.ok:
-        raise CertificationError(
-            "certification failed for fused chain "
-            + "+".join(op.name for op in ops)
-            + ": "
-            + "; ".join(certified.certificate.failure_summaries()),
-            certificate=certified.certificate,
-        )
-    return certified.result
+    return memo.memoized(
+        "fused",
+        key,
+        lambda: optimize_fused(
+            list(ops),
+            buffer_elems,
+            convention=convention,
+            medium=medium,
+            register_elems=register_elems,
+        ),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -784,39 +776,25 @@ def decide_fusion(
     convention: PartialSumConvention = PartialSumConvention.SINGLE,
     medium: FusionMedium = FusionMedium.MEMORY,
     register_elems: Optional[int] = None,
-    certify: bool = False,
-    paranoid: bool = False,
 ) -> FusionDecision:
     """Evaluate fusing a chain: best fused vs. per-operator optima.
 
-    ``certify``/``paranoid`` apply to both sides of the comparison: the
-    per-operator optima and the fused winner are all independently
-    validated (and, in paranoid mode, probed) through :mod:`repro.verify`.
+    Each operator's optimum is solved once and serves both ``unfused`` and
+    the Principle 4 prediction.
     """
 
     ops = tuple(ops)
     buffer_elems = validate_buffer_elems(buffer_elems)
     if len(ops) < 2:
         raise FusionError("fusion decision needs at least two operators")
-    # Each operator's optimum is solved once: certified for ``unfused``,
-    # and as solved for the Principle 4 prediction.
-    optima: List[IntraResult] = []
-    unfused: List[IntraResult] = []
-    for op in ops:
-        optima.append(optimize_intra(op, buffer_elems, convention))
-        unfused.append(
-            _maybe_certify_intra(
-                optima[-1], buffer_elems, convention, certify, paranoid
-            )
-        )
+    unfused = tuple(optimize_intra(op, buffer_elems, convention) for op in ops)
     fused = optimize_fused(
         ops, buffer_elems, include_cross, convention,
         medium=medium, register_elems=register_elems,
-        certify=certify, paranoid=paranoid,
     )
     return FusionDecision(
         ops=ops,
         fused=fused,
-        unfused=tuple(unfused),
-        predicted_profitable=principle4_predicts(optima),
+        unfused=unfused,
+        predicted_profitable=principle4_predicts(unfused),
     )

@@ -34,7 +34,7 @@ from ..dataflow.cost import MemoryAccessReport, PartialSumConvention, memory_acc
 from ..dataflow.scheduling import Schedule
 from ..dataflow.spec import Dataflow
 from ..dataflow.tiling import Tiling
-from .intra import InfeasibleError, IntraResult
+from .intra import InfeasibleError, IntraResult, optimize_intra
 from .nra import is_mm_like, is_streaming, max_feasible, streaming_dataflow
 
 
@@ -249,8 +249,6 @@ def optimize_generic(
     if buffer_elems <= 0:
         raise ValueError("buffer size must be positive")
     if is_mm_like(operator):
-        from .intra import optimize_intra
-
         return optimize_intra(operator, buffer_elems, convention)
     if is_streaming(operator):
         dataflow = streaming_dataflow(operator)

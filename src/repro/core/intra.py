@@ -10,6 +10,8 @@ counter, under the caller's partial-sum convention, keeping the minimum.
 (classify the buffer, then apply the matching principle only); the two
 agree everywhere -- the regime table is exactly the statement of *which*
 candidate wins where -- and the test suite asserts it.
+:func:`cached_optimize_intra` answers the same question through the
+memo's ``intra`` table (:mod:`repro.core.memo`).
 """
 
 from __future__ import annotations
@@ -25,12 +27,14 @@ from ..dataflow.cost import (
     memory_access,
 )
 from ..dataflow.spec import Dataflow, NRAClass
+from . import memo
 from .nra import (
     NRACandidate,
     UnsupportedOperatorError,
     all_candidates,
     is_mm_like,
     is_streaming,
+    rename_label,
     single_nra,
     streaming_dataflow,
     three_nra,
@@ -52,9 +56,8 @@ class IntraResult:
     report: MemoryAccessReport
     regime: Optional[RegimeReport]
     label: str
-    #: Attached by the certification layer (:mod:`repro.verify`) when the
-    #: result was produced with ``certify=True``/``paranoid=True``; typed
-    #: loosely to keep :mod:`repro.core` import-cycle-free.
+    #: Attached by :func:`repro.verify.certify_intra`; typed loosely
+    #: because :mod:`repro.verify` sits above :mod:`repro.core`.
     certificate: Optional[Any] = field(default=None, compare=False)
 
     @property
@@ -112,8 +115,6 @@ def optimize_intra(
     operator: TensorOperator,
     buffer_elems: int,
     convention: PartialSumConvention = PartialSumConvention.SINGLE,
-    certify: bool = False,
-    paranoid: bool = False,
 ) -> IntraResult:
     """Principle-based optimal intra-operator dataflow.
 
@@ -126,30 +127,19 @@ def optimize_intra(
     convention:
         Partial-sum accounting convention (see
         :class:`repro.dataflow.cost.PartialSumConvention`).
-    certify:
-        Independently validate the result through :mod:`repro.verify`
-        (feasibility, cost audit, bound, regime) and attach the
-        certificate; a failed check raises
-        :class:`repro.verify.CertificationError`.
-    paranoid:
-        Implies ``certify`` and additionally cross-checks against a
-        budgeted branch-and-bound probe; if the probe certifies a better
-        dataflow, that dataflow is returned instead (self-healing
-        fallback) and the discrepancy is recorded.
+
+    :func:`repro.verify.certify_intra` checks the answer independently.
     """
 
     buffer_elems = validate_buffer_elems(buffer_elems)
     if is_streaming(operator):
         dataflow = streaming_dataflow(operator)
-        result = IntraResult(
+        return IntraResult(
             operator=operator,
             dataflow=dataflow,
             report=memory_access(operator, dataflow, convention),
             regime=None,
             label="streaming",
-        )
-        return _maybe_certify_intra(
-            result, buffer_elems, convention, certify, paranoid
         )
     if not is_mm_like(operator):
         raise UnsupportedOperatorError(
@@ -157,45 +147,49 @@ def optimize_intra(
         )
     candidates = all_candidates(operator, buffer_elems)
     best, report = _pick_best(operator, candidates, buffer_elems, convention)
-    result = IntraResult(
+    return IntraResult(
         operator=operator,
         dataflow=best.dataflow,
         report=report,
         regime=classify_buffer(operator, buffer_elems),
         label=best.label,
     )
-    return _maybe_certify_intra(
-        result, buffer_elems, convention, certify, paranoid
-    )
 
 
-def _maybe_certify_intra(
-    result: IntraResult,
+def cached_optimize_intra(
+    operator: TensorOperator,
     buffer_elems: int,
-    convention: PartialSumConvention,
-    certify: bool,
-    paranoid: bool,
+    convention: PartialSumConvention = PartialSumConvention.SINGLE,
 ) -> IntraResult:
-    if not (certify or paranoid):
-        return result
-    # Imported lazily: repro.verify depends on repro.core, so a module-level
-    # import here would be circular.
-    from ..verify import CertificationError, certify_intra
+    """Drop-in :func:`optimize_intra` backed by the memo's ``intra`` table.
 
-    certified = certify_intra(
-        result.operator,
-        buffer_elems,
-        result=result,
-        convention=convention,
-        paranoid=paranoid,
+    Infeasible/unsupported operators raise exactly as the uncached function
+    does; failures are never cached.
+    """
+
+    hit = memo.memoized(
+        "intra",
+        (memo.operator_signature(operator), buffer_elems, convention.value),
+        lambda: optimize_intra(operator, buffer_elems, convention),
     )
-    if not certified.certificate.ok:
-        raise CertificationError(
-            f"certification failed for {result.operator.name!r}: "
-            + "; ".join(certified.certificate.failure_summaries()),
-            certificate=certified.certificate,
-        )
-    return certified.result
+    if hit.operator == operator:
+        return hit
+    # Same structure, different operator: re-score the winning dataflow
+    # against the caller's operator so names in the report and label are
+    # right.  Equal signatures list the tensors in corresponding order.
+    report = memory_access(operator, hit.dataflow, convention)
+    regime = None if hit.regime is None else classify_buffer(operator, buffer_elems)
+    renames = {
+        cached.name: tensor.name
+        for cached, tensor in zip(hit.operator.tensors, operator.tensors)
+    }
+    return IntraResult(
+        operator=operator,
+        dataflow=hit.dataflow,
+        report=report,
+        regime=regime,
+        label=rename_label(hit.label, renames),
+    )
 
 
 def one_shot_dataflow(

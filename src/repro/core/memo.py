@@ -1,25 +1,24 @@
-"""Process-wide memoization of the analysis layers.
+"""Process-wide memoization of the analysis layers: the mechanism only.
 
 Principles 1-4 make every analysis answer a pure function of operator
 structure and buffer size, so sweeps, DSE baselines and the graph/DAG
 planners keep asking the same questions.  This module is the one place
 those answers are remembered: three bounded LRU tables of one type
 (:class:`LRUCache`), keyed from one structural signature
-(:func:`operator_signature`) and counted through one stats surface
-(:func:`memo_stats` / :func:`clear_memo`).
+(:func:`operator_signature`), filled through :func:`memoized` and counted
+through one stats surface (:func:`memo_stats` / :func:`clear_memo`).
 
-The ``nra`` table holds closed-form candidates
-(:func:`repro.core.nra.single_nra` etc.); its keys keep tensor names,
-reductions and flops, because a candidate's label names its stationary
-tensor.  The ``intra`` table (:func:`cached_optimize_intra`) is keyed by
-structure alone: a hit for a renamed twin re-scores the cached dataflow
-against the caller's operator.  The ``fused`` table
-(:func:`cached_optimize_fused`) keeps op names, because a fused result
-embeds its chain.
+The optimizers own their lookups and import this module, never the other
+way round:
 
-:mod:`repro.core.nra` reads its table through this module at call time,
-and this module imports the optimizers built on top of it, so
-:mod:`repro.core` imports this module before anything else.
+* ``nra`` -- closed-form candidates (:func:`repro.core.nra.single_nra`
+  etc.); its keys keep tensor names, reductions and flops, because a
+  candidate's label names its stationary tensor;
+* ``intra`` -- :func:`repro.core.intra.cached_optimize_intra`, keyed by
+  structure alone: a hit for a renamed twin re-scores the cached dataflow
+  against the caller's operator;
+* ``fused`` -- :func:`repro.core.fusion.cached_optimize_fused`, which
+  keeps op names, because a fused result embeds its chain.
 """
 
 from __future__ import annotations
@@ -27,24 +26,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Tuple
 
-from ..dataflow.cost import PartialSumConvention, memory_access
 from ..ir.operator import TensorOperator
-from .fusion import FusionMedium, optimize_fused
-from .intra import IntraResult, optimize_intra
-from .nra import rename_label
-from .regimes import classify_buffer
 
 
 @dataclass(frozen=True)
@@ -236,77 +220,6 @@ def nra_key(operator: TensorOperator, *question: Hashable) -> Tuple:
         tuple(sorted(operator.reduction_dims)),
         operator.flops_per_point,
     ) + question
-
-
-def cached_optimize_intra(
-    operator: TensorOperator,
-    buffer_elems: int,
-    convention: PartialSumConvention = PartialSumConvention.SINGLE,
-) -> IntraResult:
-    """Drop-in :func:`repro.core.optimize_intra` backed by the ``intra`` table.
-
-    Infeasible/unsupported operators raise exactly as the uncached function
-    does; failures are never cached.
-    """
-
-    hit = memoized(
-        "intra",
-        (operator_signature(operator), buffer_elems, convention.value),
-        lambda: optimize_intra(operator, buffer_elems, convention),
-    )
-    if hit.operator == operator:
-        return hit
-    # Same structure, different operator: re-score the winning dataflow
-    # against the caller's operator so names in the report and label are
-    # right.  Equal signatures list the tensors in corresponding order.
-    report = memory_access(operator, hit.dataflow, convention)
-    regime = None if hit.regime is None else classify_buffer(operator, buffer_elems)
-    renames = {
-        cached.name: tensor.name
-        for cached, tensor in zip(hit.operator.tensors, operator.tensors)
-    }
-    return IntraResult(
-        operator=operator,
-        dataflow=hit.dataflow,
-        report=report,
-        regime=regime,
-        label=rename_label(hit.label, renames),
-    )
-
-
-def cached_optimize_fused(
-    ops: Sequence[TensorOperator],
-    buffer_elems: int,
-    convention: PartialSumConvention = PartialSumConvention.SINGLE,
-    medium: FusionMedium = FusionMedium.MEMORY,
-    register_elems: Optional[int] = None,
-):
-    """Memoized :func:`repro.core.fusion.optimize_fused`.
-
-    Infeasible outcomes (``None``) are cached too -- the enumerative DAG
-    mapper asks about the same impossible segment across many candidate
-    partitions, and re-deriving "does not fit" each time is as expensive
-    as re-deriving a feasible dataflow.
-    """
-
-    key = (
-        tuple((op.name, operator_signature(op)) for op in ops),
-        buffer_elems,
-        convention.value,
-        medium.value,
-        register_elems,
-    )
-    return memoized(
-        "fused",
-        key,
-        lambda: optimize_fused(
-            list(ops),
-            buffer_elems,
-            convention=convention,
-            medium=medium,
-            register_elems=register_elems,
-        ),
-    )
 
 
 def memo_stats() -> Dict[str, CacheStats]:

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..ir.operator import TensorOperator
 from ..core.regimes import classify_buffer
-from ..core.memo import cached_optimize_intra
+from ..core.intra import cached_optimize_intra
 from ..search.exhaustive import exhaustive_search
 from ..search.genetic import GASettings, genetic_search
 from ..arch.memory import PAPER_BUFFER_SWEEP_BYTES

@@ -50,9 +50,8 @@ from ..ir.operator import (
     validate_buffer_elems,
 )
 from ..dataflow.cost import PartialSumConvention
-from ..core.fusion import FusedResult, FusionMedium
-from ..core.intra import InfeasibleError, IntraResult
-from ..core.memo import cached_optimize_fused, cached_optimize_intra
+from ..core.fusion import FusedResult, FusionMedium, cached_optimize_fused
+from ..core.intra import InfeasibleError, IntraResult, cached_optimize_intra
 from ..core.nra import UnsupportedOperatorError
 
 SegmentResult = Union[IntraResult, FusedResult]

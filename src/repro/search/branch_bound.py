@@ -21,12 +21,14 @@ The test suite uses this to certify the one-shot principles *exactly*:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..ir.operator import TensorOperator
 from ..dataflow.cost import PartialSumConvention, memory_access
+from ..dataflow.fusion_nest import FusedChain, FusedDataflow, fused_memory_access
 from ..dataflow.scheduling import Schedule, all_schedules
 from ..dataflow.spec import Dataflow
 from ..dataflow.tiling import Tiling
@@ -246,14 +248,6 @@ def branch_and_bound_fused_search(
     certification layer's budgeted probe); exhausting it returns the best
     feasible dataflow found so far without the optimality proof.
     """
-
-    from ..dataflow.fusion_nest import (
-        FusedChain,
-        FusedDataflow,
-        fused_memory_access,
-    )
-
-    import itertools
 
     chain = FusedChain.from_ops(ops)
     dims = list(chain.global_dims)

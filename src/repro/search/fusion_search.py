@@ -23,7 +23,7 @@ from ..dataflow.fusion_nest import (
     fused_memory_access,
 )
 from ..dataflow.tiling import Tiling
-from ..core.memo import cached_optimize_intra
+from ..core.intra import cached_optimize_intra
 from .space import power_of_two_tiles
 
 

@@ -1,8 +1,8 @@
 """Service-named views of the analysis memo's intra/fused counters.
 
-The memo itself (tables, keys, :func:`~repro.core.memo.cached_optimize_intra`
-and :func:`~repro.core.memo.cached_optimize_fused`) lives in
-:mod:`repro.core.memo`.
+The tables and their counters live in :mod:`repro.core.memo`; the lookups
+that fill them are :func:`~repro.core.intra.cached_optimize_intra` and
+:func:`~repro.core.fusion.cached_optimize_fused`.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ corrupted result envelope and retry it.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -81,15 +82,43 @@ def _intra_result_dict(result: Any) -> Dict[str, Any]:
     return record
 
 
+def _certifies(params: Mapping[str, Any]) -> bool:
+    return params.get("certify", False) or params.get("paranoid", False)
+
+
+def _certified(
+    params: Mapping[str, Any], certify: Any, subject: Any, result: Any,
+    **options: Any,
+) -> Any:
+    """``result`` after ``certify`` (:func:`repro.verify.certify_intra` or
+    ``certify_fused``) checks it, possibly healed; a failed check raises
+    :class:`repro.verify.CertificationError`."""
+
+    from ..verify import certified_result
+
+    return certified_result(
+        certify(
+            subject,
+            params["buffer_elems"],
+            result=result,
+            convention=_convention(params["convention"]),
+            paranoid=params.get("paranoid", False),
+            **options,
+        )
+    )
+
+
 def _execute_intra(params: Mapping[str, Any]) -> Dict[str, Any]:
     op = matmul("mm", params["m"], params["k"], params["l"])
     result = optimize_intra(
-        op,
-        params["buffer_elems"],
-        _convention(params["convention"]),
-        certify=params.get("certify", False),
-        paranoid=params.get("paranoid", False),
+        op, params["buffer_elems"], _convention(params["convention"])
     )
+    if _certifies(params):
+        # Imported here, like every verify import in this module: only
+        # certified requests load the verify layer.
+        from ..verify import certify_intra
+
+        result = _certified(params, certify_intra, op, result)
     return _intra_result_dict(result)
 
 
@@ -101,9 +130,23 @@ def _execute_fusion(params: Mapping[str, Any]) -> Dict[str, Any]:
         params["buffer_elems"],
         include_cross=params["include_cross"],
         convention=_convention(params["convention"]),
-        certify=params.get("certify", False),
-        paranoid=params.get("paranoid", False),
     )
+    if _certifies(params):
+        from ..verify import certify_fused, certify_intra
+
+        # Arguments evaluate in order: each operator's optimum, then the
+        # fused winner.  The Principle 4 prediction stays as solved.
+        decision = dataclasses.replace(
+            decision,
+            unfused=tuple(
+                _certified(params, certify_intra, result.operator, result)
+                for result in decision.unfused
+            ),
+            fused=None if decision.fused is None else _certified(
+                params, certify_fused, decision.ops, decision.fused,
+                include_cross=params["include_cross"],
+            ),
+        )
     record = {
         "ops": [op.name for op in decision.ops],
         "unfused_memory_access": decision.unfused_memory_access,
@@ -163,8 +206,7 @@ def _execute_dag_plan(params: Mapping[str, Any]) -> Dict[str, Any]:
         enable_fusion=params["enable_fusion"],
         max_group=params["max_group"],
     )
-    certify = params.get("certify", False) or params.get("paranoid", False)
-    if certify:
+    if _certifies(params):
         from ..verify import certify_plan
 
         certified = certify_plan(

@@ -6,9 +6,11 @@ infinite-buffer ideal, and -- in paranoid mode -- a budgeted
 branch-and-bound probe with a self-healing fallback
 (:mod:`repro.verify.certify`).
 
-Import direction: this package imports :mod:`repro.core` and
-:mod:`repro.search`; :mod:`repro.core` only imports it lazily inside the
-``certify=``/``paranoid=`` paths, so there is no cycle at import time.
+Import direction: this package imports :mod:`repro.core`,
+:mod:`repro.search` and :mod:`repro.plan`, and none of them imports it.
+A caller that wants a certified answer solves first and certifies after;
+:func:`certified_result` turns a failed certificate into
+:class:`CertificationError`.
 """
 
 from .audit import (
@@ -29,6 +31,7 @@ from .certify import (
     DEFAULT_SIMULATE_LIMIT,
     CertifiedFused,
     CertifiedIntra,
+    certified_result,
     certify_fused,
     certify_intra,
     drain_discrepancies,
@@ -51,6 +54,7 @@ __all__ = [
     "audit_fused_footprint",
     "audit_fused_memory_access",
     "audit_memory_access",
+    "certified_result",
     "certify_fused",
     "certify_intra",
     "certify_plan",

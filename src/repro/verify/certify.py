@@ -30,12 +30,23 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..ir.operator import TensorOperator, validate_buffer_elems
 from ..dataflow.cost import PartialSumConvention, memory_access
 from ..dataflow.fusion_nest import FusedChain, fused_memory_access
 from ..dataflow.spec import NRAClass
+from ..core.fusion import (
+    FusedPattern,
+    FusedResult,
+    FusionMedium,
+    Role,
+    optimize_fused,
+    per_op_nra_classes,
+)
+from ..core.intra import InfeasibleError, IntraResult, optimize_intra
+from ..core.nra import is_mm_like
+from ..core.regimes import classify_buffer
 from ..search.branch_bound import (
     branch_and_bound_fused_search,
     branch_and_bound_search,
@@ -99,7 +110,7 @@ def drain_discrepancies() -> Tuple[DiscrepancyReport, ...]:
 class CertifiedIntra:
     """A (possibly healed) intra result plus its certificate."""
 
-    result: "IntraResult"  # type: ignore[name-defined]  # noqa: F821
+    result: IntraResult
     certificate: Certificate
 
 
@@ -110,8 +121,6 @@ def _intra_checks(
     claimed: int,
     simulate_limit: int,
 ) -> List[CheckResult]:
-    from ..core.regimes import classify_buffer
-
     operator = result.operator
     checks: List[CheckResult] = []
 
@@ -206,10 +215,6 @@ def certify_intra(
     dataflow -- or any failed check -- triggers the self-healing fallback.
     """
 
-    from ..core.intra import IntraResult, optimize_intra
-    from ..core.nra import is_mm_like
-    from ..core.regimes import classify_buffer
-
     buffer_elems = validate_buffer_elems(buffer_elems)
     if result is None:
         result = optimize_intra(operator, buffer_elems, convention)
@@ -284,7 +289,7 @@ def certify_intra(
 class CertifiedFused:
     """A (possibly healed) fused result plus its certificate."""
 
-    result: "FusedResult"  # type: ignore[name-defined]  # noqa: F821
+    result: FusedResult
     certificate: Certificate
 
 
@@ -295,8 +300,6 @@ def _fused_checks(
     claimed: int,
     register_elems: Optional[int],
 ) -> List[CheckResult]:
-    from ..core.fusion import FusionMedium
-
     chain: FusedChain = result.chain
     dataflow = result.dataflow
     checks: List[CheckResult] = []
@@ -406,14 +409,6 @@ def _fused_checks(
 
 def _fallback_fused_result(chain: FusedChain, dataflow, convention):
     """Rebuild a FusedResult around a branch-and-bound dataflow."""
-    from ..core.fusion import (
-        FusedPattern,
-        FusedResult,
-        FusionMedium,
-        Role,
-        per_op_nra_classes,
-    )
-
     tiles = _fused_tiles(chain, dataflow)
     roles = {}
     for dim, extent in chain.global_dims.items():
@@ -456,9 +451,6 @@ def certify_fused(
     Raises :class:`repro.core.intra.InfeasibleError` when no fused
     dataflow exists to certify.
     """
-
-    from ..core.fusion import optimize_fused
-    from ..core.intra import InfeasibleError
 
     ops = tuple(ops)
     buffer_elems = validate_buffer_elems(buffer_elems)
@@ -534,3 +526,27 @@ def certify_fused(
         result=replace(result, certificate=certificate),
         certificate=certificate,
     )
+
+
+def certified_result(
+    certified: Union[CertifiedIntra, CertifiedFused],
+) -> Union[IntraResult, FusedResult]:
+    """The certified result, or :class:`CertificationError` if a check failed.
+
+    The message names the operator (``'mm'``) or the fused chain
+    (``fused chain mm1+mm2``) and lists every failed check.
+    """
+
+    certificate = certified.certificate
+    if not certificate.ok:
+        subject = (
+            repr(certificate.subject)
+            if certificate.kind == "intra"
+            else f"fused chain {certificate.subject}"
+        )
+        raise CertificationError(
+            f"certification failed for {subject}: "
+            + "; ".join(certificate.failure_summaries()),
+            certificate=certificate,
+        )
+    return certified.result

@@ -15,7 +15,7 @@ from .models import (
 )
 from .cnn import RESNET50_LAYERS, layer_names
 from .decode import build_decode_graph
-from .full_model import MODEL_LAYERS, ModelTotals, evaluate_model, layer_count
+from .full_model import MODEL_LAYERS, layer_count
 from .moe import build_moe_ffn_graph
 from .training import build_ffn_training_graph
 from .transformer import (
@@ -29,8 +29,6 @@ from .transformer import (
 __all__ = [
     "build_ffn_training_graph",
     "MODEL_LAYERS",
-    "ModelTotals",
-    "evaluate_model",
     "layer_count",
     "build_moe_ffn_graph",
     "RESNET50_LAYERS",

@@ -1,22 +1,18 @@
-"""Whole-model accounting: layer counts and end-to-end totals.
+"""Whole-model depth: the published layer count of each Table II model.
 
 The per-layer graphs of :mod:`repro.workloads.transformer` are exact for
 *normalized* comparisons (platform ratios are layer-count invariant); for
 absolute end-to-end numbers -- total traffic, cycles, energy per inference
-pass -- multiply by the model's depth.  This module records each Table II
-model's published layer count and provides the scaled totals.
+pass -- multiply by the model's depth.  This module records that depth;
+:func:`repro.arch.evaluate_model` scales a platform's per-layer result by
+it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
-from ..arch.accelerators import AcceleratorSpec, evaluate_graph
-from ..arch.energy import EnergyModel, EnergyReport, energy_of
-from ..arch.perf import PlatformPerf
 from .models import ModelConfig
-from .transformer import build_layer_graph
 
 #: Published encoder/decoder depths of the Table II models.
 MODEL_LAYERS: Dict[str, int] = {
@@ -33,57 +29,3 @@ MODEL_LAYERS: Dict[str, int] = {
 def layer_count(model: ModelConfig) -> int:
     """Layers for a Table II model (defaults to 12 for unknown names)."""
     return MODEL_LAYERS.get(model.name, 12)
-
-
-@dataclass(frozen=True)
-class ModelTotals:
-    """End-to-end (all-layer) totals for one model on one platform."""
-
-    model: str
-    platform: str
-    layers: int
-    layer_perf: PlatformPerf
-
-    @property
-    def total_memory_access(self) -> int:
-        return self.layer_perf.total_memory_access * self.layers
-
-    @property
-    def total_cycles(self) -> float:
-        return self.layer_perf.total_cycles * self.layers
-
-    @property
-    def total_macs(self) -> int:
-        return self.layer_perf.total_macs * self.layers
-
-    @property
-    def latency_ms(self) -> float:
-        """End-to-end latency at 1 GHz (the evaluation clock)."""
-        return self.total_cycles / 1e6
-
-    def energy(self, model: EnergyModel = EnergyModel()) -> EnergyReport:
-        """All-layer energy decomposition."""
-        layer_energy = energy_of(self.layer_perf, model)
-        return EnergyReport(
-            platform=self.platform,
-            workload=f"{self.model} x{self.layers}",
-            dram_pj=layer_energy.dram_pj * self.layers,
-            buffer_pj=layer_energy.buffer_pj * self.layers,
-            compute_pj=layer_energy.compute_pj * self.layers,
-        )
-
-
-def evaluate_model(
-    model: ModelConfig,
-    spec: AcceleratorSpec,
-    layers: int = 0,
-) -> ModelTotals:
-    """End-to-end totals: one optimized layer scaled by the model's depth."""
-    graph = build_layer_graph(model)
-    perf = evaluate_graph(graph, spec)
-    return ModelTotals(
-        model=model.name,
-        platform=spec.name,
-        layers=layers or layer_count(model),
-        layer_perf=perf,
-    )

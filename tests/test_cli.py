@@ -199,6 +199,40 @@ class TestPlanOptions:
         assert captured.err == f"plan: {message}\n"
 
 
+SHAPE = "has invalid shape {}; all extents must be positive integers"
+
+
+class TestOneShotBadInput:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("optimize 0 4 4", "tensor 'mm.A' " + SHAPE.format("(0, 4)")),
+            ("optimize 4 4 4 --buffer-kb 0", "buffer size must be positive"),
+            ("fuse 4 4 0 4", "tensor 'mm1.B' " + SHAPE.format("(4, 0)")),
+            ("fuse 4 4 4 4 --buffer-kb -1", "buffer size must be positive"),
+            ("explain 4 4 4 --buffer-kb 0", "buffer size must be positive"),
+            ("explain 4 4 4 --consumer-n 0",
+             "tensor 'mm2.B' " + SHAPE.format("(4, 0)")),
+            ("certify 4 4 4 --buffer-elems 0", "buffer size must be positive"),
+            ("certify 64 64 64 --buffer-elems 2",
+             "no dataflow for 'mm1' fits a buffer of 2 elements"),
+            ("certify 64 64 64 --buffer-elems 3 --consumer-n 64",
+             "no fused dataflow fits 3 elements"),
+            ("certify 4 4 4 --consumer-n 0",
+             "tensor 'mm2.B' " + SHAPE.format("(4, 0)")),
+            ("compare Bert --buffer-kb 0", "buffer_bytes must be positive"),
+        ],
+    )
+    def test_exits_2_with_one_line_before_any_output(
+        self, argv, message, capsys
+    ):
+        argv = argv.split()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{argv[0]}: {message}\n"
+
+
 class TestMissingRequestFile:
     @pytest.mark.parametrize("command", ["batch", "call"])
     def test_missing_file_exits_2_with_one_line(

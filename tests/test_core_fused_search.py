@@ -9,9 +9,10 @@ pin both against the slow paths they replace:
   that builds and recounts every solved candidate -- pattern label,
   medium, dataflow, report and per-operator NRA classes, ``None`` for
   ``None`` -- over random chains, buffers, conventions and media;
-* ``decide_fusion``'s prediction equals Principle 4 pair by pair, its
-  ``unfused`` equals ``optimize_intra`` under ``certify`` and
-  ``paranoid``, and it calls ``optimize_intra`` once per operator.
+* ``decide_fusion``'s prediction equals Principle 4 pair by pair, and it
+  calls ``optimize_intra`` once per operator; a certified or paranoid
+  ``fusion`` request certifies exactly those optima, solving nothing
+  twice.
 """
 
 import pytest
@@ -33,6 +34,8 @@ from repro.core.principles import principle4_same_nra
 from repro.dataflow.cost import PartialSumConvention
 from repro.dataflow.fusion_nest import FusedChain
 from repro.ir import Tensor, TensorOperator, matmul, rowwise_softmax
+from repro.service import workers
+from repro.verify import certify_intra, drain_discrepancies
 
 CONVENTIONS = st.sampled_from(tuple(PartialSumConvention))
 MEDIA = st.sampled_from(tuple(FusionMedium))
@@ -173,6 +176,12 @@ class TestOneWinner:
             decide_fusion(ops[:1], 1000)
 
 
+def fusion_payload(dims, buffer_elems, **flags):
+    m, k, l, n = dims
+    return {"kind": "fusion", "m": m, "k": k, "l": l, "n": n,
+            "buffer_elems": buffer_elems, **flags}
+
+
 class TestDecideFusionSinglePass:
     @settings(max_examples=60, deadline=None)
     @given(mm_chains(), st.integers(8, 1 << 20), CONVENTIONS)
@@ -190,20 +199,42 @@ class TestDecideFusionSinglePass:
 
     @pytest.mark.parametrize("paranoid", [False, True])
     @settings(max_examples=6, deadline=None)
-    @given(mm_chains(max_dim=24), st.integers(8, 1 << 12), CONVENTIONS)
+    @given(
+        st.lists(st.integers(1, 24), min_size=4, max_size=4),
+        st.integers(8, 1 << 12),
+        CONVENTIONS,
+        st.booleans(),
+    )
     def test_certified_unfused_equals_optimize_intra(
-        self, paranoid, ops, buffer_elems, convention
+        self, paranoid, dims, buffer_elems, convention, include_cross
     ):
-        decision = decide_fusion(
-            ops, buffer_elems, convention=convention,
-            certify=True, paranoid=paranoid,
-        )
-        for op, result in zip(ops, decision.unfused):
-            expected = optimize_intra(
-                op, buffer_elems, convention, certify=True, paranoid=paranoid
+        m, k, l, n = dims
+        record = workers.run_payload(
+            fusion_payload(
+                dims, buffer_elems, convention=convention.value,
+                include_cross=include_cross, certify=True, paranoid=paranoid,
             )
-            assert result == expected
-            assert result.certificate.as_dict() == expected.certificate.as_dict()
+        )
+        drain_discrepancies()
+        op1 = matmul("mm1", m, k, l)
+        op2 = matmul("mm2", m, l, n, a=op1.output)
+        expected = [
+            certify_intra(
+                op, buffer_elems,
+                result=optimize_intra(op, buffer_elems, convention),
+                convention=convention, paranoid=paranoid,
+            )
+            for op in (op1, op2)
+        ]
+        drain_discrepancies()
+        result = record["result"]
+        for op, certified in zip((op1, op2), expected):
+            assert result["certification"][op.name] == (
+                certified.certificate.as_dict()
+            )
+        assert result["unfused_memory_access"] == sum(
+            certified.result.memory_access for certified in expected
+        )
 
     def test_one_intra_solve_per_operator(self, monkeypatch):
         calls = []
@@ -212,9 +243,7 @@ class TestDecideFusionSinglePass:
             calls.append(operator.name)
             return optimize_intra(operator, *args, **kwargs)
 
-        # The certifier's own checks may re-solve; only the decision's
-        # solves are counted.
-        for module in (fusion, principles):
+        for module in (fusion, principles, workers):
             monkeypatch.setattr(module, "optimize_intra", spy)
         op1 = matmul("mm1", 96, 64, 80)
         sm = rowwise_softmax("sm", op1.output)
@@ -222,5 +251,9 @@ class TestDecideFusionSinglePass:
         decide_fusion([op1, sm, op2], 16384)
         assert calls == ["mm1", "sm", "mm2"]
         calls.clear()
-        decide_fusion([op1, sm, op2], 16384, certify=True)
-        assert calls == ["mm1", "sm", "mm2"]
+        # The worker certifies the decision's own optima.
+        record = workers.run_payload(
+            fusion_payload((96, 64, 80, 72), 16384, certify=True)
+        )
+        assert record["ok"] and "mm1" in record["result"]["certification"]
+        assert calls == ["mm1", "mm2"]

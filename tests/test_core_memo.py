@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import TENSOR_NAMES, mm_like_ops
-from repro.core import InfeasibleError, optimize_intra
-from repro.core.memo import cached_optimize_intra, clear_memo, memo_stats
+from repro.core import InfeasibleError, cached_optimize_intra, optimize_intra
+from repro.core.memo import clear_memo, memo_stats
 from repro.core.nra import (
     _single_nra_impl,
     _three_nra_impl,

@@ -1,4 +1,4 @@
-"""The analysis layers never import the serving layers.
+"""The analysis layers form an acyclic graph below the serving layers.
 
 ``repro.core`` and the packages beside it (dataflow, ir, search, plan,
 verify, arch, workloads) are pure analysis; ``repro.service``,
@@ -6,6 +6,10 @@ verify, arch, workloads) are pure analysis; ``repro.service``,
 import statement is checked, module level or inside a function, so a lazy
 import cannot hide an upward dependency.  ``repro.experiments`` is exempt:
 it drives the batch engine.
+
+Among themselves the analysis modules import each other without a cycle,
+and only at module level: no function-level or ``TYPE_CHECKING`` import
+holds a cycle together, so each package imports alone, in any order.
 """
 
 import ast
@@ -83,6 +87,118 @@ def test_checker_sees_lazy_and_relative_imports():
     assert serving_imports("from .. import chaos\n", "repro.core") == [
         (1, "repro.chaos"),
     ]
+
+
+def analysis_sources():
+    """``{module: source}`` for every module of the analysis packages."""
+    sources = {}
+    for layer in ANALYSIS:
+        for path in sorted((SRC / layer).rglob("*.py")):
+            parts = ["repro", *path.relative_to(SRC).with_suffix("").parts]
+            if parts[-1] == "__init__":
+                parts.pop()
+            sources[".".join(parts)] = path.read_text(encoding="utf-8")
+    return sources
+
+
+def import_edges(sources):
+    """``(importer, line, imported, top_level)`` for every import between
+    the modules of ``sources``.
+
+    ``from X import name`` is an edge to ``X.name`` when that is one of the
+    modules, else to ``X``.  ``top_level`` is false for an import nested in
+    a function, class, ``if`` (``TYPE_CHECKING`` included) or ``try``.
+    """
+
+    edges = []
+    for module, source in sources.items():
+        is_package = f"{module}.__init__" in sources or any(
+            other.startswith(f"{module}.") for other in sources
+        )
+        package = module if is_package else module.rpartition(".")[0]
+        tree = ast.parse(source)
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                parts = package.split(".")
+                base = parts[: len(parts) - node.level + 1] if node.level else []
+                target = ".".join(base + ([node.module] if node.module else []))
+                names = [
+                    f"{target}.{alias.name}"
+                    if f"{target}.{alias.name}" in sources else target
+                    for alias in node.names
+                ]
+            else:
+                continue
+            for name in dict.fromkeys(names):
+                if name in sources:
+                    edges.append((module, node.lineno, name, id(node) in top))
+    return edges
+
+
+def import_cycles(sources):
+    """Each strongly connected set of modules (more than one, or a self-import)."""
+    graph = {module: set() for module in sources}
+    for importer, _, imported, _ in import_edges(sources):
+        graph[importer].add(imported)
+
+    def reachable(start):
+        seen, stack = set(), [start]
+        while stack:
+            for nxt in graph[stack.pop()] - seen:
+                seen.add(nxt)
+                stack.append(nxt)
+        return seen
+
+    reach = {module: reachable(module) for module in graph}
+    cycles = []
+    for module in sorted(graph):
+        if module in reach[module] and not any(module in c for c in cycles):
+            cycles.append(sorted(m for m in reach[module] if module in reach[m]))
+    return cycles
+
+
+def nested_imports(sources):
+    return [
+        f"{importer}:{line} imports {imported}"
+        for importer, line, imported, top_level in import_edges(sources)
+        if not top_level
+    ]
+
+
+def test_analysis_import_graph_is_acyclic():
+    assert import_cycles(analysis_sources()) == []
+
+
+def test_analysis_imports_only_at_module_level():
+    assert nested_imports(analysis_sources()) == []
+
+
+def test_checker_sees_a_lazy_cycle():
+    sources = {
+        "repro.core": "from .a import f\n",
+        "repro.core.a": "from . import b\ndef f():\n    pass\n",
+        "repro.core.b": (
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n"
+            "    from ..plan import P\n"
+            "def g():\n"
+            "    from .a import f\n"
+        ),
+        "repro.plan": "import repro.core.b\n",
+    }
+    assert import_cycles(sources) == [
+        ["repro.core.a", "repro.core.b", "repro.plan"],
+    ]
+    assert nested_imports(sources) == [
+        "repro.core.b:3 imports repro.plan",
+        "repro.core.b:5 imports repro.core.a",
+    ]
+    # Without the nested imports the graph is a DAG.
+    sources["repro.core.b"] = "X = 1\n"
+    assert import_cycles(sources) == []
 
 
 def _fresh_python(code: str):

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.core import optimize_intra
-from repro.core.memo import cached_optimize_intra, clear_memo, operator_signature
+from repro.core import cached_optimize_intra
+from repro.core.memo import clear_memo, operator_signature
 from repro.ir import matmul
 from repro.service import (
     BatchEngine,

@@ -318,6 +318,44 @@ class TestServiceCertification:
             "bound",
         }
 
+    @pytest.mark.parametrize(
+        "payload, checks, subject",
+        [
+            ({"kind": "intra", "m": 64, "k": 32, "l": 48,
+              "buffer_elems": 1024, "certify": True},
+             "_intra_checks", "'mm'"),
+            ({"kind": "fusion", "m": 96, "k": 64, "l": 80, "n": 72,
+              "buffer_elems": 16384, "paranoid": True},
+             "_fused_checks", "fused chain mm1+mm2"),
+        ],
+        ids=["intra", "fused"],
+    )
+    def test_failed_check_is_a_permanent_certification_error(
+        self, monkeypatch, payload, checks, subject
+    ):
+        from repro.service.workers import run_payload
+        from repro.verify import certify as certify_module
+        from repro.verify.certificate import CheckResult
+
+        real = getattr(certify_module, checks)
+
+        def failing(*args, **kwargs):
+            return real(*args, **kwargs) + [
+                CheckResult("bound", False, claimed=1, recomputed=2,
+                            detail="injected")
+            ]
+
+        monkeypatch.setattr(certify_module, checks, failing)
+        record = run_payload(payload)
+        drain_discrepancies()
+        assert record["ok"] is False
+        assert record["error"] == {
+            "type": "CertificationError",
+            "message": f"certification failed for {subject}: "
+            "bound: FAIL  claimed=1 recomputed=2  injected",
+            "category": PERMANENT,
+        }
+
     def test_apply_paranoid_rewrites_key(self):
         plain = intra_request(64, 32, 48, buffer_elems=1024)
         paranoid = apply_paranoid(plain)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arch import fusecu, tpuv4i
+from repro.arch import evaluate_model, fusecu, tpuv4i
 from repro.plan import optimize_graph
 from repro.workloads import (
     BERT,
@@ -11,7 +11,6 @@ from repro.workloads import (
     PAPER_MODELS,
     build_layer_graph,
     build_moe_ffn_graph,
-    evaluate_model,
     layer_count,
 )
 
