@@ -38,7 +38,11 @@ from typing import Dict, List, Optional, Tuple
 from .. import plan
 from ..ir.graph import OperatorGraph
 from ..ir.operator import TensorOperator
-from ..dataflow.cost import PartialSumConvention, memory_access
+from ..dataflow.cost import (
+    MemoryAccessReport,
+    PartialSumConvention,
+    memory_access,
+)
 from ..dataflow.mapping import ArrayShape
 from ..dataflow.scheduling import stationary_schedule
 from ..dataflow.spec import Dataflow
@@ -246,7 +250,8 @@ def constrained_intra(
     if not is_mm_like(operator):
         raise ValueError(f"operator {operator.name!r} unsupported")
     weight_name = weight_tensor(operator).name
-    options: List[Tuple[Dataflow, str]] = []
+    # Each option is counted once; the weight check reuses that report.
+    options: List[Tuple[Dataflow, MemoryAccessReport, str]] = []
     if spec.tiling is TilingFlex.LOW:
         stationaries = (
             [tensor.name for tensor in operator.tensors]
@@ -256,26 +261,24 @@ def constrained_intra(
         for stationary in stationaries:
             dataflow = single_nra_square(operator, stationary, buffer_elems)
             if dataflow is not None:
-                options.append((dataflow, f"single-square[{stationary}]"))
+                label = f"single-square[{stationary}]"
+                report = memory_access(operator, dataflow, convention)
+                options.append((dataflow, report, label))
     else:
         for candidate in all_candidates(operator, buffer_elems):
-            if not spec.stationary_flexible:
-                report = memory_access(operator, candidate.dataflow, convention)
-                if report.per_tensor[weight_name].multiplier != 1:
-                    continue
-            options.append((candidate.dataflow, candidate.label))
+            report = memory_access(operator, candidate.dataflow, convention)
+            if (
+                spec.stationary_flexible
+                or report.per_tensor[weight_name].multiplier == 1
+            ):
+                options.append((candidate.dataflow, report, candidate.label))
     if not options:
         raise ValueError(
             f"{spec.name} has no feasible dataflow for {operator.name!r} "
             f"(buffer {buffer_elems} elements)"
         )
-    best: Optional[Tuple[Dataflow, object, str]] = None
-    for dataflow, label in options:
-        report = memory_access(operator, dataflow, convention)
-        if best is None or report.total < best[1].total:
-            best = (dataflow, report, label)
-    assert best is not None
-    return best
+    # min() keeps the first of equal totals.
+    return min(options, key=lambda option: option[1].total)
 
 
 # ----------------------------------------------------------------------

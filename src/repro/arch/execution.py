@@ -20,7 +20,6 @@ Two guarantees are then testable end to end:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -104,7 +103,7 @@ def execute_matmul_dataflow(
 
     tiling = dataflow.tiling.for_operator(operator)
     order = dataflow.schedule.order
-    trip_counts = [math.ceil(dims[dim] / tiling[dim]) for dim in order]
+    trip_counts = [-(-dims[dim] // tiling[dim]) for dim in order]
     a_name = operator.inputs[0].name
     b_name = operator.inputs[1].name
     c_name = operator.output.name

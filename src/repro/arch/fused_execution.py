@@ -15,7 +15,6 @@ intermediate truly never moves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -124,7 +123,7 @@ def execute_fused_pair(
         return np.zeros((row.stop - row.start, col.stop - col.start))
 
     def trip(dim: str) -> int:
-        return math.ceil(dims[dim] / tiling[dim])
+        return -(-dims[dim] // tiling[dim])
 
     # Shared loops cover the intermediate's dims (M and L, validated).
     shared = dataflow.shared_order

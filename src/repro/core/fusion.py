@@ -57,7 +57,7 @@ from typing import (
 )
 
 from ..ir.operator import TensorOperator, validate_buffer_elems
-from ..dataflow.cost import PartialSumConvention, tensor_multiplier
+from ..dataflow.cost import PartialSumConvention, reuse_multiplier
 from ..dataflow.fusion_nest import (
     FusedAccessReport,
     FusedChain,
@@ -591,11 +591,11 @@ def per_op_nra_classes(
     classes: List[NRAClass] = []
     for index in range(len(chain.ops)):
         op = _op_with_global_dims(chain, index)
-        nest = dataflow.op_nest(chain, index)
+        loops = [(loop.dim, loop.trip) for loop in dataflow.op_nest(chain, index)]
         non_redundant = sum(
             1
             for tensor in op.tensors
-            if tensor_multiplier(op, nest, tensor.name) == 1
+            if reuse_multiplier(loops, op.dims_of(tensor.name)) == 1
         )
         classes.append(NRAClass(max(1, min(3, non_redundant))))
     return tuple(classes)

@@ -13,9 +13,12 @@ The footprint (Eq. 2 / Eq. 4) is compiled once into the integer
 coefficients of ``a*x*y + b*x + c*y + d`` over the free tiles
 (:class:`TileConstraint`), so the largest feasible tile for a given partner
 is one integer division -- no search of any kind.
-Candidate tile pairs come one per trip pair, the first in sorted order: a
-pair's score depends only on its trip counts, and every caller keeps the
-first minimum in sorted order.  Single-NRA ranks them by the shared reuse
+Candidate tile pairs (:func:`pair_candidates`) probe each tile once: the
+two balanced seeds, every distinct tile ``ceil(D/n)`` of a dim with extent
+at most 2303, and the trip counts +0..4 around the seeds on a larger dim.
+They come one per trip pair, the first in sorted order: a pair's score
+depends only on its trip counts, and every caller keeps the first minimum
+in sorted order.  Single-NRA ranks them by the shared reuse
 rule (:func:`repro.dataflow.cost.reuse_multiplier`), compiled once per call
 into integer arithmetic on their trip counts, and builds a
 :class:`Dataflow` only for the winner.  The intra-operator optimizer then
@@ -29,7 +32,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..ir.operator import TensorOperator
 from ..dataflow.scheduling import Schedule, stationary_schedule
@@ -206,29 +219,56 @@ class TileConstraint:
         return (math.isqrt(disc) - linear) // (2 * self.a)
 
 
-def _max_x(
-    constraints: Sequence[TileConstraint], y: int, upper: int
+def _largest_free(
+    coefficients: Sequence[Tuple[int, int, int, int, int]],
+    fixed: int,
+    upper: int,
 ) -> Optional[int]:
-    for constraint in constraints:
-        upper = constraint.max_x(y, upper)
-        if upper is None:
-            return None
-    return upper
+    """Largest free tile in [1, upper] fitting with the other at ``fixed``.
 
+    ``coefficients`` are each constraint's ``(a, fixed weight, free
+    weight, d, bound)``: ``(a, b, c, d, bound)`` to grow ``y``, ``(a, c, b,
+    d, bound)`` to grow ``x`` -- one integer division per constraint.
+    """
 
-def _max_y(
-    constraints: Sequence[TileConstraint], x: int, upper: int
-) -> Optional[int]:
-    for constraint in constraints:
-        upper = constraint.max_y(x, upper)
-        if upper is None:
+    for a, fixed_weight, free_weight, d, bound in coefficients:
+        slope = a * fixed + free_weight
+        room = bound - fixed_weight * fixed - d
+        if room < slope:
             return None
+        if slope and room // slope < upper:
+            upper = room // slope
     return upper
 
 
 def max_tile(constraints: Sequence[TileConstraint], upper: int) -> Optional[int]:
     """Largest single free tile (``dim_y=None`` constraints) in [1, upper]."""
-    return _max_x(constraints, 1, upper)
+    grow_x = [(c.a, c.c, c.b, c.d, c.bound) for c in constraints]
+    return _largest_free(grow_x, 1, upper)
+
+
+#: Trip counts +0..4 around each seed are tried on a dim not swept.
+_MAX_TRIP_DELTA = 4
+#: Largest extent the exactness sweep walks: its distinct tiles number at
+#: most ``2*isqrt(D) + 1`` (95 here).
+_SWEEP_MAX_EXTENT = 2303
+
+
+def _distinct_tiles(extent: int) -> Iterator[Tuple[int, int]]:
+    """Every distinct ``ceil(extent / n)``, largest first, with its ``n``.
+
+    ``n`` is the smallest trip count giving that tile, so it is the tile's
+    own trip count ``ceil(extent / tile)``.
+    """
+
+    trips = 1
+    while True:
+        tile = -(-extent // trips)
+        yield tile, trips
+        if tile == 1:
+            return
+        # Smallest trip count yielding a strictly smaller tile.
+        trips = -(-extent // (tile - 1))
 
 
 def pair_candidates(
@@ -243,12 +283,23 @@ def pair_candidates(
     Single-NRA objective (Eq. 1, minimize ``1/tx + 1/ty``) is a balanced
     pair, but memory access depends on the *ceiled* trip counts
     ``ceil(D/t)``; a slightly smaller tile with the same trip count frees
-    footprint that can lower the partner's trip count.  This helper returns
-    the balanced/grown solutions plus trip-count-snapped perturbations of
-    each, every "largest feasible tile" solved in closed form from the
-    constraint coefficients; callers rank all of them by the reuse rule on
-    their trip counts, keep the best and build a dataflow only for it (still
-    a constant amount of work -- no design-space search).
+    footprint that can lower the partner's trip count.  Each probe fixes
+    one tile, grows its partner to the largest feasible tile (one integer
+    division per constraint) and snaps it to the smallest tile with the
+    same trip count.  The probes are:
+
+    * the two seeds: the balanced tile with its partner grown;
+    * on a dim of extent at most 2303, every distinct tile ``ceil(D/n)``
+      (about ``2*sqrt(D)`` of them), which makes the list exact over the
+      reduced space -- any optimal pair has one tile fixed and the other
+      grown to its feasible maximum;
+    * on a larger dim, the tiles of the seeds' trip counts plus 0..4.
+
+    The sweep covers every tile the window would try on its dim, so a
+    swept dim skips the window and every tile is probed once.  Callers
+    rank the list by the reuse rule on its trip counts and build a
+    dataflow only for the winner (still a constant amount of work -- no
+    design-space search).
 
     The list is sorted and holds one pair per trip pair ``(ceil(upper_x /
     t_x), ceil(upper_y / t_y))``: the first in sorted order.  A pair's score
@@ -260,82 +311,66 @@ def pair_candidates(
     if None in balanced:
         return []
     base = min(balanced)
+    # The coefficients, bound once: x fixed and y grown, and the reverse.
+    grow_y = [(c.a, c.b, c.c, c.d, c.bound) for c in constraints]
+    grow_x = [(c.a, c.c, c.b, c.d, c.bound) for c in constraints]
     seeds: List[Tuple[int, int]] = []
     tx = min(base, upper_x)
-    grown_y = _max_y(constraints, tx, upper_y)
+    grown_y = _largest_free(grow_y, tx, upper_y)
     if grown_y is not None:
         seeds.append((tx, grown_y))
     ty = min(base, upper_y)
-    grown_x = _max_x(constraints, ty, upper_x)
+    grown_x = _largest_free(grow_x, ty, upper_x)
     if grown_x is not None:
         seeds.append((grown_x, ty))
     if not seeds:
         return []
 
     # The first pair in sorted order of each trip pair; no other can win.
-    by_trips: dict = {}
-    max_trip_delta = 4  # trip-count perturbations tried around each seed
+    # Every probe lies in [1, upper] and fits every constraint: each
+    # partner tile is grown, or snapped below its grown size.
+    by_trips: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
-    def snap(extent: int, tile: int) -> int:
-        """Smallest tile with the same trip count (minimal footprint)."""
-        return _ceil_div(extent, _ceil_div(extent, tile))
-
-    def add(tile_x: int, tile_y: int) -> None:
-        # Every probe lies in [1, upper] and fits every constraint: each
-        # partner tile is grown by _max_x / _max_y, or snapped below it.
-        trips = (_ceil_div(upper_x, tile_x), _ceil_div(upper_y, tile_y))
+    def add(trips: Tuple[int, int], pair: Tuple[int, int]) -> None:
         kept = by_trips.get(trips)
-        if kept is None or (tile_x, tile_y) < kept:
-            by_trips[trips] = (tile_x, tile_y)
+        if kept is None or pair < kept:
+            by_trips[trips] = pair
 
+    def probe_x(tile_x: int, trips_x: int) -> None:
+        """Fix ``tile_x`` (``trips_x`` trips), grow and snap y."""
+        grown = _largest_free(grow_y, tile_x, upper_y)
+        if grown is not None:
+            trips_y = -(-upper_y // grown)
+            add((trips_x, trips_y), (tile_x, -(-upper_y // trips_y)))
+
+    def probe_y(tile_y: int, trips_y: int) -> None:
+        """Fix ``tile_y`` (``trips_y`` trips), grow and snap x."""
+        grown = _largest_free(grow_x, tile_y, upper_x)
+        if grown is not None:
+            trips_x = -(-upper_x // grown)
+            add((trips_x, trips_y), (-(-upper_x // trips_x), tile_y))
+
+    sweep_x = upper_x <= _SWEEP_MAX_EXTENT
+    sweep_y = upper_y <= _SWEEP_MAX_EXTENT
     for seed_x, seed_y in seeds:
-        add(seed_x, seed_y)
-        trips_x = _ceil_div(upper_x, seed_x)
-        trips_y = _ceil_div(upper_y, seed_y)
-        for delta in range(max_trip_delta + 1):
-            # Coarsen x's trips, regrow and snap y.
-            tile_x = _ceil_div(upper_x, trips_x + delta)
-            regrown = _max_y(constraints, tile_x, upper_y)
-            if regrown is not None:
-                add(tile_x, snap(upper_y, regrown))
-            # Coarsen y's trips, regrow and snap x.
-            tile_y = _ceil_div(upper_y, trips_y + delta)
-            regrown_x = _max_x(constraints, tile_y, upper_x)
-            if regrown_x is not None:
-                add(snap(upper_x, regrown_x), tile_y)
-
-    # Exactness sweep for small problems: any optimal pair has its smaller
-    # tile bounded by the balanced edge (+1), and for a fixed tile on one
-    # dim the other is best grown to its feasible maximum; the distinct
-    # ceil-tile values of a dimension number only ~2*sqrt(D), so when that
-    # is small we can cover the whole reduced space exactly.  This closes
-    # the tiny-buffer corner where the delta window misses joint
-    # coarsen-one / grow-the-other moves (found by hypothesis against the
-    # exact branch-and-bound certifier).
-    def distinct_tiles(extent: int, cap: int):
-        """All distinct values of ``ceil(extent / n)``, largest first."""
-        values = []
-        trips = 1
-        while len(values) < cap:
-            tile = _ceil_div(extent, trips)
-            values.append(tile)
-            if tile == 1:
-                break
-            # Smallest trip count yielding a strictly smaller tile.
-            trips = _ceil_div(extent, tile - 1)
-        return values
-
-    sweep_cap = 96
-    if 2 * math.isqrt(upper_x) + 2 <= sweep_cap:
-        for tile_x in distinct_tiles(upper_x, sweep_cap):
-            grown = _max_y(constraints, tile_x, upper_y)
-            if grown is not None:
-                add(tile_x, snap(upper_y, grown))
-    if 2 * math.isqrt(upper_y) + 2 <= sweep_cap:
-        for tile_y in distinct_tiles(upper_y, sweep_cap):
-            grown_x = _max_x(constraints, tile_y, upper_x)
-            if grown_x is not None:
-                add(snap(upper_x, grown_x), tile_y)
+        trips_x = -(-upper_x // seed_x)
+        trips_y = -(-upper_y // seed_y)
+        add((trips_x, trips_y), (seed_x, seed_y))
+        for delta in range(_MAX_TRIP_DELTA + 1):
+            if not sweep_x:
+                # Coarsen x's trips, regrow and snap y.
+                tile_x = -(-upper_x // (trips_x + delta))
+                probe_x(tile_x, -(-upper_x // tile_x))
+            if not sweep_y:
+                # Coarsen y's trips, regrow and snap x.
+                tile_y = -(-upper_y // (trips_y + delta))
+                probe_y(tile_y, -(-upper_y // tile_y))
+    if sweep_x:
+        for tile_x, trips_x in _distinct_tiles(upper_x):
+            probe_x(tile_x, trips_x)
+    if sweep_y:
+        for tile_y, trips_y in _distinct_tiles(upper_y):
+            probe_y(tile_y, trips_y)
     return sorted(by_trips.values())
 
 
@@ -419,10 +454,11 @@ def single_nra_scorer(
     return score
 
 
+# The ``_*_impl`` constructors take an MM-like operator: the public lookups
+# below check it, and :func:`all_candidates` checks it once for all twelve.
 def _single_nra_impl(
     operator: TensorOperator, stationary: str, buffer_elems: int
 ) -> Optional[NRACandidate]:
-    _require_mm_like(operator)
     dim_x, dim_y = operator.dims_of(stationary)
     dim_z = _other_dim(operator, (dim_x, dim_y))
 
@@ -453,7 +489,6 @@ def _two_nra_impl(
     maximized_dim: str,
     buffer_elems: int,
 ) -> Optional[NRACandidate]:
-    _require_mm_like(operator)
     dim_y = _other_dim(operator, (untiled_dim, maximized_dim))
 
     constraint = TileConstraint.from_footprint(
@@ -484,7 +519,6 @@ def _two_nra_impl(
 def _three_nra_impl(
     operator: TensorOperator, resident: str, buffer_elems: int
 ) -> Optional[NRACandidate]:
-    _require_mm_like(operator)
     dim_x, dim_y = operator.dims_of(resident)
     dim_z = _other_dim(operator, (dim_x, dim_y))
     tiling = Tiling(
@@ -579,24 +613,34 @@ def three_nra(
 def all_candidates(
     operator: TensorOperator, buffer_elems: int
 ) -> List[NRACandidate]:
-    """All feasible closed-form candidates (at most twelve)."""
+    """All feasible closed-form candidates (at most twelve).
+
+    The operator is checked and its key prefix built once; each candidate
+    is then looked up in the ``nra`` table under the key, and in the order,
+    the public constructors use.
+    """
+
     _require_mm_like(operator)
+    prefix = memo.nra_key(operator)
     candidates: List[NRACandidate] = []
-    for tensor in operator.tensors:
-        candidate = single_nra(operator, tensor.name, buffer_elems)
+
+    def add(kind: str, impl: Callable[..., Optional[NRACandidate]], *args: str):
+        candidate = memo.memoized(
+            "nra",
+            prefix + (kind, *args, buffer_elems),
+            lambda: impl(operator, *args, buffer_elems),
+        )
         if candidate is not None:
             candidates.append(candidate)
+
+    for tensor in operator.tensors:
+        add("single", _single_nra_impl, tensor.name)
     for untiled in operator.dim_names:
         for maximized in operator.dim_names:
-            if maximized == untiled:
-                continue
-            candidate = two_nra(operator, untiled, maximized, buffer_elems)
-            if candidate is not None:
-                candidates.append(candidate)
+            if maximized != untiled:
+                add("two", _two_nra_impl, untiled, maximized)
     for tensor in operator.tensors:
-        candidate = three_nra(operator, tensor.name, buffer_elems)
-        if candidate is not None:
-            candidates.append(candidate)
+        add("three", _three_nra_impl, tensor.name)
     return candidates
 
 

@@ -170,10 +170,10 @@ def memory_access(
     report with zero accesses so non-redundancy can be asserted.
     """
 
-    nest = dataflow.loop_nest(operator)
+    loops = [(loop.dim, loop.trip) for loop in dataflow.loop_nest(operator)]
     per_tensor: Dict[str, TensorAccess] = {}
     for tensor in operator.tensors:
-        multiplier = tensor_multiplier(operator, nest, tensor.name)
+        multiplier = reuse_multiplier(loops, operator.dims_of(tensor.name))
         if tensor.name in skip_tensors:
             accesses = 0
         elif (

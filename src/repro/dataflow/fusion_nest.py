@@ -39,7 +39,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from ..ir.loopnest import LoopNest, TiledLoop
 from ..ir.operator import TensorOperator
 from ..ir.tensor import Tensor
-from .cost import PartialSumConvention, TensorAccess, tensor_multiplier
+from .cost import PartialSumConvention, TensorAccess, reuse_multiplier
 from .spec import NRAClass
 from .tiling import Tiling
 
@@ -391,9 +391,9 @@ def fused_memory_access(
     inter_mult: Dict[str, int] = {name: 1 for name in intermediates}
     for index in range(len(chain.ops)):
         op = _op_with_global_dims(chain, index)
-        nest = dataflow.op_nest(chain, index)
+        loops = [(loop.dim, loop.trip) for loop in dataflow.op_nest(chain, index)]
         for tensor in op.tensors:
-            multiplier = tensor_multiplier(op, nest, tensor.name)
+            multiplier = reuse_multiplier(loops, op.dims_of(tensor.name))
             if tensor.name in intermediates:
                 inter_mult[tensor.name] = max(inter_mult[tensor.name], multiplier)
                 continue

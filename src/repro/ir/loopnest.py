@@ -10,7 +10,6 @@ non-redundantly accessed tensors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -43,8 +42,11 @@ class TiledLoop:
 
     @property
     def trip(self) -> int:
-        """Number of iterations (tiles visited)."""
-        return math.ceil(self.extent / self.tile)
+        """Number of iterations (tiles visited), ``ceil(extent / tile)``.
+
+        Integer division: a float quotient rounds extents above 2**53.
+        """
+        return -(-self.extent // self.tile)
 
     @property
     def untiled(self) -> bool:

@@ -16,10 +16,12 @@ from repro.arch import (
     unfcu,
     weight_tensor,
 )
+from repro.arch import accelerators
 from repro.core import optimize_intra
+from repro.core.nra import is_streaming
 from repro.dataflow import memory_access
 from repro.ir import OperatorGraph, matmul, rowwise_softmax
-from repro.workloads import BLENDERBOT, build_layer_graph
+from repro.workloads import BERT, BLENDERBOT, build_layer_graph
 
 
 class TestSpecs:
@@ -115,6 +117,29 @@ class TestConstrainedIntra:
             _df, report, label = constrained_intra(op, factory())
             assert label == "streaming"
             assert report.total == op.ideal_memory_access()
+
+    def test_each_candidate_counted_once(self, monkeypatch):
+        """Planaria's weight check reuses the report that ranks a candidate."""
+        graph = build_layer_graph(BERT)
+        all_candidates = accelerators.all_candidates
+        counted, candidates = [], []
+
+        def spy_memory_access(*args, **kwargs):
+            counted.append(args[0].name)
+            return memory_access(*args, **kwargs)
+
+        def spy_all_candidates(*args):
+            found = all_candidates(*args)
+            candidates.extend(found)
+            return found
+
+        monkeypatch.setattr(accelerators, "memory_access", spy_memory_access)
+        monkeypatch.setattr(accelerators, "all_candidates", spy_all_candidates)
+        perf = evaluate_graph(graph, planaria(MemorySpec(buffer_bytes=512 * 1024)))
+        streaming = sum(is_streaming(op) for op in graph.operators)
+        assert len(counted) == len(candidates) + streaming == 77
+        # The total the platform served before the recount was dropped.
+        assert perf.total_memory_access == 1240203264
 
 
 class TestEvaluateGraph:

@@ -12,6 +12,7 @@ list as over the full one.
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import callback_oracle as oracle
@@ -112,6 +113,57 @@ class TestCoefficientSolver:
         for tile_x, tile_y in pairs:
             assert 1 <= tile_x <= upper_x and 1 <= tile_y <= upper_y
             assert all(c.fits(tile_x, tile_y) for c in constraints)
+
+
+#: Extents on each side of the exactness sweep's reach: a dim of extent 2303
+#: is swept and skips the trip window; at 2304 the window comes back.
+SWEEP_EDGE = (2303, 2304)
+
+EDGE_CONSTRAINT_SETS = {
+    # Single-NRA footprints x*y + b*x + c*y (reduction tile 1).
+    "single-5000": (TileConstraint(1, 1, 1, 0, 5000),),
+    "single-700": (TileConstraint(1, 3, 2, 0, 700),),
+    # A buffer plus a register limit on each tile.
+    "buffer+registers": (
+        TileConstraint(1, 1, 1, 0, 90000),
+        TileConstraint(0, 1, 0, 0, 1500),
+        TileConstraint(0, 0, 1, 0, 40),
+    ),
+}
+
+
+class TestSweepEdge:
+    """Equal lists where a dim's tiles switch from the sweep to the window."""
+
+    @pytest.mark.parametrize("axis", ("x", "y"))
+    @pytest.mark.parametrize("partner", (97, 2303, 2304, 4096))
+    @pytest.mark.parametrize("edge", SWEEP_EDGE)
+    @pytest.mark.parametrize("name", sorted(EDGE_CONSTRAINT_SETS))
+    def test_pair_candidates_match_bisection(self, name, edge, partner, axis):
+        constraints = EDGE_CONSTRAINT_SETS[name]
+        upper_x, upper_y = (edge, partner) if axis == "x" else (partner, edge)
+        assert pair_candidates(constraints, upper_x, upper_y) == (
+            oracle.first_per_trip_pair(
+                oracle_pairs(constraints, upper_x, upper_y), upper_x, upper_y
+            )
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        CONSTRAINT_SETS,
+        st.sampled_from(SWEEP_EDGE),
+        st.integers(1, 4096),
+        st.booleans(),
+    )
+    def test_random_constraints_match_bisection(
+        self, constraints, edge, partner, edge_on_x
+    ):
+        upper_x, upper_y = (edge, partner) if edge_on_x else (partner, edge)
+        assert pair_candidates(constraints, upper_x, upper_y) == (
+            oracle.first_per_trip_pair(
+                oracle_pairs(constraints, upper_x, upper_y), upper_x, upper_y
+            )
+        )
 
 
 class TestNRATiles:

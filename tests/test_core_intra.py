@@ -73,6 +73,21 @@ class TestOptimizeIntraBasics:
                 assert total <= previous
             previous = total
 
+    def test_dims_above_float_precision(self):
+        """``m = k = 2**53 + 1``, ``l = 4`` at 3 elements: all tiles 1, order
+        (K, L, M), so A is re-read per L trip (4), B once and C per K trip
+        (``d``).  A float trip count served ``d - 1`` for C."""
+        d = 2**53 + 1
+        result = optimize_intra(matmul("mm", d, d, 4), 3)
+        assert result.label == "single[mm.B]"
+        multipliers = {
+            name: entry.multiplier
+            for name, entry in result.report.per_tensor.items()
+        }
+        assert multipliers == {"mm.A": 4, "mm.B": 1, "mm.C": d}
+        assert result.memory_access == 4 * d * d + 4 * d + 4 * d * d
+        assert result.memory_access == 649037107316853633710297135972364
+
     def test_large_buffer_reaches_ideal(self):
         op = matmul("mm", 64, 32, 48)
         result = optimize_intra(op, 10**6)

@@ -14,11 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import TENSOR_NAMES, mm_like_ops
 from repro.core import InfeasibleError, cached_optimize_intra, optimize_intra
+from repro.core import memo
 from repro.core.memo import clear_memo, memo_stats
 from repro.core.nra import (
     _single_nra_impl,
     _three_nra_impl,
     _two_nra_impl,
+    all_candidates,
     nra_cache_info,
     single_nra,
     three_nra,
@@ -95,6 +97,31 @@ class TestMemoEqualsDirect:
                     cached_optimize_intra(operator, buffer_elems)
                 continue
             assert cached_optimize_intra(operator, buffer_elems) == direct
+
+
+def public_candidates(operator, buffer_elems):
+    """The twelve public constructors called one by one, feasible kept."""
+    names = [tensor.name for tensor in operator.tensors]
+    candidates = [single_nra(operator, name, buffer_elems) for name in names]
+    candidates += [
+        two_nra(operator, untiled, maximized, buffer_elems)
+        for untiled, maximized in itertools.permutations(operator.dim_names, 2)
+    ]
+    candidates += [three_nra(operator, name, buffer_elems) for name in names]
+    return [candidate for candidate in candidates if candidate is not None]
+
+
+class TestAllCandidates:
+    @settings(max_examples=100, deadline=None)
+    @given(twin_queries())
+    def test_equals_public_constructors_one_by_one(self, queries):
+        """Same candidates, ``nra`` keys in LRU order and hit/miss counters."""
+        runs = []
+        for solve in (all_candidates, public_candidates):
+            clear_memo()
+            answers = [solve(operator, buffer) for operator, buffer in queries]
+            runs.append((answers, memo._TABLES["nra"].keys(), nra_cache_info()))
+        assert runs[0] == runs[1]
 
 
 class TestMemoTables:

@@ -26,6 +26,12 @@ class TestTiledLoop:
         with pytest.raises(ValueError):
             TiledLoop("M", 0, 1)
 
+    def test_trip_count_above_float_precision(self):
+        """Extents past 2**53 count exactly (a float quotient rounds)."""
+        assert TiledLoop("M", 2**53 + 1, 1).trip == 2**53 + 1
+        assert TiledLoop("M", 2**53 + 1, 2).trip == 2**52 + 1
+        assert TiledLoop("M", 2**64 + 3, 2**32).trip == 2**32 + 1
+
     @given(
         st.integers(min_value=1, max_value=1000),
         st.integers(min_value=1, max_value=1000),
