@@ -21,11 +21,13 @@ belong to a single operator, e.g. MM1's reduction K and MM2's output N.)
 Tile sizes for MAXIMIZE roles are solved in closed form from the integer
 coefficients of the fused buffer footprint (and, for compute-unit fusion,
 of each intermediate's register footprint) -- the same one-shot
-construction as the intra candidates, no search.  Each pattern's tile list
-is built once per medium and scored under every shared-loop order by the
-shared reuse rule applied straight to the trip counts (:func:`fused_scorer`,
-compiled once per pattern and order), skipping any tiling that breaks the
-fusability requirement (non-redundant intermediates).
+construction as the intra candidates, no search.  The chain's structure
+is derived once per search.  Each pattern's tile list is built once per
+medium, with the trip counts the pair search computed, and scored under
+every shared-loop order by the reuse rule Single-NRA ranks with too
+(:func:`repro.dataflow.cost.trip_scorer`, compiled once per pattern and
+order), skipping any tiling that breaks the fusability requirement
+(non-redundant intermediates).
 :func:`optimize_fused` scores every candidate and builds one winner: only
 it becomes a :class:`FusedDataflow`, counted exactly through
 :func:`repro.dataflow.fusion_nest.fused_memory_access` and classified.
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import (
@@ -57,7 +58,13 @@ from typing import (
 )
 
 from ..ir.operator import TensorOperator, validate_buffer_elems
-from ..dataflow.cost import PartialSumConvention, reuse_multiplier
+from ..dataflow.cost import (
+    Nest,
+    NestTensor,
+    PartialSumConvention,
+    reuse_multiplier,
+    trip_scorer,
+)
 from ..dataflow.fusion_nest import (
     FusedAccessReport,
     FusedChain,
@@ -70,7 +77,7 @@ from ..dataflow.spec import NRAClass
 from ..dataflow.tiling import Tiling
 from . import memo
 from .intra import IntraResult, optimize_intra
-from .nra import TileConstraint, _ceil_div, max_tile, pair_candidates
+from .nra import PairTrips, TileConstraint, _pair_trips, first_minimum, max_tile
 from .principles import principle4_predicts
 
 
@@ -144,14 +151,14 @@ class FusedResult:
 # ----------------------------------------------------------------------
 # Pattern generation
 # ----------------------------------------------------------------------
-def _chain_private_dims(chain: FusedChain) -> Tuple[str, ...]:
+def _private_orders(chain: FusedChain) -> Dict[str, Tuple[str, ...]]:
     common = set(chain.common_dims)
-    privates: List[str] = []
-    for index in range(len(chain.ops)):
-        for dim in chain.op_global_dims(index):
-            if dim not in common and dim not in privates:
-                privates.append(dim)
-    return tuple(privates)
+    return {
+        op.name: tuple(
+            dim for dim in chain.op_global_dims(index) if dim not in common
+        )
+        for index, op in enumerate(chain.ops)
+    }
 
 
 def profitable_patterns(chain: FusedChain) -> List[FusedPattern]:
@@ -162,7 +169,7 @@ def profitable_patterns(chain: FusedChain) -> List[FusedPattern]:
             f"fused patterns require exactly two common dims; chain has "
             f"{common}"
         )
-    privates = _chain_private_dims(chain)
+    privates = [dim for dims in _private_orders(chain).values() for dim in dims]
     first, second = common
     patterns: List[FusedPattern] = []
 
@@ -216,12 +223,7 @@ def cross_patterns(chain: FusedChain) -> List[FusedPattern]:
     if len(common) != 2:
         return []
     first, second = common
-    producer_privates = tuple(
-        dim for dim in chain.op_global_dims(0) if dim not in common
-    )
-    consumer_privates = tuple(
-        dim for dim in chain.op_global_dims(1) if dim not in common
-    )
+    producer_privates, consumer_privates = _private_orders(chain).values()
     patterns: List[FusedPattern] = []
 
     def make(label: str, roles: Dict[str, Role]) -> None:
@@ -291,137 +293,65 @@ def _shared_order(chain: FusedChain, roles: Mapping[str, Role]) -> Tuple[str, ..
     )
 
 
-def _private_orders(chain: FusedChain) -> Dict[str, Tuple[str, ...]]:
-    common = set(chain.common_dims)
-    return {
-        op.name: tuple(
-            dim
-            for dim in chain.op_global_dims(index)
-            if dim not in common
+class _ChainStructure(NamedTuple):
+    """What the fused search reads of a chain, derived once per search:
+    each operator's tensors as :func:`repro.dataflow.cost.trip_scorer`
+    reads them (intermediates resident), and per concrete medium the index
+    sets of the buffer footprint and of each register-held tile."""
+
+    chain: FusedChain
+    private_orders: Dict[str, Tuple[str, ...]]
+    op_tensors: Tuple[Tuple[NestTensor, ...], ...]
+    capacity_axes: Dict[FusionMedium, Tuple[List[Tuple[str, ...]], ...]]
+
+    def nests(self, shared_order: Sequence[str]) -> Tuple[Nest, ...]:
+        """Each operator's nest: the (common) shared loops, then its own."""
+        return tuple(
+            (tuple(shared_order) + self.private_orders[op.name], tensors)
+            for op, tensors in zip(self.chain.ops, self.op_tensors)
         )
-        for index, op in enumerate(chain.ops)
-    }
 
 
-def fused_scorer(
-    chain: FusedChain,
-    shared_order: Tuple[str, ...],
-    private_orders: Mapping[str, Tuple[str, ...]],
-    fixed: Mapping[str, int],
-    dim_x: Optional[str] = None,
-    dim_y: Optional[str] = None,
-) -> Callable[[int, int], Optional[int]]:
-    """Fused access count of the free tiles ``(t_x, t_y)``, from their trips.
-
-    ``dim_x``/``dim_y`` are the free dims (``None`` when there are fewer;
-    the missing tile is then ignored) and every other dim takes its tile
-    from ``fixed``.  A score charges each external tensor its worst
-    reuse-rule access over the operators, as :func:`fused_memory_access`
-    does under the paper's partial-sum convention.  ``None`` means an
-    intermediate would be re-fetched (multiplier above 1): the tiling is
-    not fusable.
-
-    The reuse rule skips loops of one trip, so the nests' shape depends
-    only on whether each free trip exceeds 1.  Each of those four shapes is
-    compiled on first use, with the fixed dims' trips folded in: a
-    tensor's multiplier becomes a constant times ``trip_x`` and/or
-    ``trip_y``, an intermediate's fusability a constant, and a score is
-    integer arithmetic on the two trips.
-    """
-
-    intermediates = {tensor.name for tensor in chain.intermediates()}
-    extents = chain.global_dims
-    nests = []
-    for index, op in enumerate(chain.ops):
-        op_dims = set(chain.op_global_dims(index))
-        order = tuple(dim for dim in shared_order if dim in op_dims)
-        # (dim, fixed trip, is dim_x, is dim_y); a free dim's trip varies.
-        loops = tuple(
-            (dim, 1, True, False) if dim == dim_x
-            else (dim, 1, False, True) if dim == dim_y
-            else (dim, _ceil_div(extents[dim], fixed[dim]), False, False)
-            for dim in order + tuple(private_orders[op.name])
-        )
-        tensors = tuple(
-            (tensor.name, chain.global_dims_of_tensor(index, tensor.name), tensor.size)
-            for tensor in op.tensors
-        )
-        nests.append((loops, tensors))
-
-    def compile_shape(big_x: bool, big_y: bool):
-        """``(k, k_x, k_y, k_xy, rest)``, or ``None`` if not fusable."""
-        worst: Dict[str, set] = {}
-        for loops, tensors in nests:
-            effective = [
-                loop for loop in loops
-                if loop[1] > 1 or (loop[2] and big_x) or (loop[3] and big_y)
-            ]
-            for name, dims, size in tensors:
-                # The reuse rule: the effective loops not indexing the tensor
-                # outside its innermost indexing one, free trips as powers.
-                inner = max(
-                    (i for i, loop in enumerate(effective) if loop[0] in dims),
-                    default=0,
+def _chain_structure(chain: FusedChain) -> _ChainStructure:
+    intermediates = tuple(tensor.name for tensor in chain.intermediates())
+    return _ChainStructure(
+        chain=chain,
+        private_orders=_private_orders(chain),
+        op_tensors=tuple(
+            tuple(
+                (
+                    tensor.name,
+                    chain.global_dims_of_tensor(index, tensor.name),
+                    tensor.size,
+                    tensor.name in intermediates,
                 )
-                outside = [loop for loop in effective[:inner] if loop[0] not in dims]
-                coef = math.prod(loop[1] for loop in outside)
-                pow_x = sum(loop[2] for loop in outside)
-                pow_y = sum(loop[3] for loop in outside)
-                if name in intermediates:
-                    if coef > 1 or pow_x or pow_y:
-                        return None
-                else:
-                    worst.setdefault(name, set()).add((size * coef, pow_x, pow_y))
-        # One term per tensor sums into the coefficients of 1, t_x, t_y and
-        # t_x*t_y; a tensor whose operators disagree keeps its max.
-        linear = [0, 0, 0, 0]
-        rest = []
-        for terms in worst.values():
-            if len(terms) == 1:
-                ((k, pow_x, pow_y),) = terms
-                linear[pow_x + 2 * pow_y] += k
-            else:
-                rest.append(tuple(terms))
-        return (*linear, tuple(rest))
-
-    extent_x = 1 if dim_x is None else extents[dim_x]
-    extent_y = 1 if dim_y is None else extents[dim_y]
-    count = chain.count
-    shapes: Dict[int, Any] = {}
-
-    def score(tile_x: int, tile_y: int) -> Optional[int]:
-        trip_x = _ceil_div(extent_x, tile_x)
-        trip_y = _ceil_div(extent_y, tile_y)
-        key = (trip_x > 1) + 2 * (trip_y > 1)
-        if key not in shapes:
-            shapes[key] = compile_shape(trip_x > 1, trip_y > 1)
-        shape = shapes[key]
-        if shape is None:
-            return None
-        k, k_x, k_y, k_xy, rest = shape
-        total = k + k_x * trip_x + k_y * trip_y + k_xy * trip_x * trip_y
-        for terms in rest:
-            total += max(
-                weight * (trip_x if pow_x else 1) * (trip_y if pow_y else 1)
-                for weight, pow_x, pow_y in terms
+                for tensor in op.tensors
             )
-        return count * total
-
-    return score
+            for index, op in enumerate(chain.ops)
+        ),
+        capacity_axes={
+            FusionMedium.MEMORY: (chain.buffered_axes(), []),
+            FusionMedium.COMPUTE_UNIT: (
+                chain.buffered_axes(intermediates),
+                [chain.tensor_axes(name) for name in intermediates],
+            ),
+        },
+    )
 
 
 class _PatternTiles(NamedTuple):
     """A pattern's fixed tiles, free dims and capacity-feasible free tiles.
 
-    ``pairs`` holds ``(t_x, t_y)`` for the free dims ``dim_x``/``dim_y``
-    (a missing free dim's tile is 1), sorted; it is empty when even the
-    minimal tiles overflow.  None of it depends on the shared-loop order.
+    ``candidates`` holds ``((t_x, t_y), (trip_x, trip_y))`` for the free
+    dims ``dim_x``/``dim_y`` (a missing free dim's tile and trip are 1),
+    sorted by tile pair; it is empty when even the minimal tiles overflow.
+    None of it depends on the shared-loop order.
     """
 
     fixed: Dict[str, int]
     dim_x: Optional[str]
     dim_y: Optional[str]
-    pairs: List[Tuple[int, int]]
+    candidates: List[PairTrips]
 
     def dataflow(
         self,
@@ -440,20 +370,9 @@ class _PatternTiles(NamedTuple):
             tiling=Tiling({**self.fixed, **free}),
         )
 
-    def first_minimum(
-        self, score: Callable[[int, int], Optional[int]]
-    ) -> Optional[Tuple[int, Tuple[int, int]]]:
-        """``(score, pair)`` of the first fusable pair scoring least."""
-        best: Optional[Tuple[int, Tuple[int, int]]] = None
-        for pair in self.pairs:
-            total = score(*pair)
-            if total is not None and (best is None or total < best[0]):
-                best = (total, pair)
-        return best
-
 
 def _pattern_tiles(
-    chain: FusedChain,
+    structure: _ChainStructure,
     pattern: FusedPattern,
     buffer_elems: int,
     medium: FusionMedium,
@@ -461,8 +380,8 @@ def _pattern_tiles(
 ) -> _PatternTiles:
     """Resolve a pattern's roles and its free tiles' capacity candidates.
 
-    Two free dims get every pair :func:`pair_candidates` yields, one gets
-    its largest feasible tile, none gets the minimal tiles if they fit.
+    Two free dims get every pair :func:`_pair_trips` yields, one gets its
+    largest feasible tile, none gets the minimal tiles if they fit.
     """
 
     if medium is FusionMedium.BEST:
@@ -472,15 +391,16 @@ def _pattern_tiles(
         )
     if medium is FusionMedium.COMPUTE_UNIT and register_elems is None:
         raise FusionError("compute-unit fusion needs register_elems")
+    extents = structure.chain.global_dims
     roles = pattern.roles
-    missing = set(chain.global_dims) - set(roles)
+    missing = set(extents) - set(roles)
     if missing:
         raise FusionError(f"pattern {pattern.label!r} missing roles for {missing}")
     fixed: Dict[str, int] = {}
     free: List[str] = []
     for dim, role in roles.items():
         if role is Role.UNTILE:
-            fixed[dim] = chain.global_dims[dim]
+            fixed[dim] = extents[dim]
         elif role is Role.MINIMIZE:
             fixed[dim] = 1
         else:
@@ -491,19 +411,26 @@ def _pattern_tiles(
             "supported"
         )
     dim_x, dim_y = (free + [None, None])[:2]
-    constraints = _capacity_constraints(
-        chain, fixed, dim_x, dim_y, buffer_elems, medium, register_elems
-    )
+    # The buffer footprint, and under COMPUTE_UNIT each intermediate's tile
+    # against the registers instead.
+    buffer_axes, register_axes = structure.capacity_axes[medium]
+    constraints = [
+        TileConstraint.from_footprint(buffer_axes, fixed, dim_x, dim_y, buffer_elems)
+    ] + [
+        TileConstraint.from_footprint([axes], fixed, dim_x, dim_y, register_elems)
+        for axes in register_axes
+    ]
+    candidates: List[PairTrips] = []
     if dim_x is None:
-        pairs = [(1, 1)] if all(c.fits(1, 1) for c in constraints) else []
+        if all(c.fits(1, 1) for c in constraints):
+            candidates = [((1, 1), (1, 1))]
     elif dim_y is None:
-        tile = max_tile(constraints, chain.global_dims[dim_x])
-        pairs = [] if tile is None else [(tile, 1)]
+        tile = max_tile(constraints, extents[dim_x])
+        if tile is not None:
+            candidates = [((tile, 1), (-(-extents[dim_x] // tile), 1))]
     else:
-        pairs = pair_candidates(
-            constraints, chain.global_dims[dim_x], chain.global_dims[dim_y]
-        )
-    return _PatternTiles(fixed, dim_x, dim_y, pairs)
+        candidates = _pair_trips(constraints, extents[dim_x], extents[dim_y])
+    return _PatternTiles(fixed, dim_x, dim_y, candidates)
 
 
 def solve_pattern(
@@ -531,57 +458,25 @@ def solve_pattern(
     callers chasing the exact optimum must try every permutation.
     """
 
-    tiles = _pattern_tiles(chain, pattern, buffer_elems, medium, register_elems)
-    if not tiles.pairs:
+    structure = _chain_structure(chain)
+    tiles = _pattern_tiles(structure, pattern, buffer_elems, medium, register_elems)
+    if not tiles.candidates:
         return None
     if shared_order is None:
         shared_order = _shared_order(chain, pattern.roles)
-    private_orders = _private_orders(chain)
+    private_orders = structure.private_orders
     # Every candidate shares the dataflow's structure: check it once.
-    tiles.dataflow(tiles.pairs[0], shared_order, private_orders).validate(chain)
-    best = tiles.first_minimum(
-        fused_scorer(
-            chain, shared_order, private_orders, tiles.fixed, tiles.dim_x, tiles.dim_y
-        )
+    tiles.dataflow(tiles.candidates[0][0], shared_order, private_orders).validate(
+        chain
     )
+    score = trip_scorer(
+        structure.nests(shared_order), chain.global_dims,
+        tiles.fixed, tiles.dim_x, tiles.dim_y,
+    )
+    best = first_minimum(tiles.candidates, score)
     if best is None:
         return None
     return tiles.dataflow(best[1], shared_order, private_orders)
-
-
-def _capacity_constraints(
-    chain: FusedChain,
-    fixed: Mapping[str, int],
-    dim_x: Optional[str],
-    dim_y: Optional[str],
-    buffer_elems: int,
-    medium: FusionMedium,
-    register_elems: Optional[int],
-) -> Tuple[TileConstraint, ...]:
-    """Every capacity limit on the free tiles, as bilinear constraints.
-
-    Under :attr:`FusionMedium.MEMORY` that is the fused buffer footprint
-    alone.  Under :attr:`FusionMedium.COMPUTE_UNIT` the intermediates leave
-    the buffer footprint and each of their tiles must fit
-    ``register_elems`` instead.
-    """
-
-    if medium is FusionMedium.MEMORY:
-        excluded: Tuple[str, ...] = ()
-    else:
-        excluded = tuple(t.name for t in chain.intermediates())
-    constraints = [
-        TileConstraint.from_footprint(
-            chain.buffered_axes(excluded), fixed, dim_x, dim_y, buffer_elems
-        )
-    ]
-    for name in excluded:
-        constraints.append(
-            TileConstraint.from_footprint(
-                [chain.tensor_axes(name)], fixed, dim_x, dim_y, register_elems
-            )
-        )
-    return tuple(constraints)
 
 
 def per_op_nra_classes(
@@ -620,8 +515,8 @@ def optimize_fused(
     Every candidate is scored and one winner is built: the first strict
     minimum in pattern -> medium -> order order is the only dataflow built,
     recounted and classified.  Under :attr:`PartialSumConvention.SINGLE`
-    the score is the fused total; under other conventions each order's
-    winner is recounted to rank it.  :func:`repro.verify.certify_fused`
+    the score is the fused total per instance; under other conventions
+    each order's winner is recounted to rank it.  :func:`repro.verify.certify_fused`
     checks the answer independently.
     """
 
@@ -636,8 +531,10 @@ def optimize_fused(
         media = (FusionMedium.MEMORY, FusionMedium.COMPUTE_UNIT)
     else:
         media = (medium,)
-    private_orders = _private_orders(chain)
+    structure = _chain_structure(chain)
+    private_orders = structure.private_orders
     shared_orders = tuple(itertools.permutations(chain.common_dims))
+    nests = {order: structure.nests(order) for order in shared_orders}
     # (total, pattern, medium, dataflow builder) of the first strict
     # minimum, in pattern -> medium -> order order.
     best: Optional[Tuple[int, FusedPattern, FusionMedium, Callable]] = None
@@ -646,23 +543,23 @@ def optimize_fused(
         scorers: Dict[Tuple[str, ...], Callable[[int, int], Optional[int]]] = {}
         for active_medium in media:
             tiles = _pattern_tiles(
-                chain, pattern, buffer_elems, active_medium, register_elems
+                structure, pattern, buffer_elems, active_medium, register_elems
             )
-            if not tiles.pairs:
+            if not tiles.candidates:
                 continue
             if not validated:
                 # Every candidate shares the dataflow's structure: check it once.
                 tiles.dataflow(
-                    tiles.pairs[0], shared_orders[0], private_orders
+                    tiles.candidates[0][0], shared_orders[0], private_orders
                 ).validate(chain)
                 validated = True
             for shared_order in shared_orders:
                 if shared_order not in scorers:
-                    scorers[shared_order] = fused_scorer(
-                        chain, shared_order, private_orders,
+                    scorers[shared_order] = trip_scorer(
+                        nests[shared_order], chain.global_dims,
                         tiles.fixed, tiles.dim_x, tiles.dim_y,
                     )
-                found = tiles.first_minimum(scorers[shared_order])
+                found = first_minimum(tiles.candidates, scorers[shared_order])
                 if found is None:
                     continue
                 total, pair = found
@@ -670,7 +567,7 @@ def optimize_fused(
                     tiles.dataflow, pair, shared_order, private_orders
                 )
                 if convention is not PartialSumConvention.SINGLE:
-                    # The score is the fused total under SINGLE only.
+                    # The score ranks fused totals under SINGLE only.
                     total = fused_memory_access(chain, build(), convention).total
                 if best is None or total < best[0]:
                     best = (total, pattern, active_medium, build)

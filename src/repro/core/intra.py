@@ -23,7 +23,6 @@ from ..ir.operator import TensorOperator, validate_buffer_elems
 from ..dataflow.cost import (
     MemoryAccessReport,
     PartialSumConvention,
-    fits_buffer,
     memory_access,
 )
 from ..dataflow.spec import Dataflow, NRAClass
@@ -90,9 +89,8 @@ def _pick_best(
 ) -> Tuple[NRACandidate, MemoryAccessReport]:
     best: Optional[Tuple[NRACandidate, MemoryAccessReport]] = None
     best_total = 0
+    # Every closed-form candidate fits the buffer by construction.
     for candidate in candidates:
-        if not fits_buffer(operator, candidate.dataflow, buffer_elems):
-            continue
         report = memory_access(operator, candidate.dataflow, convention)
         total = report.total
         if best is None or total < best_total or (

@@ -16,22 +16,23 @@ is one integer division -- no search of any kind.
 Candidate tile pairs (:func:`pair_candidates`) probe each tile once: the
 two balanced seeds, every distinct tile ``ceil(D/n)`` of a dim with extent
 at most 2303, and the trip counts +0..4 around the seeds on a larger dim.
-They come one per trip pair, the first in sorted order: a pair's score
-depends only on its trip counts, and every caller keeps the first minimum
-in sorted order.  Single-NRA ranks them by the shared reuse
-rule (:func:`repro.dataflow.cost.reuse_multiplier`), compiled once per call
-into integer arithmetic on their trip counts, and builds a
-:class:`Dataflow` only for the winner.  The intra-operator optimizer then
-counts the feasible candidates through the shared access counter and
-keeps the minimum; this *is* the paper's principle-based one-shot
-optimization, since the candidate count is a small constant independent of
-tensor sizes.
+They come one per trip pair, the first in sorted order, each with the
+trip counts the search computed: a pair's score depends only on its trip
+counts, and every caller keeps the first minimum in sorted order
+(:func:`first_minimum`).  Single-NRA ranks them by the compiled reuse rule
+over the operator's one nest (:func:`repro.dataflow.cost.trip_scorer`,
+which also ranks the fused patterns) and builds a :class:`Dataflow` only
+for the winner.  The intra-operator optimizer then counts the candidates
+through the shared access counter and keeps the minimum; this *is* the
+paper's principle-based one-shot optimization, since the candidate count
+is a small constant independent of tensor sizes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -45,6 +46,7 @@ from typing import (
 )
 
 from ..ir.operator import TensorOperator
+from ..dataflow.cost import trip_scorer
 from ..dataflow.scheduling import Schedule, stationary_schedule
 from ..dataflow.spec import Dataflow, NRAClass
 from ..dataflow.tiling import Tiling
@@ -122,10 +124,6 @@ def max_feasible(
         else:
             high = mid - 1
     return low
-
-
-def _ceil_div(numerator: int, denominator: int) -> int:
-    return -(-numerator // denominator)
 
 
 @dataclass(frozen=True)
@@ -271,6 +269,10 @@ def _distinct_tiles(extent: int) -> Iterator[Tuple[int, int]]:
         trips = -(-extent // (tile - 1))
 
 
+#: A candidate tile pair ``(t_x, t_y)`` with its trip counts.
+PairTrips = Tuple[Tuple[int, int], Tuple[int, int]]
+
+
 def pair_candidates(
     constraints: Sequence[TileConstraint],
     upper_x: int,
@@ -307,6 +309,16 @@ def pair_candidates(
     sorted order, so no other pair of a trip pair can win.
     """
 
+    return [pair for pair, _ in _pair_trips(constraints, upper_x, upper_y)]
+
+
+def _pair_trips(
+    constraints: Sequence[TileConstraint],
+    upper_x: int,
+    upper_y: int,
+) -> List[PairTrips]:
+    """:func:`pair_candidates`' list, each pair with its trip counts."""
+
     balanced = [c.max_balanced(upper_x, upper_y) for c in constraints]
     if None in balanced:
         return []
@@ -328,34 +340,34 @@ def pair_candidates(
 
     # The first pair in sorted order of each trip pair; no other can win.
     # Every probe lies in [1, upper] and fits every constraint: each
-    # partner tile is grown, or snapped below its grown size.
+    # partner tile is grown, or snapped below its grown size.  A probe's
+    # tiles are both ``ceil(D/n)`` of their trip counts, the least tiles
+    # with those trips, so its pair is the first of its trip pair and
+    # replaces whatever is kept; only a seed needs comparing.
     by_trips: Dict[Tuple[int, int], Tuple[int, int]] = {}
-
-    def add(trips: Tuple[int, int], pair: Tuple[int, int]) -> None:
-        kept = by_trips.get(trips)
-        if kept is None or pair < kept:
-            by_trips[trips] = pair
 
     def probe_x(tile_x: int, trips_x: int) -> None:
         """Fix ``tile_x`` (``trips_x`` trips), grow and snap y."""
         grown = _largest_free(grow_y, tile_x, upper_y)
         if grown is not None:
             trips_y = -(-upper_y // grown)
-            add((trips_x, trips_y), (tile_x, -(-upper_y // trips_y)))
+            by_trips[trips_x, trips_y] = (tile_x, -(-upper_y // trips_y))
 
     def probe_y(tile_y: int, trips_y: int) -> None:
         """Fix ``tile_y`` (``trips_y`` trips), grow and snap x."""
         grown = _largest_free(grow_x, tile_y, upper_x)
         if grown is not None:
             trips_x = -(-upper_x // grown)
-            add((trips_x, trips_y), (-(-upper_x // trips_x), tile_y))
+            by_trips[trips_x, trips_y] = (-(-upper_x // trips_x), tile_y)
 
     sweep_x = upper_x <= _SWEEP_MAX_EXTENT
     sweep_y = upper_y <= _SWEEP_MAX_EXTENT
     for seed_x, seed_y in seeds:
         trips_x = -(-upper_x // seed_x)
         trips_y = -(-upper_y // seed_y)
-        add((trips_x, trips_y), (seed_x, seed_y))
+        kept = by_trips.get((trips_x, trips_y))
+        if kept is None or (seed_x, seed_y) < kept:
+            by_trips[trips_x, trips_y] = (seed_x, seed_y)
         for delta in range(_MAX_TRIP_DELTA + 1):
             if not sweep_x:
                 # Coarsen x's trips, regrow and snap y.
@@ -371,7 +383,25 @@ def pair_candidates(
     if sweep_y:
         for tile_y, trips_y in _distinct_tiles(upper_y):
             probe_y(tile_y, trips_y)
-    return sorted(by_trips.values())
+    return sorted(zip(by_trips.values(), by_trips.keys()), key=itemgetter(0))
+
+
+def first_minimum(
+    candidates: Iterable[PairTrips],
+    score: Callable[[int, int], Optional[int]],
+) -> Optional[Tuple[int, Tuple[int, int]]]:
+    """``(score, pair)`` of the first candidate scoring least.
+
+    ``score`` takes a candidate's trip counts; a ``None`` score (a fused
+    intermediate re-fetched) never wins.  ``None`` when nothing scores.
+    """
+
+    best: Optional[Tuple[int, Tuple[int, int]]] = None
+    for pair, (trip_x, trip_y) in candidates:
+        total = score(trip_x, trip_y)
+        if total is not None and (best is None or total < best[0]):
+            best = (total, pair)
+    return best
 
 
 # ----------------------------------------------------------------------
@@ -407,53 +437,6 @@ def _index_sets(operator: TensorOperator) -> List[Tuple[str, ...]]:
     return [operator.dims_of(tensor.name) for tensor in operator.tensors]
 
 
-def single_nra_scorer(
-    operator: TensorOperator, stationary: str
-) -> Callable[[int, int], int]:
-    """Per-instance access count of a Single-NRA tile pair ``(t_x, t_y)``.
-
-    ``x``/``y`` are the stationary tensor's dims and the third dim's tile
-    is 1, so the trips are ``ceil(D_x/t_x)``, ``ceil(D_y/t_y)`` and
-    ``D_z``.  Each tensor is charged its size times the reuse rule
-    (:func:`repro.dataflow.cost.reuse_multiplier`) over the stationary
-    schedule's order -- the count :func:`repro.dataflow.cost.memory_access`
-    gives, with no dataflow built.
-
-    The order is compiled once into slot indices.  Each MM-like tensor
-    misses exactly one dim, a different one per tensor, so the rule reduces
-    to: the tensor missing the loop in slot ``p`` is re-fetched once per
-    trip of that loop when a loop inside it has more than one trip, and
-    fetched once otherwise.
-    """
-
-    dim_x, dim_y = operator.dims_of(stationary)
-    dim_z = _other_dim(operator, (dim_x, dim_y))
-    extent_x, extent_y, extent_z = (
-        operator.dims[dim] for dim in (dim_x, dim_y, dim_z)
-    )
-    order = stationary_schedule(operator, stationary).order
-    slot_x, slot_y, slot_z = (order.index(dim) for dim in (dim_x, dim_y, dim_z))
-    sizes = [0, 0, 0]  # by the slot of the dim the tensor misses
-    for tensor in operator.tensors:
-        missing = _other_dim(operator, operator.dims_of(tensor.name))
-        sizes[order.index(missing)] = tensor.size
-    size_0, size_1, size_2 = sizes
-
-    def score(tile_x: int, tile_y: int) -> int:
-        trips = [0, 0, 0]
-        trips[slot_x] = _ceil_div(extent_x, tile_x)
-        trips[slot_y] = _ceil_div(extent_y, tile_y)
-        trips[slot_z] = extent_z
-        trip_0, trip_1, trip_2 = trips
-        return (
-            size_0 * (trip_0 if trip_1 * trip_2 > 1 else 1)
-            + size_1 * (trip_1 if trip_2 > 1 else 1)
-            + size_2
-        )
-
-    return score
-
-
 # The ``_*_impl`` constructors take an MM-like operator: the public lookups
 # below check it, and :func:`all_candidates` checks it once for all twelve.
 def _single_nra_impl(
@@ -462,23 +445,30 @@ def _single_nra_impl(
     dim_x, dim_y = operator.dims_of(stationary)
     dim_z = _other_dim(operator, (dim_x, dim_y))
 
+    fixed = {dim_z: 1}
+    index_sets = _index_sets(operator)
     constraint = TileConstraint.from_footprint(
-        _index_sets(operator), {dim_z: 1}, dim_x, dim_y, buffer_elems
+        index_sets, fixed, dim_x, dim_y, buffer_elems
     )
-    pairs = pair_candidates(
+    candidates = _pair_trips(
         (constraint,), operator.dims[dim_x], operator.dims[dim_y]
     )
-    if not pairs:
+    if not candidates:
         return None
-    score = single_nra_scorer(operator, stationary)
-    # min() keeps the first of equal scores, in pair_candidates' order.
-    tile_x, tile_y = min(pairs, key=lambda pair: score(*pair))
+    schedule = stationary_schedule(operator, stationary)
+    tensors = [
+        (tensor.name, dims, tensor.size, False)
+        for tensor, dims in zip(operator.tensors, index_sets)
+    ]
+    score = trip_scorer(
+        ((schedule.order, tensors),), operator.dims, fixed, dim_x, dim_y
+    )
+    _, (tile_x, tile_y) = first_minimum(candidates, score)
     return NRACandidate(
         label=_SINGLE_LABEL.format(stationary),
         nra=NRAClass.SINGLE,
         dataflow=Dataflow(
-            Tiling({dim_x: tile_x, dim_y: tile_y, dim_z: 1}),
-            stationary_schedule(operator, stationary),
+            Tiling({dim_x: tile_x, dim_y: tile_y, dim_z: 1}), schedule
         ),
     )
 

@@ -8,9 +8,10 @@ between them are apples-to-apples (as in the paper, where both the
 principles and DAT target the same MAESTRO-style cost).  The reuse rule
 itself is one integer function over ``(dim, trip)`` loops,
 :func:`reuse_multiplier`: :func:`memory_access` applies it to a
-materialized loop nest, and the closed-form constructors in
-:mod:`repro.core` apply it straight to tile trip counts to rank their
-candidate tile pairs, building a dataflow only for the winner.
+materialized loop nest, and :func:`trip_scorer`, its one compiled form,
+straight to the free dims' trip counts of one operator's nest or a fused
+chain's nests.  The closed-form constructors in :mod:`repro.core` rank
+their candidate tile pairs with it and build a dataflow only for the winner.
 
 Reuse rule
 ----------
@@ -50,7 +51,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Container, Dict, Iterable, Mapping, Tuple
+from typing import (
+    Callable,
+    Container,
+    Dict,
+    Iterable,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..ir.loopnest import LoopNest
 from ..ir.operator import TensorOperator
@@ -139,6 +149,108 @@ def reuse_multiplier(
         else:
             pending *= trip
     return multiplier
+
+
+#: A tensor of a nest, as :func:`trip_scorer` reads it: its name, index
+#: dims, size, and whether it must stay resident (never be re-fetched).
+NestTensor = Tuple[str, Container[str], int, bool]
+#: One operator's nest: its loop order, outermost first, and its tensors.
+Nest = Tuple[Sequence[str], Sequence[NestTensor]]
+
+
+def trip_scorer(
+    nests: Sequence[Nest],
+    extents: Mapping[str, int],
+    fixed: Mapping[str, int],
+    dim_x: Optional[str] = None,
+    dim_y: Optional[str] = None,
+) -> Callable[[int, int], Optional[int]]:
+    """The reuse rule compiled for nests whose free dims' trips vary.
+
+    Every dim of the nests but the free ``dim_x``/``dim_y`` (``None`` when
+    there are fewer) takes its tile from ``fixed``.  ``score(trip_x,
+    trip_y)`` is the per-instance access count at those free trips: each
+    tensor is charged its size times :func:`reuse_multiplier`, and a
+    tensor read by several nests its worst charge, as :func:`memory_access`
+    counts one nest and :func:`repro.dataflow.fusion_nest.fused_memory_access`
+    a fused chain under :data:`PartialSumConvention.SINGLE`.  ``None``
+    means a resident tensor would be re-fetched.
+
+    A free loop of one trip drops out of the rule, and counts a factor of 1
+    wherever the rule counts it, so a tensor's multiplier depends on the
+    free trips only through which of its indexing loops is the innermost
+    effective one.  Each tensor's indexing loops are listed once, each with
+    the free loop it needs effective (0: none) and the multiplier it gives,
+    ``coef * trip_x**pow_x * trip_y**pow_y``.  Each of the four shapes --
+    whether each free trip exceeds 1 -- picks the last effective one on
+    first use, compiling the score into integer arithmetic on the two trips.
+    """
+
+    tensors = []
+    for order, nest_tensors in nests:
+        loops = []
+        for dim in order:
+            free = 1 if dim == dim_x else 2 if dim == dim_y else 0
+            trip = 1 if free else -(-extents[dim] // fixed[dim])
+            if free or trip > 1:
+                loops.append((dim, trip, free))
+        for name, dims, size, resident in nest_tensors:
+            candidates = []
+            coef, pow_x, pow_y = 1, 0, 0
+            for dim, trip, free in loops:
+                if dim in dims:
+                    candidates.append((free, (coef, pow_x, pow_y)))
+                else:
+                    coef *= trip
+                    pow_x |= free == 1
+                    pow_y |= free == 2
+            tensors.append((name, size, resident, candidates))
+
+    def compile_shape(live: Tuple[bool, bool, bool]) -> tuple:
+        """``(k, k_x, k_y, k_xy, rest)``, or ``()`` if a resident tensor
+        is re-fetched, with ``live[free]`` whether such loops are effective."""
+        worst: Dict[str, set] = {}
+        for name, size, resident, candidates in tensors:
+            coef, pow_x, pow_y = 1, 0, 0
+            for free, term in candidates:
+                if live[free]:
+                    coef, pow_x, pow_y = term
+            if resident:
+                if coef > 1 or pow_x and live[1] or pow_y and live[2]:
+                    return ()
+            else:
+                worst.setdefault(name, set()).add((size * coef, pow_x, pow_y))
+        # Coefficients of 1, trip_x, trip_y and trip_x*trip_y; a tensor its
+        # nests charge differently keeps its max, in ``rest``.
+        linear = [0, 0, 0, 0]
+        rest = []
+        for terms in worst.values():
+            if len(terms) == 1:
+                ((weight, pow_x, pow_y),) = terms
+                linear[pow_x + 2 * pow_y] += weight
+            else:
+                rest.append(tuple(terms))
+        return (*linear, tuple(rest))
+
+    shapes: list = [None] * 4  # by (trip_x > 1) + 2 * (trip_y > 1)
+
+    def score(trip_x: int, trip_y: int) -> Optional[int]:
+        index = (trip_x > 1) + 2 * (trip_y > 1)
+        shape = shapes[index]
+        if shape is None:
+            shape = shapes[index] = compile_shape((True, trip_x > 1, trip_y > 1))
+        if not shape:
+            return None
+        k, k_x, k_y, k_xy, rest = shape
+        total = k + (k_x + k_xy * trip_y) * trip_x + k_y * trip_y
+        for terms in rest:
+            total += max(
+                weight * (trip_x if pow_x else 1) * (trip_y if pow_y else 1)
+                for weight, pow_x, pow_y in terms
+            )
+        return total
+
+    return score
 
 
 def tensor_multiplier(

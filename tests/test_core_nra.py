@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mm_ops
+from conftest import mm_like_ops, mm_ops
 from repro.core import (
     UnsupportedOperatorError,
     all_candidates,
@@ -182,6 +182,25 @@ class TestAllCandidates:
         for budget in (10, 100, 1000, 10000):
             for candidate in all_candidates(op, budget):
                 assert candidate.dataflow.buffer_footprint(op) <= budget
+
+    @given(
+        st.one_of(
+            mm_like_ops(),
+            st.lists(
+                st.one_of(st.integers(1, 4096), st.integers(2290, 2320)),
+                min_size=3,
+                max_size=3,
+            ).map(lambda dims: matmul("mm", *dims)),
+        ),
+        st.integers(1, 1 << 21),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_candidate_fits_the_buffer(self, op, budget):
+        """The intra optimizer counts candidates without a buffer check:
+        each one fits by construction (dims around the pair search's
+        sweep edge of 2303 included)."""
+        for candidate in all_candidates(op, budget):
+            assert candidate.dataflow.buffer_footprint(op) <= budget
 
     @given(mm_ops(max_dim=48), st.integers(4, 4096))
     @settings(max_examples=50, deadline=None)

@@ -1,17 +1,25 @@
-"""The trip-count pair scorers equal the exact access counters they replace.
+"""The compiled reuse rule equals the exact access counters it replaces.
 
-Single-NRA and the fused patterns rank their candidate tile pairs by the
-reuse rule applied straight to trip counts, and build a dataflow only for
-the winner.  These properties pin, pair by pair, that the scores are the
-numbers the materialized-nest counters give:
+Single-NRA and the fused patterns rank their candidate tile pairs by one
+scorer, :func:`repro.dataflow.cost.trip_scorer`, on the trip counts the
+pair search hands over, and build a dataflow only for the winner.  These
+properties pin, pair by pair, that the scores are the numbers the
+materialized-nest counters give:
 
-* ``single_nra_scorer`` equals ``memory_access(...).per_instance_total``;
-* ``fused_scorer`` equals ``fused_memory_access(...).total``, and returns
-  ``None`` exactly when that report is not ``fusable`` -- on the tiles
-  every pattern yields (0, 1 or 2 free dims), and on random tilings, free
-  dims and loop orders of a chain whose consumer also reads the producer's
-  input (so a shared loop can sit outside the intermediate and break
-  fusability, and one tensor's operators can charge it differently);
+* over a Single-NRA candidate list, on its one nest, the score equals
+  ``memory_access(...).per_instance_total``;
+* on any MM-like operator's nest -- any of its six loop orders, 0, 1 or 2
+  free dims, the rest at random fixed tiles (so the Two- and Three-NRA
+  shapes too) -- the score equals ``memory_access(...).per_instance_total``;
+* on the fused nests, the score equals ``fused_memory_access(...)``'s
+  ``per_instance_total`` and is ``None`` exactly when that report is not
+  ``fusable`` -- on the tiles every pattern yields (0, 1 or 2 free dims),
+  and on random tilings, free dims and loop orders of a chain whose
+  consumer also reads the producer's input (so a shared loop can sit
+  outside the intermediate and break fusability, and one tensor's
+  operators can charge it differently);
+* ``first_minimum`` keeps the first candidate of least score, skips
+  ``None`` scores, and scores trip counts, not tiles;
 * ``reuse_multiplier`` (and ``tensor_multiplier``, which delegates to it)
   equals the rule written out positionally, on random loop nests.
 """
@@ -23,26 +31,46 @@ from hypothesis import given, settings, strategies as st
 from conftest import DTYPES, buffer_sizes, mm_like_ops
 from repro.core.fusion import (
     FusionMedium,
+    _chain_structure,
     _pattern_tiles,
-    _private_orders,
     cross_patterns,
-    fused_scorer,
     profitable_patterns,
 )
 from repro.core.nra import (
     TileConstraint,
     _index_sets,
     _other_dim,
-    pair_candidates,
-    single_nra_scorer,
+    _pair_trips,
+    first_minimum,
 )
-from repro.dataflow.cost import memory_access, reuse_multiplier, tensor_multiplier
+from repro.dataflow.cost import (
+    memory_access,
+    reuse_multiplier,
+    tensor_multiplier,
+    trip_scorer,
+)
 from repro.dataflow.fusion_nest import FusedChain, FusedDataflow, fused_memory_access
-from repro.dataflow.scheduling import stationary_schedule
+from repro.dataflow.scheduling import Schedule, stationary_schedule
 from repro.dataflow.spec import Dataflow
 from repro.dataflow.tiling import Tiling
 from repro.ir import Tensor, TensorOperator, matmul
 from repro.ir.loopnest import LoopNest, TiledLoop
+
+
+def single_nest(operator, order):
+    """``operator``'s one nest under ``order``, as the scorer reads it."""
+    tensors = [
+        (tensor.name, operator.dims_of(tensor.name), tensor.size, False)
+        for tensor in operator.tensors
+    ]
+    return ((order, tensors),)
+
+
+def trips_of(extents, tiles, dims):
+    """The trip counts of ``dims`` (1 for a missing dim)."""
+    return tuple(
+        1 if dim is None else -(-extents[dim] // tiles[dim]) for dim in dims
+    )
 
 
 @st.composite
@@ -67,42 +95,81 @@ def test_single_nra_score_equals_memory_access(operator, buffer_elems):
         constraint = TileConstraint.from_footprint(
             _index_sets(operator), {dim_z: 1}, dim_x, dim_y, buffer_elems
         )
-        score = single_nra_scorer(operator, tensor.name)
         schedule = stationary_schedule(operator, tensor.name)
-        for tile_x, tile_y in pair_candidates(
+        score = trip_scorer(
+            single_nest(operator, schedule.order),
+            operator.dims,
+            {dim_z: 1},
+            dim_x,
+            dim_y,
+        )
+        for (tile_x, tile_y), trips in _pair_trips(
             (constraint,), operator.dims[dim_x], operator.dims[dim_y]
         ):
-            dataflow = Dataflow(
-                Tiling({dim_x: tile_x, dim_y: tile_y, dim_z: 1}), schedule
-            )
-            assert score(tile_x, tile_y) == (
+            tiles = {dim_x: tile_x, dim_y: tile_y, dim_z: 1}
+            assert trips == trips_of(operator.dims, tiles, (dim_x, dim_y))
+            dataflow = Dataflow(Tiling(tiles), schedule)
+            assert score(*trips) == (
                 memory_access(operator, dataflow).per_instance_total
             )
             checked += 1
     assert checked
 
 
+@st.composite
+def single_op_nests(draw):
+    """An MM-like operator, one of its six loop orders, random tiles and
+    0, 1 or 2 of its dims left free."""
+    operator = draw(mm_like_ops())
+    order = tuple(draw(st.permutations(operator.dim_names)))
+    tiles = {
+        dim: draw(st.integers(1, extent)) for dim, extent in operator.dims.items()
+    }
+    free = draw(st.permutations(operator.dim_names))[: draw(st.integers(0, 2))]
+    return operator, order, tiles, tuple(free)
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_op_nests())
+def test_score_equals_memory_access_on_any_single_op_nest(case):
+    operator, order, tiles, free = case
+    dim_x, dim_y = (free + (None, None))[:2]
+    fixed = {dim: tile for dim, tile in tiles.items() if dim not in free}
+    score = trip_scorer(
+        single_nest(operator, order), operator.dims, fixed, dim_x, dim_y
+    )
+    dataflow = Dataflow(Tiling(tiles), Schedule(order))
+    assert score(*trips_of(operator.dims, tiles, (dim_x, dim_y))) == (
+        memory_access(operator, dataflow).per_instance_total
+    )
+
+
 @settings(max_examples=100, deadline=None)
 @given(two_mm_chains(), buffer_sizes(max_size=1 << 18), st.integers(1, 1 << 14))
 def test_fused_score_equals_fused_memory_access(ops, buffer_elems, register_elems):
     chain = FusedChain.from_ops(ops)
-    private_orders = _private_orders(chain)
+    structure = _chain_structure(chain)
+    private_orders = structure.private_orders
     for pattern in profitable_patterns(chain) + cross_patterns(chain):
         for medium in (FusionMedium.MEMORY, FusionMedium.COMPUTE_UNIT):
             tiles = _pattern_tiles(
-                chain, pattern, buffer_elems, medium, register_elems
+                structure, pattern, buffer_elems, medium, register_elems
             )
             for order in itertools.permutations(chain.common_dims):
-                score = fused_scorer(
-                    chain, order, private_orders,
+                score = trip_scorer(
+                    structure.nests(order), chain.global_dims,
                     tiles.fixed, tiles.dim_x, tiles.dim_y,
                 )
-                for pair in tiles.pairs:
-                    report = fused_memory_access(
-                        chain, tiles.dataflow(pair, order, private_orders)
+                for pair, trips in tiles.candidates:
+                    dataflow = tiles.dataflow(pair, order, private_orders)
+                    assert trips == trips_of(
+                        chain.global_dims,
+                        dataflow.tiling,
+                        (tiles.dim_x, tiles.dim_y),
                     )
-                    expected = report.total if report.fusable else None
-                    assert score(*pair) == expected, (pattern.label, order, pair)
+                    report = fused_memory_access(chain, dataflow)
+                    expected = report.per_instance_total if report.fusable else None
+                    assert score(*trips) == expected, (pattern.label, order, pair)
 
 
 @st.composite
@@ -151,11 +218,35 @@ def test_fused_score_equals_fused_memory_access_on_any_tiling(case):
     report = fused_memory_access(
         chain, FusedDataflow(shared_order, private_orders, Tiling(tiles))
     )
-    expected = report.total if report.fusable else None
+    expected = report.per_instance_total if report.fusable else None
     dim_x, dim_y = (list(free) + [None, None])[:2]
     fixed = {dim: tile for dim, tile in tiles.items() if dim not in free}
-    score = fused_scorer(chain, shared_order, private_orders, fixed, dim_x, dim_y)
-    assert score(tiles.get(dim_x, 1), tiles.get(dim_y, 1)) == expected
+    structure = _chain_structure(chain)._replace(private_orders=private_orders)
+    score = trip_scorer(
+        structure.nests(shared_order), chain.global_dims, fixed, dim_x, dim_y
+    )
+    trips = trips_of(chain.global_dims, tiles, (dim_x, dim_y))
+    assert score(*trips) == expected
+
+
+def test_first_minimum_keeps_the_first_least_score_of_the_trips():
+    # Three trip pairs tie at the least score and one scores None.  Tiles
+    # and trips differ, so scoring the tiles would pick (3, 3) and would
+    # score the last pair.
+    candidates = [
+        ((1, 1), (9, 9)),
+        ((2, 5), (4, 2)),
+        ((3, 3), (3, 3)),
+        ((4, 2), (2, 4)),
+        ((5, 5), (1, 1)),
+    ]
+
+    def score(trip_x, trip_y):
+        return None if trip_x == trip_y == 1 else trip_x + trip_y
+
+    assert first_minimum(candidates, score) == (6, (2, 5))
+    assert first_minimum(candidates[4:], score) is None
+    assert first_minimum([], score) is None
 
 
 @st.composite
