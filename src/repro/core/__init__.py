@@ -23,6 +23,7 @@ from .memo import clear_memo, memo_stats
 from .regimes import BufferRegime, RegimeReport, classify_buffer
 from .nra import (
     NRACandidate,
+    Role,
     UnsupportedOperatorError,
     all_candidates,
     is_mm_like,
@@ -55,7 +56,6 @@ from .fusion import (
     FusedPattern,
     FusedResult,
     FusionDecision,
-    Role,
     cached_optimize_fused,
     cross_patterns,
     decide_fusion,

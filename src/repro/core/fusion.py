@@ -18,10 +18,11 @@ cross-*                mixed per-operator classes               red arrows
 (`common` dims are the intermediate tensor's dimensions; `private` dims
 belong to a single operator, e.g. MM1's reduction K and MM2's output N.)
 
-Tile sizes for MAXIMIZE roles are solved in closed form from the integer
-coefficients of the fused buffer footprint (and, for compute-unit fusion,
-of each intermediate's register footprint) -- the same one-shot
-construction as the intra candidates, no search.  The chain's structure
+Tile sizes for MAXIMIZE roles are solved in closed form by the builder
+that tiles the intra candidates, :func:`repro.core.nra.role_tiles`, from
+the integer coefficients of the fused buffer footprint (and, for
+compute-unit fusion, of each intermediate's register footprint) -- no
+search.  The chain's structure
 is derived once per search.  Each pattern's tile list is built once per
 medium, with the trip counts the pair search computed, and scored under
 every shared-loop order by the reuse rule Single-NRA ranks with too
@@ -77,16 +78,8 @@ from ..dataflow.spec import NRAClass
 from ..dataflow.tiling import Tiling
 from . import memo
 from .intra import IntraResult, optimize_intra
-from .nra import PairTrips, TileConstraint, _pair_trips, first_minimum, max_tile
+from .nra import Role, RoleTiles, first_minimum, role_tiles
 from .principles import principle4_predicts
-
-
-class Role(Enum):
-    """Tiling role of a global dimension inside a fused pattern."""
-
-    MAXIMIZE = "max"
-    MINIMIZE = "min"
-    UNTILE = "untile"
 
 
 class FusionMedium(Enum):
@@ -311,6 +304,19 @@ class _ChainStructure(NamedTuple):
             for op, tensors in zip(self.chain.ops, self.op_tensors)
         )
 
+    def dataflow(
+        self,
+        tiles: RoleTiles,
+        pair: Tuple[int, int],
+        shared_order: Tuple[str, ...],
+    ) -> FusedDataflow:
+        """The fused dataflow of ``tiles`` with free tiles ``pair``."""
+        return FusedDataflow(
+            shared_order=shared_order,
+            private_orders=self.private_orders,
+            tiling=Tiling(tiles.tiles(pair)),
+        )
+
 
 def _chain_structure(chain: FusedChain) -> _ChainStructure:
     intermediates = tuple(tensor.name for tensor in chain.intermediates())
@@ -339,50 +345,16 @@ def _chain_structure(chain: FusedChain) -> _ChainStructure:
     )
 
 
-class _PatternTiles(NamedTuple):
-    """A pattern's fixed tiles, free dims and capacity-feasible free tiles.
-
-    ``candidates`` holds ``((t_x, t_y), (trip_x, trip_y))`` for the free
-    dims ``dim_x``/``dim_y`` (a missing free dim's tile and trip are 1),
-    sorted by tile pair; it is empty when even the minimal tiles overflow.
-    None of it depends on the shared-loop order.
-    """
-
-    fixed: Dict[str, int]
-    dim_x: Optional[str]
-    dim_y: Optional[str]
-    candidates: List[PairTrips]
-
-    def dataflow(
-        self,
-        pair: Tuple[int, int],
-        shared_order: Tuple[str, ...],
-        private_orders: Mapping[str, Tuple[str, ...]],
-    ) -> FusedDataflow:
-        free = {
-            dim: tile
-            for dim, tile in zip((self.dim_x, self.dim_y), pair)
-            if dim is not None
-        }
-        return FusedDataflow(
-            shared_order=shared_order,
-            private_orders=private_orders,
-            tiling=Tiling({**self.fixed, **free}),
-        )
-
-
 def _pattern_tiles(
     structure: _ChainStructure,
     pattern: FusedPattern,
     buffer_elems: int,
     medium: FusionMedium,
     register_elems: Optional[int],
-) -> _PatternTiles:
-    """Resolve a pattern's roles and its free tiles' capacity candidates.
-
-    Two free dims get every pair :func:`_pair_trips` yields, one gets its
-    largest feasible tile, none gets the minimal tiles if they fit.
-    """
+) -> RoleTiles:
+    """A pattern's tiles under the capacity of ``medium``: the buffer
+    footprint, and under COMPUTE_UNIT each intermediate's tile against the
+    registers instead.  None of it depends on the shared-loop order."""
 
     if medium is FusionMedium.BEST:
         raise FusionError(
@@ -391,46 +363,10 @@ def _pattern_tiles(
         )
     if medium is FusionMedium.COMPUTE_UNIT and register_elems is None:
         raise FusionError("compute-unit fusion needs register_elems")
-    extents = structure.chain.global_dims
-    roles = pattern.roles
-    missing = set(extents) - set(roles)
-    if missing:
-        raise FusionError(f"pattern {pattern.label!r} missing roles for {missing}")
-    fixed: Dict[str, int] = {}
-    free: List[str] = []
-    for dim, role in roles.items():
-        if role is Role.UNTILE:
-            fixed[dim] = extents[dim]
-        elif role is Role.MINIMIZE:
-            fixed[dim] = 1
-        else:
-            free.append(dim)
-    if len(free) > 2:
-        raise FusionError(
-            f"pattern {pattern.label!r} has {len(free)} free dims; at most 2 "
-            "supported"
-        )
-    dim_x, dim_y = (free + [None, None])[:2]
-    # The buffer footprint, and under COMPUTE_UNIT each intermediate's tile
-    # against the registers instead.
     buffer_axes, register_axes = structure.capacity_axes[medium]
-    constraints = [
-        TileConstraint.from_footprint(buffer_axes, fixed, dim_x, dim_y, buffer_elems)
-    ] + [
-        TileConstraint.from_footprint([axes], fixed, dim_x, dim_y, register_elems)
-        for axes in register_axes
-    ]
-    candidates: List[PairTrips] = []
-    if dim_x is None:
-        if all(c.fits(1, 1) for c in constraints):
-            candidates = [((1, 1), (1, 1))]
-    elif dim_y is None:
-        tile = max_tile(constraints, extents[dim_x])
-        if tile is not None:
-            candidates = [((tile, 1), (-(-extents[dim_x] // tile), 1))]
-    else:
-        candidates = _pair_trips(constraints, extents[dim_x], extents[dim_y])
-    return _PatternTiles(fixed, dim_x, dim_y, candidates)
+    capacity = [(buffer_axes, buffer_elems)]
+    capacity += [([axes], register_elems) for axes in register_axes]
+    return role_tiles(structure.chain.global_dims, pattern.roles, capacity)
 
 
 def solve_pattern(
@@ -464,11 +400,8 @@ def solve_pattern(
         return None
     if shared_order is None:
         shared_order = _shared_order(chain, pattern.roles)
-    private_orders = structure.private_orders
     # Every candidate shares the dataflow's structure: check it once.
-    tiles.dataflow(tiles.candidates[0][0], shared_order, private_orders).validate(
-        chain
-    )
+    structure.dataflow(tiles, tiles.candidates[0][0], shared_order).validate(chain)
     score = trip_scorer(
         structure.nests(shared_order), chain.global_dims,
         tiles.fixed, tiles.dim_x, tiles.dim_y,
@@ -476,7 +409,7 @@ def solve_pattern(
     best = first_minimum(tiles.candidates, score)
     if best is None:
         return None
-    return tiles.dataflow(best[1], shared_order, private_orders)
+    return structure.dataflow(tiles, best[1], shared_order)
 
 
 def per_op_nra_classes(
@@ -532,7 +465,6 @@ def optimize_fused(
     else:
         media = (medium,)
     structure = _chain_structure(chain)
-    private_orders = structure.private_orders
     shared_orders = tuple(itertools.permutations(chain.common_dims))
     nests = {order: structure.nests(order) for order in shared_orders}
     # (total, pattern, medium, dataflow builder) of the first strict
@@ -549,8 +481,8 @@ def optimize_fused(
                 continue
             if not validated:
                 # Every candidate shares the dataflow's structure: check it once.
-                tiles.dataflow(
-                    tiles.candidates[0][0], shared_orders[0], private_orders
+                structure.dataflow(
+                    tiles, tiles.candidates[0][0], shared_orders[0]
                 ).validate(chain)
                 validated = True
             for shared_order in shared_orders:
@@ -564,7 +496,7 @@ def optimize_fused(
                     continue
                 total, pair = found
                 build = functools.partial(
-                    tiles.dataflow, pair, shared_order, private_orders
+                    structure.dataflow, tiles, pair, shared_order
                 )
                 if convention is not PartialSumConvention.SINGLE:
                     # The score ranks fused totals under SINGLE only.

@@ -16,6 +16,13 @@ constructs the same three candidate families the MM analysis produces:
   of one other dim ``x``, minimize the rest.
 * **resident[t]** (Principle 3): keep tensor ``t`` entirely on-chip (all
   its dims untiled), minimize the rest.
+* **stream[d]** (full Three-NRA analogue): every dim but ``d`` whole.
+
+The untile, resident and stream families are role maps tiled by the
+builder the MM candidates and fused patterns use,
+:func:`repro.core.nra.role_tiles`: their one grown tile is a closed-form
+division, not a search.  Only the stationary family, which grows more
+than two dims in lock step, keeps its own balanced growth.
 
 The candidate count is ``2*T + D*(D-1)`` for ``T`` tensors and ``D`` dims --
 still a constant independent of tensor sizes, preserving the one-shot
@@ -26,8 +33,9 @@ property.  For 3-dim MM-like operators the specialized constructors in
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..ir.operator import TensorOperator
 from ..dataflow.cost import MemoryAccessReport, PartialSumConvention, memory_access
@@ -35,7 +43,14 @@ from ..dataflow.scheduling import Schedule
 from ..dataflow.spec import Dataflow
 from ..dataflow.tiling import Tiling
 from .intra import InfeasibleError, IntraResult, optimize_intra
-from .nra import is_mm_like, is_streaming, max_feasible, streaming_dataflow
+from .nra import (
+    Role,
+    is_mm_like,
+    is_streaming,
+    max_feasible,
+    role_tiles,
+    streaming_dataflow,
+)
 
 
 @dataclass(frozen=True)
@@ -44,10 +59,6 @@ class GenericCandidate:
 
     label: str
     dataflow: Dataflow
-
-
-def _ceil_div(numerator: int, denominator: int) -> int:
-    return -(-numerator // denominator)
 
 
 def _balanced_scale_tilings(
@@ -62,8 +73,6 @@ def _balanced_scale_tilings(
     others) and trip-count-snapped variants -- the multi-dim analogue of
     the MM pair refinement.  Empty when even all-ones overflows.
     """
-
-    import itertools
 
     def tiling_for(scale: int) -> Dict[str, int]:
         tiles = {dim: 1 for dim in operator.dim_names}
@@ -109,16 +118,10 @@ def _balanced_scale_tilings(
         register(tiles)
         # Snap each grown dim to the smallest tile with the same trip
         # count, then regrow the remaining dims with the freed footprint.
-        snapped = {
-            dim: (
-                _ceil_div(
-                    operator.dims[dim], _ceil_div(operator.dims[dim], tile)
-                )
-                if dim in grown_dims
-                else tile
-            )
-            for dim, tile in tiles.items()
-        }
+        snapped = dict(tiles)
+        for dim in grown_dims:
+            extent = operator.dims[dim]
+            snapped[dim] = -(-extent // -(-extent // tiles[dim]))
         for dim in order:
             if snapped[dim] >= operator.dims[dim]:
                 continue
@@ -165,52 +168,38 @@ def generic_candidates(
                 )
             )
 
-    # Principle 2 analogue: (untiled dim, maximized dim) pairs.
-    for untiled in all_dims:
-        for maximized in all_dims:
-            if maximized == untiled:
-                continue
+    index_sets = [operator.dims_of(tensor.name) for tensor in operator.tensors]
 
-            def footprint(tile: int, grown=maximized, whole=untiled) -> int:
-                tiles = {dim: 1 for dim in all_dims}
-                tiles[whole] = operator.dims[whole]
-                tiles[grown] = tile
-                return Tiling(tiles).buffer_footprint(operator)
-
-            tile = max_feasible(footprint, operator.dims[maximized], buffer_elems)
-            if tile is None:
-                continue
-            tiles = {dim: 1 for dim in all_dims}
-            tiles[untiled] = operator.dims[untiled]
-            tiles[maximized] = tile
-            order = (maximized,) + tuple(
-                dim for dim in all_dims if dim not in (maximized, untiled)
-            ) + (untiled,)
+    def add(label: str, roles: Mapping[str, Role], order: Tuple[str, ...]) -> None:
+        """The candidate of ``roles`` (at most one MAXIMIZE dim), if it fits."""
+        tiles = role_tiles(operator.dims, roles, [(index_sets, buffer_elems)])
+        if tiles.candidates:
+            resolved = tiles.tiles(tiles.candidates[0][0])
+            tiling = Tiling({dim: resolved[dim] for dim in all_dims})
             candidates.append(
-                GenericCandidate(
-                    label=f"untile[{untiled}, max {maximized}]",
-                    dataflow=Dataflow(Tiling(tiles), Schedule(order)),
-                )
+                GenericCandidate(label, Dataflow(tiling, Schedule(order)))
             )
+
+    # Principle 2 analogue: (untiled dim, maximized dim) pairs.
+    for untiled, maximized in itertools.permutations(all_dims, 2):
+        roles = {dim: Role.MINIMIZE for dim in all_dims}
+        roles[untiled] = Role.UNTILE
+        roles[maximized] = Role.MAXIMIZE
+        order = (maximized,) + tuple(
+            dim for dim in all_dims if dim not in (maximized, untiled)
+        ) + (untiled,)
+        add(f"untile[{untiled}, max {maximized}]", roles, order)
 
     # Principle 3 analogue: one resident candidate per tensor.
     for tensor in operator.tensors:
         dims = set(operator.dims_of(tensor.name))
-        tiles = {
-            dim: (operator.dims[dim] if dim in dims else 1) for dim in all_dims
+        roles = {
+            dim: Role.UNTILE if dim in dims else Role.MINIMIZE for dim in all_dims
         }
-        tiling = Tiling(tiles)
-        if tiling.buffer_footprint(operator) > buffer_elems:
-            continue
         order = tuple(dim for dim in all_dims if dim not in dims) + tuple(
             dim for dim in all_dims if dim in dims
         )
-        candidates.append(
-            GenericCandidate(
-                label=f"resident[{tensor.name}]",
-                dataflow=Dataflow(tiling, Schedule(order)),
-            )
-        )
+        add(f"resident[{tensor.name}]", roles, order)
 
     # Full Three-NRA analogue: stream one dim, keep every other dim whole.
     # Everything becomes non-redundant (the only effective loop indexes --
@@ -218,20 +207,10 @@ def generic_candidates(
     # the residual footprint fits; for MM these are exactly the Three-NRA
     # candidates.
     for streamed in all_dims:
-        tiles = {
-            dim: (1 if dim == streamed else operator.dims[dim])
-            for dim in all_dims
-        }
-        tiling = Tiling(tiles)
-        if tiling.buffer_footprint(operator) > buffer_elems:
-            continue
+        roles = {dim: Role.UNTILE for dim in all_dims}
+        roles[streamed] = Role.MINIMIZE
         order = (streamed,) + tuple(d for d in all_dims if d != streamed)
-        candidates.append(
-            GenericCandidate(
-                label=f"stream[{streamed}]",
-                dataflow=Dataflow(tiling, Schedule(order)),
-            )
-        )
+        add(f"stream[{streamed}]", roles, order)
     return candidates
 
 

@@ -8,9 +8,14 @@ dataflows:
 * 6 Two-NRA   -- one per (untiled dim, maximized dim) pair (Principle 2),
 * 3 Three-NRA -- one per fully-resident tensor choice (Principle 3).
 
-Each constructor solves its tile sizes directly from the buffer constraint.
-The footprint (Eq. 2 / Eq. 4) is compiled once into the integer
-coefficients of ``a*x*y + b*x + c*y + d`` over the free tiles
+Each candidate is a role map over the operator's dims (:class:`Role`):
+Single[t] maximizes t's dims, Two[u, x] leaves u whole and maximizes x,
+Three[t] leaves t's dims whole, and every other dim is minimized.  One
+builder, :func:`role_tiles`, turns a role map into tiles under capacity
+constraints; the fused patterns of :mod:`repro.core.fusion` and the
+untile / resident / stream families of :mod:`repro.core.generic` are
+tiled by it too.  The footprint (Eq. 2 / Eq. 4) is compiled once into the
+integer coefficients of ``a*x*y + b*x + c*y + d`` over the free tiles
 (:class:`TileConstraint`), so the largest feasible tile for a given partner
 is one integer division -- no search of any kind.
 Candidate tile pairs (:func:`pair_candidates`) probe each tile once: the
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from operator import itemgetter
 from typing import (
     Callable,
@@ -40,6 +46,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -93,13 +100,13 @@ def _require_mm_like(operator: TensorOperator) -> None:
 
 
 def _other_dim(operator: TensorOperator, dims: Tuple[str, ...]) -> str:
-    remaining = [d for d in operator.dim_names if d not in dims]
+    remaining = operator.dims.keys() - dims
     if len(remaining) != 1:
         raise UnsupportedOperatorError(
             f"dims {dims} do not leave a unique remaining dim in "
             f"{operator.dim_names}"
         )
-    return remaining[0]
+    return remaining.pop()
 
 
 # ----------------------------------------------------------------------
@@ -126,8 +133,7 @@ def max_feasible(
     return low
 
 
-@dataclass(frozen=True)
-class TileConstraint:
+class TileConstraint(NamedTuple):
     """Capacity constraint ``a*x*y + b*x + c*y + d <= bound`` on two tiles.
 
     A buffer footprint is a sum of tile products, one per tensor (Eq. 2 /
@@ -162,34 +168,24 @@ class TileConstraint:
 
         coefficients = [0, 0, 0, 0]  # x*y, x, y, constant
         for dims in index_sets:
-            free = [dim for dim in dims if dim in (dim_x, dim_y)]
-            if len(set(free)) != len(free):
+            weight, in_x, in_y = 1, 0, 0
+            for dim in dims:
+                if dim == dim_x:
+                    in_x += 1
+                elif dim == dim_y:
+                    in_y += 1
+                else:
+                    weight *= fixed[dim]
+            if in_x > 1 or in_y > 1:
                 raise UnsupportedOperatorError(
                     f"index set {tuple(dims)} repeats a free dim; its "
                     "footprint is not bilinear"
                 )
-            weight = math.prod(fixed[dim] for dim in dims if dim not in free)
-            coefficients[3 - 2 * (dim_x in free) - (dim_y in free)] += weight
+            coefficients[3 - 2 * in_x - in_y] += weight
         return cls(*coefficients, bound)
 
     def fits(self, x: int, y: int) -> bool:
         return self.a * x * y + self.b * x + self.c * y + self.d <= self.bound
-
-    def max_x(self, y: int, upper: int) -> Optional[int]:
-        """Largest ``x`` in [1, upper] fitting with ``y`` (``None``: none)."""
-        slope = self.a * y + self.b
-        room = self.bound - self.c * y - self.d
-        if room < slope:
-            return None
-        return upper if slope == 0 else min(upper, room // slope)
-
-    def max_y(self, x: int, upper: int) -> Optional[int]:
-        """Largest ``y`` in [1, upper] fitting with ``x`` (``None``: none)."""
-        slope = self.a * x + self.c
-        room = self.bound - self.b * x - self.d
-        if room < slope:
-            return None
-        return upper if slope == 0 else min(upper, room // slope)
 
     def max_balanced(self, upper_x: int, upper_y: int) -> Optional[int]:
         """Largest ``t`` with ``(min(t, upper_x), min(t, upper_y))`` fitting.
@@ -202,9 +198,11 @@ class TileConstraint:
         edge = min(upper_x, upper_y)
         if self.fits(edge, edge):
             if upper_x < upper_y:
-                return self.max_y(upper_x, upper_y)
+                grow_y = (self.a, self.b, self.c, self.d, self.bound)
+                return _largest_free((grow_y,), upper_x, upper_y)
             if upper_y < upper_x:
-                return self.max_x(upper_y, upper_x)
+                grow_x = (self.a, self.c, self.b, self.d, self.bound)
+                return _largest_free((grow_x,), upper_y, upper_x)
             return edge
         if not self.fits(1, 1):
             return None
@@ -396,12 +394,93 @@ def first_minimum(
     intermediate re-fetched) never wins.  ``None`` when nothing scores.
     """
 
-    best: Optional[Tuple[int, Tuple[int, int]]] = None
+    best_total: Optional[int] = None
+    best_pair = (0, 0)
     for pair, (trip_x, trip_y) in candidates:
         total = score(trip_x, trip_y)
-        if total is not None and (best is None or total < best[0]):
-            best = (total, pair)
-    return best
+        if total is not None and (best_total is None or total < best_total):
+            best_total, best_pair = total, pair
+    return None if best_total is None else (best_total, best_pair)
+
+
+# ----------------------------------------------------------------------
+# Role-map tile builder
+# ----------------------------------------------------------------------
+class Role(Enum):
+    """Tiling role of a loop dim: the principles' per-dim recipe."""
+
+    MAXIMIZE = "max"
+    MINIMIZE = "min"
+    UNTILE = "untile"
+
+
+class RoleTiles(NamedTuple):
+    """A role map's fixed tiles, free dims and capacity-feasible free tiles.
+
+    ``candidates`` holds ``((t_x, t_y), (trip_x, trip_y))`` for the free
+    dims ``dim_x``/``dim_y`` (a missing free dim's tile and trip are 1),
+    sorted by tile pair; it is empty when even the minimal tiles overflow.
+    """
+
+    fixed: Dict[str, int]
+    dim_x: Optional[str]
+    dim_y: Optional[str]
+    candidates: List[PairTrips]
+
+    def tiles(self, pair: Tuple[int, int]) -> Dict[str, int]:
+        """Every dim's tile: the fixed tiles, then ``pair``'s free tiles."""
+        tiles = dict(self.fixed)
+        if self.dim_x is not None:
+            tiles[self.dim_x] = pair[0]
+        if self.dim_y is not None:
+            tiles[self.dim_y] = pair[1]
+        return tiles
+
+
+def role_tiles(
+    extents: Mapping[str, int],
+    roles: Mapping[str, Role],
+    capacity: Iterable[Tuple[Iterable[Sequence[str]], int]],
+) -> RoleTiles:
+    """The tiles of a role map under capacity constraints.
+
+    UNTILE dims take their extent and MINIMIZE dims tile 1; the MAXIMIZE
+    dims (at most two, ``dim_x`` then ``dim_y`` in ``roles`` order) grow
+    under every ``(index sets, bound)`` of ``capacity``: the sum over the
+    index sets of their tiles' products is at most ``bound``.  Two free
+    dims get every pair :func:`_pair_trips` yields, one gets its largest
+    feasible tile, none gets the fixed tiles if they fit.
+    """
+
+    if roles.keys() != extents.keys():
+        raise UnsupportedOperatorError(
+            f"roles for {sorted(roles)} do not cover the dims {sorted(extents)}"
+        )
+    fixed: Dict[str, int] = {}
+    free: List[str] = []
+    maximize, untile = Role.MAXIMIZE, Role.UNTILE  # one enum lookup each
+    for dim, role in roles.items():
+        if role is maximize:
+            free.append(dim)
+        else:
+            fixed[dim] = extents[dim] if role is untile else 1
+    if len(free) > 2:
+        raise UnsupportedOperatorError(
+            f"roles maximize {len(free)} dims; at most 2 supported"
+        )
+    dim_x, dim_y = (free + [None, None])[:2]
+    constraints = [
+        TileConstraint.from_footprint(index_sets, fixed, dim_x, dim_y, bound)
+        for index_sets, bound in capacity
+    ]
+    if dim_y is not None:
+        candidates = _pair_trips(constraints, extents[dim_x], extents[dim_y])
+    else:
+        # With no free dim every tile is fixed, and they fit iff "tile 1" does.
+        upper = 1 if dim_x is None else extents[dim_x]
+        tile = max_tile(constraints, upper)
+        candidates = [] if tile is None else [((tile, 1), (-(-upper // tile), 1))]
+    return RoleTiles(fixed, dim_x, dim_y, candidates)
 
 
 # ----------------------------------------------------------------------
@@ -437,95 +516,66 @@ def _index_sets(operator: TensorOperator) -> List[Tuple[str, ...]]:
     return [operator.dims_of(tensor.name) for tensor in operator.tensors]
 
 
-# The ``_*_impl`` constructors take an MM-like operator: the public lookups
-# below check it, and :func:`all_candidates` checks it once for all twelve.
-def _single_nra_impl(
-    operator: TensorOperator, stationary: str, buffer_elems: int
-) -> Optional[NRACandidate]:
-    dim_x, dim_y = operator.dims_of(stationary)
-    dim_z = _other_dim(operator, (dim_x, dim_y))
-
-    fixed = {dim_z: 1}
-    index_sets = _index_sets(operator)
-    constraint = TileConstraint.from_footprint(
-        index_sets, fixed, dim_x, dim_y, buffer_elems
-    )
-    candidates = _pair_trips(
-        (constraint,), operator.dims[dim_x], operator.dims[dim_y]
-    )
-    if not candidates:
-        return None
-    schedule = stationary_schedule(operator, stationary)
-    tensors = [
-        (tensor.name, dims, tensor.size, False)
-        for tensor, dims in zip(operator.tensors, index_sets)
-    ]
-    score = trip_scorer(
-        ((schedule.order, tensors),), operator.dims, fixed, dim_x, dim_y
-    )
-    _, (tile_x, tile_y) = first_minimum(candidates, score)
-    return NRACandidate(
-        label=_SINGLE_LABEL.format(stationary),
-        nra=NRAClass.SINGLE,
-        dataflow=Dataflow(
-            Tiling({dim_x: tile_x, dim_y: tile_y, dim_z: 1}), schedule
-        ),
-    )
+#: Each candidate kind's roles for its two named dims, then the remaining
+#: dim (Principles 1-3).  Single[t] and Three[t] name t's dims; Two[u, x]
+#: names the untiled dim u, then the maximized dim x.
+_KIND_ROLES = {
+    "single": (Role.MAXIMIZE, Role.MAXIMIZE, Role.MINIMIZE),
+    "two": (Role.UNTILE, Role.MAXIMIZE, Role.MINIMIZE),
+    "three": (Role.UNTILE, Role.UNTILE, Role.MINIMIZE),
+}
 
 
-def _two_nra_impl(
+def _solve(
     operator: TensorOperator,
-    untiled_dim: str,
-    maximized_dim: str,
+    kind: str,
+    args: Tuple[str, ...],
     buffer_elems: int,
 ) -> Optional[NRACandidate]:
-    dim_y = _other_dim(operator, (untiled_dim, maximized_dim))
+    """One candidate of an MM-like operator, built from its role map.
 
-    constraint = TileConstraint.from_footprint(
-        _index_sets(operator),
-        {untiled_dim: operator.dims[untiled_dim], dim_y: 1},
-        maximized_dim,
-        None,
-        buffer_elems,
+    ``kind`` and ``args`` are the question :func:`memo.nra_key` keys:
+    ``("single", t)``, ``("two", u, x)`` or ``("three", t)``.  The roles
+    come from :data:`_KIND_ROLES`; the schedules are t's stationary one,
+    ``(x, other, u)`` and ``(other, t's dims)``.  Only Single grows two
+    dims; its pairs are ranked by the reuse rule on its one nest and the
+    first minimum kept.  The caller checks that the operator is MM-like.
+    """
+
+    first, second = args if kind == "two" else operator.dims_of(args[0])
+    other = _other_dim(operator, (first, second))
+    if kind == "single":
+        schedule = stationary_schedule(operator, args[0])
+        label, nra = _SINGLE_LABEL.format(args[0]), NRAClass.SINGLE
+    elif kind == "two":
+        schedule = Schedule((second, other, first))
+        label, nra = f"two[untile {first}, max {second}]", NRAClass.TWO
+    else:
+        schedule = Schedule((other, first, second))
+        label, nra = _THREE_LABEL.format(args[0]), NRAClass.THREE
+    dims = (first, second, other)
+    index_sets = _index_sets(operator)
+    tiles = role_tiles(
+        operator.dims,
+        dict(zip(dims, _KIND_ROLES[kind])),
+        ((index_sets, buffer_elems),),
     )
-    tile_x = max_tile((constraint,), operator.dims[maximized_dim])
-    if tile_x is None:
+    if not tiles.candidates:
         return None
-    tiling = Tiling(
-        {
-            untiled_dim: operator.dims[untiled_dim],
-            maximized_dim: tile_x,
-            dim_y: 1,
-        }
-    )
-    schedule = Schedule((maximized_dim, dim_y, untiled_dim))
-    return NRACandidate(
-        label=f"two[untile {untiled_dim}, max {maximized_dim}]",
-        nra=NRAClass.TWO,
-        dataflow=Dataflow(tiling, schedule),
-    )
-
-
-def _three_nra_impl(
-    operator: TensorOperator, resident: str, buffer_elems: int
-) -> Optional[NRACandidate]:
-    dim_x, dim_y = operator.dims_of(resident)
-    dim_z = _other_dim(operator, (dim_x, dim_y))
-    tiling = Tiling(
-        {
-            dim_x: operator.dims[dim_x],
-            dim_y: operator.dims[dim_y],
-            dim_z: 1,
-        }
-    )
-    if tiling.buffer_footprint(operator) > buffer_elems:
-        return None
-    schedule = Schedule((dim_z, dim_x, dim_y))
-    return NRACandidate(
-        label=_THREE_LABEL.format(resident),
-        nra=NRAClass.THREE,
-        dataflow=Dataflow(tiling, schedule),
-    )
+    pair = tiles.candidates[0][0]
+    if tiles.dim_y is not None:
+        tensors = [
+            (tensor.name, index, tensor.size, False)
+            for tensor, index in zip(operator.tensors, index_sets)
+        ]
+        score = trip_scorer(
+            ((schedule.order, tensors),), operator.dims,
+            tiles.fixed, tiles.dim_x, tiles.dim_y,
+        )
+        _, pair = first_minimum(tiles.candidates, score)
+    resolved = tiles.tiles(pair)
+    tiling = Tiling({dim: resolved[dim] for dim in dims})
+    return NRACandidate(label=label, nra=nra, dataflow=Dataflow(tiling, schedule))
 
 
 # ----------------------------------------------------------------------
@@ -541,6 +591,19 @@ def nra_cache_info() -> memo.CacheStats:
     return memo.memo_stats()["nra"]
 
 
+def _lookup(
+    operator: TensorOperator,
+    kind: str,
+    args: Tuple[str, ...],
+    buffer_elems: int,
+) -> Optional[NRACandidate]:
+    return memo.memoized(
+        "nra",
+        memo.nra_key(operator, kind, *args, buffer_elems),
+        lambda: _solve(operator, kind, args, buffer_elems),
+    )
+
+
 def single_nra(
     operator: TensorOperator, stationary: str, buffer_elems: int
 ) -> Optional[NRACandidate]:
@@ -552,11 +615,7 @@ def single_nra(
     """
 
     _require_mm_like(operator)
-    return memo.memoized(
-        "nra",
-        memo.nra_key(operator, "single", stationary, buffer_elems),
-        lambda: _single_nra_impl(operator, stationary, buffer_elems),
-    )
+    return _lookup(operator, "single", (stationary,), buffer_elems)
 
 
 def two_nra(
@@ -575,11 +634,7 @@ def two_nra(
     _require_mm_like(operator)
     if untiled_dim == maximized_dim:
         raise ValueError("untiled and maximized dims must differ")
-    return memo.memoized(
-        "nra",
-        memo.nra_key(operator, "two", untiled_dim, maximized_dim, buffer_elems),
-        lambda: _two_nra_impl(operator, untiled_dim, maximized_dim, buffer_elems),
-    )
+    return _lookup(operator, "two", (untiled_dim, maximized_dim), buffer_elems)
 
 
 def three_nra(
@@ -593,11 +648,7 @@ def three_nra(
     """
 
     _require_mm_like(operator)
-    return memo.memoized(
-        "nra",
-        memo.nra_key(operator, "three", resident, buffer_elems),
-        lambda: _three_nra_impl(operator, resident, buffer_elems),
-    )
+    return _lookup(operator, "three", (resident,), buffer_elems)
 
 
 def all_candidates(
@@ -614,23 +665,23 @@ def all_candidates(
     prefix = memo.nra_key(operator)
     candidates: List[NRACandidate] = []
 
-    def add(kind: str, impl: Callable[..., Optional[NRACandidate]], *args: str):
+    def add(kind: str, *args: str) -> None:
         candidate = memo.memoized(
             "nra",
             prefix + (kind, *args, buffer_elems),
-            lambda: impl(operator, *args, buffer_elems),
+            lambda: _solve(operator, kind, args, buffer_elems),
         )
         if candidate is not None:
             candidates.append(candidate)
 
     for tensor in operator.tensors:
-        add("single", _single_nra_impl, tensor.name)
+        add("single", tensor.name)
     for untiled in operator.dim_names:
         for maximized in operator.dim_names:
             if maximized != untiled:
-                add("two", _two_nra_impl, untiled, maximized)
+                add("two", untiled, maximized)
     for tensor in operator.tensors:
-        add("three", _three_nra_impl, tensor.name)
+        add("three", tensor.name)
     return candidates
 
 

@@ -6,7 +6,8 @@ probe bisected over a footprint callable that built and resolved a
 :class:`~repro.dataflow.tiling.Tiling`.  That solver is kept here, verbatim
 in behaviour, so the property tests can assert the closed forms return
 exactly the same candidate lists (cut to the first pair of each trip pair,
-:func:`first_per_trip_pair`), NRA tiles and fused dataflows.  It also
+:func:`first_per_trip_pair`), Single-, Two- and Three-NRA candidates,
+fused dataflows and generic untile / resident / stream candidates.  It also
 keeps the slow scoring path: every candidate pair is ranked by building its
 dataflow and counting it through
 :func:`~repro.dataflow.cost.memory_access` /
@@ -34,6 +35,7 @@ from repro.core.fusion import (
     per_op_nra_classes,
     profitable_patterns,
 )
+from repro.core.generic import GenericCandidate
 from repro.core.nra import NRACandidate, _other_dim
 from repro.dataflow.cost import PartialSumConvention, memory_access
 from repro.dataflow.fusion_nest import FusedChain, FusedDataflow, fused_memory_access
@@ -245,6 +247,91 @@ def two_nra(
             tiling_for(tile_x), Schedule((maximized_dim, dim_y, untiled_dim))
         ),
     )
+
+
+def three_nra(
+    operator: TensorOperator, resident: str, buffer_elems: int
+) -> Optional[NRACandidate]:
+    """``resident``'s dims whole, the other dim at 1, if that fits."""
+    dim_x, dim_y = operator.dims_of(resident)
+    dim_z = _other_dim(operator, (dim_x, dim_y))
+    tiling = Tiling(
+        {dim_x: operator.dims[dim_x], dim_y: operator.dims[dim_y], dim_z: 1}
+    )
+    if tiling.buffer_footprint(operator) > buffer_elems:
+        return None
+    return NRACandidate(
+        label=f"three[resident {resident}]",
+        nra=NRAClass.THREE,
+        dataflow=Dataflow(tiling, Schedule((dim_z, dim_x, dim_y))),
+    )
+
+
+# ----------------------------------------------------------------------
+# Generic families
+# ----------------------------------------------------------------------
+def generic_role_candidates(
+    operator: TensorOperator, buffer_elems: int
+) -> List[GenericCandidate]:
+    """The untile, resident and stream candidates of an einsum-like
+    operator, the untiled family's grown tile found by bisection."""
+    all_dims = operator.dim_names
+
+    def tiling_for(tiles: Mapping[str, int]) -> Tiling:
+        return Tiling({dim: tiles.get(dim, 1) for dim in all_dims})
+
+    def fits(tiling: Tiling) -> bool:
+        return tiling.buffer_footprint(operator) <= buffer_elems
+
+    candidates: List[GenericCandidate] = []
+    for untiled, maximized in itertools.permutations(all_dims, 2):
+        whole = {untiled: operator.dims[untiled]}
+        tile = max_feasible(
+            lambda t: tiling_for({**whole, maximized: t}).buffer_footprint(
+                operator
+            ),
+            operator.dims[maximized],
+            buffer_elems,
+        )
+        if tile is None:
+            continue
+        order = (maximized,) + tuple(
+            dim for dim in all_dims if dim not in (maximized, untiled)
+        ) + (untiled,)
+        candidates.append(
+            GenericCandidate(
+                label=f"untile[{untiled}, max {maximized}]",
+                dataflow=Dataflow(
+                    tiling_for({**whole, maximized: tile}), Schedule(order)
+                ),
+            )
+        )
+    for tensor in operator.tensors:
+        dims = operator.dims_of(tensor.name)
+        tiling = tiling_for({dim: operator.dims[dim] for dim in dims})
+        if fits(tiling):
+            order = tuple(d for d in all_dims if d not in dims) + tuple(
+                d for d in all_dims if d in dims
+            )
+            candidates.append(
+                GenericCandidate(
+                    label=f"resident[{tensor.name}]",
+                    dataflow=Dataflow(tiling, Schedule(order)),
+                )
+            )
+    for streamed in all_dims:
+        tiling = tiling_for(
+            {dim: operator.dims[dim] for dim in all_dims if dim != streamed}
+        )
+        if fits(tiling):
+            order = (streamed,) + tuple(d for d in all_dims if d != streamed)
+            candidates.append(
+                GenericCandidate(
+                    label=f"stream[{streamed}]",
+                    dataflow=Dataflow(tiling, Schedule(order)),
+                )
+            )
+    return candidates
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@
 tile" probe from integer footprint coefficients.  These properties pin
 that it returns exactly what the previous solver (kept in
 ``callback_oracle.py``) returned: the same ``pair_candidates`` lists, cut
-to the first pair of each trip pair, the same Single-/Two-NRA tiles and the
-same fused-pattern dataflows, under both fusion media.  Any score that does
+to the first pair of each trip pair, the same Single-/Two-/Three-NRA
+candidates and the same fused-pattern dataflows, under both fusion media.  Any score that does
 not decrease in either trip count has the same first minimum over the cut
 list as over the full one.
 """
@@ -27,8 +27,7 @@ from repro.core.nra import (
     TileConstraint,
     _index_sets,
     _other_dim,
-    _single_nra_impl,
-    _two_nra_impl,
+    _solve,
     pair_candidates,
 )
 from repro.dataflow.fusion_nest import FusedChain
@@ -166,10 +165,20 @@ class TestSweepEdge:
         )
 
 
+def in_order(result):
+    """``result`` with its tiling's key order, which equality ignores."""
+    if result is None:
+        return None
+    dataflow = getattr(result, "dataflow", result)
+    return result, tuple(dataflow.tiling.items())
+
+
 class TestNRATiles:
     @settings(max_examples=120, deadline=None)
     @given(mm_like_ops(), st.integers(1, 1 << 21))
     def test_single_and_two_nra_match_oracle(self, operator, buffer_elems):
+        """Single-, Two- and Three-NRA, each from its role map; Three also
+        at the resident footprint and one element below it."""
         for tensor in operator.tensors:
             dim_x, dim_y = operator.dims_of(tensor.name)
             dim_z = _other_dim(operator, (dim_x, dim_y))
@@ -184,13 +193,21 @@ class TestNRATiles:
                 upper_x,
                 upper_y,
             )
-            assert _single_nra_impl(
-                operator, tensor.name, buffer_elems
-            ) == oracle.single_nra(operator, tensor.name, buffer_elems)
+            assert in_order(
+                _solve(operator, "single", (tensor.name,), buffer_elems)
+            ) == in_order(oracle.single_nra(operator, tensor.name, buffer_elems))
+            # t whole, each other tensor one line along one of t's dims.
+            resident = (upper_x + 1) * (upper_y + 1) - 1
+            for buffer in (buffer_elems, resident, resident - 1):
+                assert in_order(
+                    _solve(operator, "three", (tensor.name,), buffer)
+                ) == in_order(oracle.three_nra(operator, tensor.name, buffer))
         for untiled, maximized in itertools.permutations(operator.dim_names, 2):
-            assert _two_nra_impl(
-                operator, untiled, maximized, buffer_elems
-            ) == oracle.two_nra(operator, untiled, maximized, buffer_elems)
+            assert in_order(
+                _solve(operator, "two", (untiled, maximized), buffer_elems)
+            ) == in_order(
+                oracle.two_nra(operator, untiled, maximized, buffer_elems)
+            )
 
 
 class TestFusedPatterns:
@@ -214,6 +231,8 @@ class TestFusedPatterns:
                     register_elems=register_elems,
                     shared_order=order,
                 )
-                assert solve_pattern(
-                    chain, pattern, buffer_elems, **kwargs
-                ) == oracle.solve_pattern(chain, pattern, buffer_elems, **kwargs)
+                assert in_order(
+                    solve_pattern(chain, pattern, buffer_elems, **kwargs)
+                ) == in_order(
+                    oracle.solve_pattern(chain, pattern, buffer_elems, **kwargs)
+                )

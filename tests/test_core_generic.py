@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import callback_oracle as oracle
 from repro.core import (
     InfeasibleError,
     generic_candidates,
@@ -10,7 +11,13 @@ from repro.core import (
     optimize_intra,
 )
 from repro.dataflow import memory_access
-from repro.ir import Tensor, TensorOperator, matmul, rowwise_softmax
+from repro.ir import (
+    Tensor,
+    TensorOperator,
+    einsum_operator,
+    matmul,
+    rowwise_softmax,
+)
 
 
 def batched_mm(b=4, m=16, k=12, l=20):
@@ -81,6 +88,75 @@ class TestGenericCandidates:
         }
         report = memory_access(op, candidates["resident[a]"].dataflow)
         assert report.total == op.ideal_memory_access()
+
+
+@st.composite
+def einsum_like_ops(draw):
+    """Einsum-like operators over 3-5 dims: two or three inputs, each
+    indexed by a shuffled non-empty subset of the dims, every dim used."""
+    letters = "abcde"[: draw(st.integers(3, 5))]
+    subsets = st.lists(
+        st.sampled_from(letters), min_size=1, max_size=len(letters), unique=True
+    )
+    inputs = draw(st.lists(subsets, min_size=2, max_size=3))
+    used = [letter for letter in letters if any(letter in t for t in inputs)]
+    output = draw(st.permutations(used))[: draw(st.integers(1, len(used)))]
+    spec = ",".join("".join(t) for t in inputs) + "->" + "".join(output)
+    sizes = {letter: draw(st.integers(1, 64)) for letter in used}
+    return einsum_operator("op", spec, sizes)
+
+
+ROLE_FAMILIES = ("untile[", "resident[", "stream[")
+
+
+class TestRoleFamilies:
+    @settings(max_examples=150, deadline=None)
+    @given(einsum_like_ops(), st.integers(1, 1 << 14))
+    def test_untile_resident_stream_match_bisection(self, operator, buffer_elems):
+        def keyed(candidates):
+            return [
+                (
+                    c.label,
+                    c.dataflow.schedule.order,
+                    tuple(c.dataflow.tiling.items()),
+                )
+                for c in candidates
+                if c.label.startswith(ROLE_FAMILIES)
+            ]
+
+        assert keyed(generic_candidates(operator, buffer_elems)) == keyed(
+            oracle.generic_role_candidates(operator, buffer_elems)
+        )
+
+    @pytest.mark.parametrize(
+        "indexing",
+        [
+            # The diagonal tensor is indexed by every dim, so no stationary
+            # candidate is built for it; the untile family meets it.
+            {"a": ("i", "i", "j"), "b": ("j",), "c": ("i",)},
+            {"a": ("i", "i"), "b": ("j", "k"), "c": ("i", "k")},
+        ],
+    )
+    def test_repeated_index_dim_is_rejected(self, indexing):
+        """A tensor indexing one dim twice (a diagonal, which
+        ``einsum_operator`` refuses) has a footprint that is not bilinear
+        in that dim's tile."""
+        extents = {"i": 4, "j": 5, "k": 3}
+        dims = sorted({dim for index in indexing.values() for dim in index})
+        a, b, c = (
+            Tensor(name, tuple(extents[dim] for dim in indexing[name]))
+            for name in "abc"
+        )
+        op = TensorOperator(
+            name="diag",
+            dims={dim: extents[dim] for dim in dims},
+            inputs=(a, b),
+            output=c,
+            indexing=indexing,
+            reduction_dims=frozenset(dims) - set(indexing["c"]),
+        )
+        with pytest.raises(ValueError, match="repeat"):
+            generic_candidates(op, 100)
 
 
 class TestOptimizeGeneric:

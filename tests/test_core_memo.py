@@ -17,9 +17,7 @@ from repro.core import InfeasibleError, cached_optimize_intra, optimize_intra
 from repro.core import memo
 from repro.core.memo import clear_memo, memo_stats
 from repro.core.nra import (
-    _single_nra_impl,
-    _three_nra_impl,
-    _two_nra_impl,
+    _solve,
     all_candidates,
     nra_cache_info,
     single_nra,
@@ -81,14 +79,14 @@ class TestMemoEqualsDirect:
         for operator, buffer_elems in queries:
             for tensor in operator.tensors:
                 assert single_nra(operator, tensor.name, buffer_elems) == (
-                    _single_nra_impl(operator, tensor.name, buffer_elems)
+                    _solve(operator, "single", (tensor.name,), buffer_elems)
                 )
                 assert three_nra(operator, tensor.name, buffer_elems) == (
-                    _three_nra_impl(operator, tensor.name, buffer_elems)
+                    _solve(operator, "three", (tensor.name,), buffer_elems)
                 )
             for untiled, maximized in itertools.permutations(operator.dim_names, 2):
                 assert two_nra(operator, untiled, maximized, buffer_elems) == (
-                    _two_nra_impl(operator, untiled, maximized, buffer_elems)
+                    _solve(operator, "two", (untiled, maximized), buffer_elems)
                 )
             try:
                 direct = optimize_intra(operator, buffer_elems)

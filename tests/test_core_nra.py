@@ -14,7 +14,12 @@ from repro.core import (
     three_nra,
     two_nra,
 )
-from repro.core.nra import TileConstraint, max_feasible, pair_candidates
+from repro.core.nra import (
+    TileConstraint,
+    _largest_free,
+    max_feasible,
+    pair_candidates,
+)
 from repro.dataflow import NRAClass, memory_access
 from repro.ir import Tensor, elementwise, matmul, rowwise_softmax
 
@@ -79,10 +84,13 @@ class TestSolvers:
         assert constraint == TileConstraint(0, 49, 0, 48, 99)
 
     def test_closed_form_probes(self):
-        constraint = TileConstraint(1, 1, 1, 0, 500)
-        assert constraint.max_y(10, 1000) == 44  # 10y + 10 + y <= 500
-        assert constraint.max_x(10, 30) == 30  # clamped to the extent
-        assert constraint.max_y(499, 1000) is None  # y = 1 overflows
+        a, b, c, d, bound = 1, 1, 1, 0, 500
+        constraint = TileConstraint(a, b, c, d, bound)
+        grow_y = [(a, b, c, d, bound)]  # x fixed, y grown
+        grow_x = [(a, c, b, d, bound)]  # y fixed, x grown
+        assert _largest_free(grow_y, 10, 1000) == 44  # 10y + 10 + y <= 500
+        assert _largest_free(grow_x, 10, 30) == 30  # clamped to the extent
+        assert _largest_free(grow_y, 499, 1000) is None  # y = 1 overflows
         assert constraint.max_balanced(1000, 1000) == 21  # t^2 + 2t <= 500
         assert constraint.max_balanced(4, 1000) == 99  # 4y + 4 + y <= 500
 

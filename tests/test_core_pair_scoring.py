@@ -149,7 +149,6 @@ def test_score_equals_memory_access_on_any_single_op_nest(case):
 def test_fused_score_equals_fused_memory_access(ops, buffer_elems, register_elems):
     chain = FusedChain.from_ops(ops)
     structure = _chain_structure(chain)
-    private_orders = structure.private_orders
     for pattern in profitable_patterns(chain) + cross_patterns(chain):
         for medium in (FusionMedium.MEMORY, FusionMedium.COMPUTE_UNIT):
             tiles = _pattern_tiles(
@@ -161,7 +160,7 @@ def test_fused_score_equals_fused_memory_access(ops, buffer_elems, register_elem
                     tiles.fixed, tiles.dim_x, tiles.dim_y,
                 )
                 for pair, trips in tiles.candidates:
-                    dataflow = tiles.dataflow(pair, order, private_orders)
+                    dataflow = structure.dataflow(tiles, pair, order)
                     assert trips == trips_of(
                         chain.global_dims,
                         dataflow.tiling,
