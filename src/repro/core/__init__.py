@@ -60,7 +60,6 @@ from .fusion import (
     cross_patterns,
     decide_fusion,
     optimize_fused,
-    per_op_nra_classes,
     profitable_patterns,
     solve_pattern,
 )
@@ -134,7 +133,6 @@ __all__ = [
     "cross_patterns",
     "decide_fusion",
     "optimize_fused",
-    "per_op_nra_classes",
     "profitable_patterns",
     "solve_pattern",
     "CurvePoint",

@@ -30,8 +30,8 @@ every shared-loop order by the reuse rule Single-NRA ranks with too
 order), skipping any tiling that breaks the fusability requirement
 (non-redundant intermediates).
 :func:`optimize_fused` scores every candidate and builds one winner: only
-it becomes a :class:`FusedDataflow`, counted exactly through
-:func:`repro.dataflow.fusion_nest.fused_memory_access` and classified.
+it becomes a :class:`FusedDataflow`, counted and classified per operator
+in one pass by :func:`repro.dataflow.fusion_nest.fused_memory_access`.
 
 :func:`decide_fusion` compares the best fused dataflow against the sum of
 the operators' unfused optima, solved once per operator, and reports both
@@ -61,9 +61,7 @@ from typing import (
 from ..ir.operator import TensorOperator, validate_buffer_elems
 from ..dataflow.cost import (
     Nest,
-    NestTensor,
     PartialSumConvention,
-    reuse_multiplier,
     trip_scorer,
 )
 from ..dataflow.fusion_nest import (
@@ -72,7 +70,6 @@ from ..dataflow.fusion_nest import (
     FusedDataflow,
     FusionError,
     fused_memory_access,
-    _op_with_global_dims,
 )
 from ..dataflow.spec import NRAClass
 from ..dataflow.tiling import Tiling
@@ -121,7 +118,6 @@ class FusedResult:
     pattern: FusedPattern
     dataflow: FusedDataflow
     report: FusedAccessReport
-    per_op_nra: Tuple[NRAClass, ...]
     #: Where the intermediate tiles lived when this dataflow was solved
     #: (never :attr:`FusionMedium.BEST`; that is resolved per candidate).
     medium: FusionMedium = FusionMedium.MEMORY
@@ -132,6 +128,11 @@ class FusedResult:
     @property
     def memory_access(self) -> int:
         return self.report.total
+
+    @property
+    def per_op_nra(self) -> Tuple[NRAClass, ...]:
+        """NRA class each operator experiences inside the fused nest."""
+        return self.report.per_op_nra
 
     def describe(self) -> str:
         ops = "+".join(op.name for op in self.chain.ops)
@@ -288,20 +289,20 @@ def _shared_order(chain: FusedChain, roles: Mapping[str, Role]) -> Tuple[str, ..
 
 class _ChainStructure(NamedTuple):
     """What the fused search reads of a chain, derived once per search:
-    each operator's tensors as :func:`repro.dataflow.cost.trip_scorer`
-    reads them (intermediates resident), and per concrete medium the index
+    each operator's private loop order, and per concrete medium the index
     sets of the buffer footprint and of each register-held tile."""
 
     chain: FusedChain
     private_orders: Dict[str, Tuple[str, ...]]
-    op_tensors: Tuple[Tuple[NestTensor, ...], ...]
     capacity_axes: Dict[FusionMedium, Tuple[List[Tuple[str, ...]], ...]]
 
     def nests(self, shared_order: Sequence[str]) -> Tuple[Nest, ...]:
-        """Each operator's nest: the (common) shared loops, then its own."""
+        """Each operator's nest as :func:`repro.dataflow.cost.trip_scorer`
+        reads it: the (common) shared loops, then its own, over the chain's
+        tensors (intermediates resident)."""
         return tuple(
             (tuple(shared_order) + self.private_orders[op.name], tensors)
-            for op, tensors in zip(self.chain.ops, self.op_tensors)
+            for op, tensors in zip(self.chain.ops, self.chain.op_tensors)
         )
 
     def dataflow(
@@ -323,18 +324,6 @@ def _chain_structure(chain: FusedChain) -> _ChainStructure:
     return _ChainStructure(
         chain=chain,
         private_orders=_private_orders(chain),
-        op_tensors=tuple(
-            tuple(
-                (
-                    tensor.name,
-                    chain.global_dims_of_tensor(index, tensor.name),
-                    tensor.size,
-                    tensor.name in intermediates,
-                )
-                for tensor in op.tensors
-            )
-            for index, op in enumerate(chain.ops)
-        ),
         capacity_axes={
             FusionMedium.MEMORY: (chain.buffered_axes(), []),
             FusionMedium.COMPUTE_UNIT: (
@@ -410,23 +399,6 @@ def solve_pattern(
     if best is None:
         return None
     return structure.dataflow(tiles, best[1], shared_order)
-
-
-def per_op_nra_classes(
-    chain: FusedChain, dataflow: FusedDataflow
-) -> Tuple[NRAClass, ...]:
-    """NRA class each operator experiences inside the fused nest."""
-    classes: List[NRAClass] = []
-    for index in range(len(chain.ops)):
-        op = _op_with_global_dims(chain, index)
-        loops = [(loop.dim, loop.trip) for loop in dataflow.op_nest(chain, index)]
-        non_redundant = sum(
-            1
-            for tensor in op.tensors
-            if reuse_multiplier(loops, op.dims_of(tensor.name)) == 1
-        )
-        classes.append(NRAClass(max(1, min(3, non_redundant))))
-    return tuple(classes)
 
 
 def optimize_fused(
@@ -512,7 +484,6 @@ def optimize_fused(
         pattern=pattern,
         dataflow=dataflow,
         report=fused_memory_access(chain, dataflow, convention),
-        per_op_nra=per_op_nra_classes(chain, dataflow),
         medium=active_medium,
     )
 

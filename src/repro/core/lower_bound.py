@@ -1,11 +1,14 @@
-"""Communication lower bounds (the paper's headline analytical product).
+"""The principle engine's MA(BS) answers, as the paper plots them.
 
-The principles yield, for each operator and buffer size, the minimum
-memory<->buffer traffic any tiling/scheduling can achieve within the modeled
-space; :func:`intra_lower_bound` exposes it directly (a graph's bound is
-its plan's total, :func:`repro.plan.plan_dag`).  :func:`closed_form_curve`
-additionally provides the paper's piecewise MA(BS) curve used in the
-Fig. 9 validation plots.
+:func:`intra_lower_bound` returns, for one operator and buffer size, the
+memory<->buffer traffic of the principle engine's own optimum
+(:func:`repro.core.intra.optimize_intra`: the best of its closed-form
+candidates).  That is the engine's optimum over its modelled space, not a
+bound independent of the engine: on some cells branch and bound
+(:mod:`repro.search.branch_bound`) finds a cheaper dataflow, so a check
+against it compares the engine with itself.  A graph's total is its
+plan's, :func:`repro.plan.plan_dag`.  :func:`closed_form_curve` samples
+the paper's piecewise MA(BS) curve used in the Fig. 9 validation plots.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ def intra_lower_bound(
     buffer_elems: int,
     convention: PartialSumConvention = PartialSumConvention.SINGLE,
 ) -> int:
-    """Minimum memory access for one operator at the given buffer size."""
+    """The principle engine's optimal memory access for one operator at
+    the given buffer size: its own modelled-space optimum, not a bound
+    that every tiling and schedule must respect."""
     return optimize_intra(operator, buffer_elems, convention).memory_access
 
 

@@ -26,8 +26,6 @@ from .cost import (
     TensorAccess,
     fits_buffer,
     memory_access,
-    nra_class,
-    tensor_multiplier,
 )
 from .fusion_nest import (
     FusedAccessReport,
@@ -86,8 +84,6 @@ __all__ = [
     "TensorAccess",
     "fits_buffer",
     "memory_access",
-    "nra_class",
-    "tensor_multiplier",
     "FusedAccessReport",
     "FusedChain",
     "FusedDataflow",

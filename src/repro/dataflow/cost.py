@@ -7,11 +7,15 @@ all evaluate candidate dataflows through the same counter, so comparisons
 between them are apples-to-apples (as in the paper, where both the
 principles and DAT target the same MAESTRO-style cost).  The reuse rule
 itself is one integer function over ``(dim, trip)`` loops,
-:func:`reuse_multiplier`: :func:`memory_access` applies it to a
-materialized loop nest, and :func:`trip_scorer`, its one compiled form,
-straight to the free dims' trip counts of one operator's nest or a fused
-chain's nests.  The closed-form constructors in :mod:`repro.core` rank
-their candidate tile pairs with it and build a dataflow only for the winner.
+:func:`reuse_multiplier`.  One helper, :func:`charge_tensors`, turns it
+into a nest's charges and NRA class: :func:`memory_access` calls it on one
+operator's loop nest, and
+:func:`repro.dataflow.fusion_nest.fused_memory_access` on each operator's
+nest in a fused chain.  :func:`trip_scorer`, the rule's one compiled
+form, applies it straight to the free dims' trip counts of one operator's
+nest or a fused chain's nests.  The closed-form constructors in
+:mod:`repro.core` rank their candidate tile pairs with it and build a
+dataflow only for the winner.
 
 Reuse rule
 ----------
@@ -56,13 +60,13 @@ from typing import (
     Container,
     Dict,
     Iterable,
+    List,
     Mapping,
     Optional,
     Sequence,
     Tuple,
 )
 
-from ..ir.loopnest import LoopNest
 from ..ir.operator import TensorOperator
 from .spec import Dataflow, NRAClass
 
@@ -103,6 +107,8 @@ class MemoryAccessReport:
     operator_name: str
     per_tensor: Mapping[str, TensorAccess]
     count: int
+    #: Non-redundant-access class implied by the access pattern.
+    nra_class: NRAClass
 
     @property
     def per_instance_total(self) -> int:
@@ -111,15 +117,6 @@ class MemoryAccessReport:
     @property
     def total(self) -> int:
         return self.per_instance_total * self.count
-
-    @property
-    def nra_class(self) -> NRAClass:
-        """Non-redundant-access class implied by the access pattern."""
-        non_redundant = sum(
-            1 for entry in self.per_tensor.values() if entry.non_redundant
-        )
-        non_redundant = max(1, min(3, non_redundant))
-        return NRAClass(non_redundant)
 
     def redundancy(self, ideal: int) -> float:
         """Ratio of total accesses to the infinite-buffer ideal."""
@@ -253,64 +250,63 @@ def trip_scorer(
     return score
 
 
-def tensor_multiplier(
-    operator: TensorOperator,
-    nest: LoopNest,
-    tensor_name: str,
-) -> int:
-    """Redundancy multiplier of ``tensor_name`` under the tiled nest.
+def charge_tensors(
+    loops: Sequence[Tuple[str, int]],
+    tensors: Iterable[NestTensor],
+    output: str,
+    convention: PartialSumConvention,
+) -> Tuple[List[TensorAccess], NRAClass]:
+    """Charge every tensor of one nest by the reuse rule, and classify it.
 
-    A multiplier of 1 means non-redundant access (the tensor travels from
-    memory exactly once).
+    ``loops`` are the nest's ``(dim, trip)`` pairs, outermost first.  A
+    tensor is charged its size times its :func:`reuse_multiplier`; under
+    :data:`PartialSumConvention.READ_WRITE` the ``output`` tensor is charged
+    ``2 * multiplier - 1`` passes instead.  A resident tensor (a fused
+    chain's intermediate) is charged nothing, but its multiplier is still
+    reported.  The NRA class counts the tensors of multiplier 1, clamped
+    to One..Three.  :func:`memory_access` counts one operator with it and
+    :func:`repro.dataflow.fusion_nest.fused_memory_access` each operator of
+    a fused chain.
     """
 
-    return reuse_multiplier(
-        ((loop.dim, loop.trip) for loop in nest), operator.dims_of(tensor_name)
-    )
+    entries = []
+    non_redundant = 0
+    for name, dims, size, resident in tensors:
+        multiplier = reuse_multiplier(loops, dims)
+        non_redundant += multiplier == 1
+        if resident:
+            accesses = 0
+        elif name == output and convention is PartialSumConvention.READ_WRITE:
+            accesses = size * (2 * multiplier - 1)
+        else:
+            accesses = size * multiplier
+        entries.append(TensorAccess(name, size, multiplier, accesses))
+    return entries, NRAClass(max(1, min(3, non_redundant)))
 
 
 def memory_access(
     operator: TensorOperator,
     dataflow: Dataflow,
     convention: PartialSumConvention = PartialSumConvention.SINGLE,
-    skip_tensors: Tuple[str, ...] = (),
 ) -> MemoryAccessReport:
-    """Count memory<->buffer accesses for ``operator`` under ``dataflow``.
-
-    ``skip_tensors`` names operands whose traffic is elided (used by the
-    fusion model for on-chip intermediate tensors); they still appear in the
-    report with zero accesses so non-redundancy can be asserted.
-    """
+    """Count memory<->buffer accesses for ``operator`` under ``dataflow``."""
 
     loops = [(loop.dim, loop.trip) for loop in dataflow.loop_nest(operator)]
-    per_tensor: Dict[str, TensorAccess] = {}
-    for tensor in operator.tensors:
-        multiplier = reuse_multiplier(loops, operator.dims_of(tensor.name))
-        if tensor.name in skip_tensors:
-            accesses = 0
-        elif (
-            tensor.name == operator.output.name
-            and convention is PartialSumConvention.READ_WRITE
-        ):
-            accesses = tensor.size * (2 * multiplier - 1)
-        else:
-            accesses = tensor.size * multiplier
-        per_tensor[tensor.name] = TensorAccess(
-            tensor_name=tensor.name,
-            size=tensor.size,
-            multiplier=multiplier,
-            accesses=accesses,
-        )
+    entries, nra = charge_tensors(
+        loops,
+        (
+            (tensor.name, operator.dims_of(tensor.name), tensor.size, False)
+            for tensor in operator.tensors
+        ),
+        operator.output.name,
+        convention,
+    )
     return MemoryAccessReport(
         operator_name=operator.name,
-        per_tensor=per_tensor,
+        per_tensor={entry.tensor_name: entry for entry in entries},
         count=operator.count,
+        nra_class=nra,
     )
-
-
-def nra_class(operator: TensorOperator, dataflow: Dataflow) -> NRAClass:
-    """NRA class of a dataflow: how many operands are accessed once."""
-    return memory_access(operator, dataflow).nra_class
 
 
 def fits_buffer(

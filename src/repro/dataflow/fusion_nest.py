@@ -6,13 +6,17 @@ the intermediate tensors never travel to memory.  This module provides:
 * :class:`FusedChain` -- a linear producer/consumer chain with its loop
   dimensions unified into a global namespace (the consumer's dims that index
   an intermediate tensor are identified with the producer's dims for the
-  same tensor, e.g. MM2's reduction dim *is* MM1's ``L``).
+  same tensor, e.g. MM2's reduction dim *is* MM1's ``L``).  It derives each
+  operator's tensors once, with their global index dims, sizes and
+  intermediate flags (:attr:`FusedChain.op_tensors`); the footprint, the
+  counter and the fused search all read that one derivation.
 * :class:`FusedDataflow` -- shared outer loop order + per-operator private
   inner loops + a global tiling.
-* :func:`fused_memory_access` -- the same reuse-rule access counter as
-  :func:`repro.dataflow.cost.memory_access`, applied per operator over
-  (shared loops restricted to its dims) + (its private loops), with
-  intermediate-tensor traffic elided.
+* :func:`fused_memory_access` -- one pass over the operators: each one's
+  nest is the shared loops then its private loops, charged through the
+  helper :func:`repro.dataflow.cost.memory_access` uses
+  (:func:`repro.dataflow.cost.charge_tensors`), with intermediate-tensor
+  traffic elided and each operator's NRA class on the report.
 
 Fusability (paper Sec. III-B1): a fused dataflow is only valid when every
 intermediate tensor is accessed *non-redundantly* (multiplier 1) in both its
@@ -33,13 +37,12 @@ does not have), keeping MAC counts identical to the unfused graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..ir.loopnest import LoopNest, TiledLoop
 from ..ir.operator import TensorOperator
 from ..ir.tensor import Tensor
-from .cost import PartialSumConvention, TensorAccess, reuse_multiplier
+from .cost import NestTensor, PartialSumConvention, TensorAccess, charge_tensors
 from .spec import NRAClass
 from .tiling import Tiling
 
@@ -59,6 +62,14 @@ class FusedChain:
     ops: Tuple[TensorOperator, ...]
     dim_maps: Tuple[Mapping[str, str], ...]
     global_dims: Mapping[str, int]
+    #: Each operator's tensors as :func:`repro.dataflow.cost.charge_tensors`
+    #: and :func:`repro.dataflow.cost.trip_scorer` read them: name, global
+    #: index dims, size and whether it is an intermediate (kept on chip).
+    #: Derived from ``ops`` and ``dim_maps``; every per-tensor query of
+    #: the chain reads it.
+    op_tensors: Tuple[Tuple[NestTensor, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -133,6 +144,23 @@ class FusedChain:
         object.__setattr__(
             self, "dim_maps", tuple(dict(mapping) for mapping in self.dim_maps)
         )
+        intermediates = {tensor.name for tensor in self.intermediates()}
+        object.__setattr__(
+            self,
+            "op_tensors",
+            tuple(
+                tuple(
+                    (
+                        tensor.name,
+                        tuple(mapping[local] for local in op.dims_of(tensor.name)),
+                        tensor.size,
+                        tensor.name in intermediates,
+                    )
+                    for tensor in op.tensors
+                )
+                for op, mapping in zip(self.ops, self.dim_maps)
+            ),
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -156,16 +184,20 @@ class FusedChain:
         return tuple(mapping[local] for local in op.dim_names)
 
     def global_dims_of_tensor(self, index: int, tensor_name: str) -> Tuple[str, ...]:
-        op = self.ops[index]
-        mapping = self.dim_maps[index]
-        return tuple(mapping[local] for local in op.dims_of(tensor_name))
+        """Global dims indexing ``tensor_name`` in operator ``index``."""
+        for name, dims, _, _ in self.op_tensors[index]:
+            if name == tensor_name:
+                return dims
+        raise FusionError(
+            f"operator {self.ops[index].name!r} has no tensor {tensor_name!r}"
+        )
 
     def tensor_axes(self, tensor_name: str) -> Tuple[str, ...]:
         """Global dims indexing ``tensor_name`` (first operator using it)."""
-        for index, op in enumerate(self.ops):
-            for tensor in op.tensors:
-                if tensor.name == tensor_name:
-                    return self.global_dims_of_tensor(index, tensor_name)
+        for tensors in self.op_tensors:
+            for name, dims, _, _ in tensors:
+                if name == tensor_name:
+                    return dims
         raise FusionError(f"chain has no tensor {tensor_name!r}")
 
     def buffered_axes(self, exclude: Tuple[str, ...] = ()) -> List[Tuple[str, ...]]:
@@ -176,11 +208,11 @@ class FusedChain:
 
         seen: Set[str] = set(exclude)
         axes: List[Tuple[str, ...]] = []
-        for index, op in enumerate(self.ops):
-            for tensor in op.tensors:
-                if tensor.name not in seen:
-                    seen.add(tensor.name)
-                    axes.append(self.global_dims_of_tensor(index, tensor.name))
+        for tensors in self.op_tensors:
+            for name, dims, _, _ in tensors:
+                if name not in seen:
+                    seen.add(name)
+                    axes.append(dims)
         return axes
 
     def intermediates(self) -> Tuple[Tensor, ...]:
@@ -234,7 +266,9 @@ class FusedDataflow:
         )
 
     # ------------------------------------------------------------------
-    def validate(self, chain: FusedChain) -> None:
+    def validate(self, chain: FusedChain) -> Tiling:
+        """Check the dataflow's structure against ``chain``; return its
+        tiling resolved against the chain's dims."""
         common = set(chain.common_dims)
         illegal = [dim for dim in self.shared_order if dim not in common]
         if illegal:
@@ -252,20 +286,14 @@ class FusedDataflow:
         # loop would need the full extent of that dim buffered, which this
         # model deliberately excludes.
         shared = set(self.shared_order)
-        for index, op in enumerate(chain.ops[:-1]):
-            consumed = {
-                tensor.name for later in chain.ops[index + 1 :] for tensor in later.inputs
-            }
-            if op.output.name not in consumed:
-                continue
-            axes = chain.global_dims_of_tensor(index, op.output.name)
-            unshared = [dim for dim in axes if dim not in shared]
-            if unshared:
-                raise FusionError(
-                    f"intermediate {op.output.name!r} has non-shared dims "
-                    f"{unshared}; all intermediate dims must be shared loops"
-                )
-        shared = set(self.shared_order)
+        for tensors in chain.op_tensors:
+            for name, dims, _, intermediate in tensors:
+                if intermediate and not shared.issuperset(dims):
+                    unshared = [dim for dim in dims if dim not in shared]
+                    raise FusionError(
+                        f"intermediate {name!r} has non-shared dims "
+                        f"{unshared}; all intermediate dims must be shared loops"
+                    )
         for index, op in enumerate(chain.ops):
             private = self.private_orders.get(op.name)
             if private is None:
@@ -276,27 +304,10 @@ class FusedDataflow:
                     f"private order {private} for {op.name!r} must cover "
                     f"{sorted(expected)} exactly once"
                 )
-        self.resolved_tiling(chain)
+        return self.resolved_tiling(chain)
 
     def resolved_tiling(self, chain: FusedChain) -> Tiling:
         return self.tiling.resolve(chain.global_dims)
-
-    def op_nest(self, chain: FusedChain, index: int) -> LoopNest:
-        """The loop nest operator ``index`` experiences, outermost first."""
-        op = chain.ops[index]
-        op_dims = set(chain.op_global_dims(index))
-        tiling = self.resolved_tiling(chain)
-        loops = []
-        for dim in self.shared_order:
-            if dim in op_dims:
-                loops.append(
-                    TiledLoop(dim=dim, extent=chain.global_dims[dim], tile=tiling[dim])
-                )
-        for dim in self.private_orders[op.name]:
-            loops.append(
-                TiledLoop(dim=dim, extent=chain.global_dims[dim], tile=tiling[dim])
-            )
-        return LoopNest(tuple(loops))
 
     def buffer_footprint(
         self, chain: FusedChain, exclude: Tuple[str, ...] = ()
@@ -328,27 +339,6 @@ class FusedDataflow:
         return f"shared=({', '.join(self.shared_order)}); {privates}; {tiles}"
 
 
-def _op_with_global_dims(chain: FusedChain, index: int) -> TensorOperator:
-    """Rebuild operator ``index`` with global dim names (for the counter)."""
-    op = chain.ops[index]
-    mapping = chain.dim_maps[index]
-    dims = {mapping[local]: extent for local, extent in op.dims.items()}
-    indexing = {
-        tensor.name: tuple(mapping[local] for local in op.dims_of(tensor.name))
-        for tensor in op.tensors
-    }
-    return TensorOperator(
-        name=op.name,
-        dims=dims,
-        inputs=op.inputs,
-        output=op.output,
-        indexing=indexing,
-        reduction_dims=frozenset(mapping[d] for d in op.reduction_dims),
-        count=op.count,
-        flops_per_point=op.flops_per_point,
-    )
-
-
 @dataclass(frozen=True)
 class FusedAccessReport:
     """Memory-access breakdown for a fused chain."""
@@ -357,6 +347,8 @@ class FusedAccessReport:
     per_tensor: Mapping[str, TensorAccess]
     intermediate_multipliers: Mapping[str, int]
     count: int
+    #: NRA class each operator experiences inside the fused nest.
+    per_op_nra: Tuple[NRAClass, ...]
 
     @property
     def fusable(self) -> bool:
@@ -379,56 +371,42 @@ def fused_memory_access(
 ) -> FusedAccessReport:
     """Count memory accesses for a fused chain under a fused dataflow.
 
-    Intermediate tensors contribute zero traffic; their worst-case redundancy
-    multiplier across producer and consumer nests is recorded so that
+    One pass over the operators: each one's nest is the shared loops, then
+    its private loops, and its tensors are charged and classified by
+    :func:`repro.dataflow.cost.charge_tensors`.  Intermediate tensors
+    contribute zero traffic; their worst-case redundancy multiplier across
+    producer and consumer nests is recorded so that
     :attr:`FusedAccessReport.fusable` can enforce the paper's
     non-redundant-access requirement.
     """
 
-    dataflow.validate(chain)
-    intermediates = {tensor.name for tensor in chain.intermediates()}
+    tiling = dataflow.validate(chain)
+    trips = {
+        dim: -(-extent // tiling[dim]) for dim, extent in chain.global_dims.items()
+    }
+    shared = [(dim, trips[dim]) for dim in dataflow.shared_order]
     per_tensor: Dict[str, TensorAccess] = {}
-    inter_mult: Dict[str, int] = {name: 1 for name in intermediates}
-    for index in range(len(chain.ops)):
-        op = _op_with_global_dims(chain, index)
-        loops = [(loop.dim, loop.trip) for loop in dataflow.op_nest(chain, index)]
-        for tensor in op.tensors:
-            multiplier = reuse_multiplier(loops, op.dims_of(tensor.name))
-            if tensor.name in intermediates:
-                inter_mult[tensor.name] = max(inter_mult[tensor.name], multiplier)
-                continue
-            if (
-                tensor.name == op.output.name
-                and convention is PartialSumConvention.READ_WRITE
-            ):
-                accesses = tensor.size * (2 * multiplier - 1)
-            else:
-                accesses = tensor.size * multiplier
-            previous = per_tensor.get(tensor.name)
-            if previous is not None:
-                # A tensor consumed by several chain ops (rare) is charged
-                # its worst multiplier once -- it is buffered across the
-                # shared nest just like an intermediate.
-                if accesses <= previous.accesses:
-                    continue
-            per_tensor[tensor.name] = TensorAccess(
-                tensor_name=tensor.name,
-                size=tensor.size,
-                multiplier=multiplier,
-                accesses=accesses,
-            )
-    for name in intermediates:
-        per_tensor[name] = TensorAccess(
-            tensor_name=name,
-            size=next(
-                t.size for t in chain.intermediates() if t.name == name
-            ),
-            multiplier=inter_mult[name],
-            accesses=0,
-        )
+    held: Dict[str, TensorAccess] = {}
+    classes = []
+    for op, tensors in zip(chain.ops, chain.op_tensors):
+        loops = shared + [(dim, trips[dim]) for dim in dataflow.private_orders[op.name]]
+        entries, nra = charge_tensors(loops, tensors, op.output.name, convention)
+        classes.append(nra)
+        for (name, _, _, resident), entry in zip(tensors, entries):
+            # A tensor several chain ops touch (every intermediate, rarely
+            # an input) is charged once, at its worst multiplier: it is
+            # buffered across the shared nest.
+            kept = held if resident else per_tensor
+            previous = kept.get(name)
+            if previous is None or entry.multiplier > previous.multiplier:
+                kept[name] = entry
+    per_tensor.update(held)
     return FusedAccessReport(
         chain_name="+".join(op.name for op in chain.ops),
         per_tensor=per_tensor,
-        intermediate_multipliers=inter_mult,
+        intermediate_multipliers={
+            name: entry.multiplier for name, entry in held.items()
+        },
         count=chain.count,
+        per_op_nra=tuple(classes),
     )

@@ -12,15 +12,11 @@ from .genetic import GAResult, GASettings, GeneticOptimizer, genetic_search
 from .branch_bound import FusedBBResult, branch_and_bound_fused_search, branch_and_bound_search
 from .fusion_search import (
     FusedSearchResult,
-    SearchedFusionDecision,
     exhaustive_fused_search,
     genetic_fused_search,
-    searched_fusion_decision,
 )
 
 __all__ = [
-    "SearchedFusionDecision",
-    "searched_fusion_decision",
     "FusedBBResult",
     "branch_and_bound_fused_search",
     "branch_and_bound_search",

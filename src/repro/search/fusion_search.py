@@ -23,7 +23,6 @@ from ..dataflow.fusion_nest import (
     fused_memory_access,
 )
 from ..dataflow.tiling import Tiling
-from ..core.intra import cached_optimize_intra
 from .space import power_of_two_tiles
 
 
@@ -207,80 +206,4 @@ def genetic_fused_search(
         memory_access=total,
         evaluations=evaluations,
         label="genetic-fused",
-    )
-
-
-# ----------------------------------------------------------------------
-# Searched fusion decision (DSE analogue of core.decide_fusion)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SearchedFusionDecision:
-    """Searched fused optimum vs. the chain's unfused optima.
-
-    The unfused reference comes from the process-wide analysis memo
-    (:mod:`repro.core.memo`): a DSE study asking about many fused
-    chains over the same operator shapes computes each (dims, buffer)
-    intra optimum exactly once.
-    """
-
-    ops: Tuple[TensorOperator, ...]
-    fused: Optional[FusedSearchResult]
-    unfused_memory_access: int
-    label: str
-
-    @property
-    def fused_memory_access(self) -> Optional[int]:
-        return None if self.fused is None else self.fused.memory_access
-
-    @property
-    def profitable(self) -> bool:
-        return (
-            self.fused is not None
-            and self.fused.memory_access < self.unfused_memory_access
-        )
-
-    @property
-    def saving(self) -> float:
-        if not self.profitable:
-            return 0.0
-        assert self.fused is not None
-        return 1.0 - self.fused.memory_access / self.unfused_memory_access
-
-    def describe(self) -> str:
-        names = "+".join(op.name for op in self.ops)
-        return (
-            f"{self.label}[{names}]: unfused MA={self.unfused_memory_access}, "
-            f"fused MA={self.fused_memory_access}, profitable={self.profitable}"
-        )
-
-
-def searched_fusion_decision(
-    ops: Sequence[TensorOperator],
-    buffer_elems: int,
-    method: str = "genetic",
-    convention: PartialSumConvention = PartialSumConvention.SINGLE,
-    **search_kwargs,
-) -> SearchedFusionDecision:
-    """Search the fused space and compare against cached unfused optima."""
-    if method == "genetic":
-        fused = genetic_fused_search(
-            ops, buffer_elems, convention=convention, **search_kwargs
-        )
-    elif method == "exhaustive":
-        fused = exhaustive_fused_search(
-            ops, buffer_elems, convention=convention, **search_kwargs
-        )
-    else:
-        raise ValueError(
-            f"unknown search method {method!r}; choose genetic or exhaustive"
-        )
-    unfused = sum(
-        cached_optimize_intra(op, buffer_elems, convention).memory_access
-        for op in ops
-    )
-    return SearchedFusionDecision(
-        ops=tuple(ops),
-        fused=fused,
-        unfused_memory_access=unfused,
-        label=f"searched-{method}",
     )

@@ -42,7 +42,6 @@ from ..core.fusion import (
     FusionMedium,
     Role,
     optimize_fused,
-    per_op_nra_classes,
 )
 from ..core.intra import InfeasibleError, IntraResult, optimize_intra
 from ..core.nra import is_mm_like
@@ -426,7 +425,6 @@ def _fallback_fused_result(chain: FusedChain, dataflow, convention):
         pattern=pattern,
         dataflow=dataflow,
         report=fused_memory_access(chain, dataflow, convention),
-        per_op_nra=per_op_nra_classes(chain, dataflow),
         medium=FusionMedium.MEMORY,
     )
 

@@ -32,7 +32,6 @@ from repro.core.fusion import (
     _private_orders,
     _shared_order,
     cross_patterns,
-    per_op_nra_classes,
     profitable_patterns,
 )
 from repro.core.generic import GenericCandidate
@@ -471,7 +470,6 @@ def optimize_fused(
                 pattern=pattern,
                 dataflow=dataflow,
                 report=report,
-                per_op_nra=per_op_nra_classes(chain, dataflow),
                 medium=active_medium,
             )
     return best

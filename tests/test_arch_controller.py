@@ -10,7 +10,7 @@ from repro.arch import (
 from repro.arch.controller import MappingError
 from repro.arch.pe import PEMode
 from repro.core import optimize_fused, optimize_intra, profitable_patterns, solve_pattern
-from repro.core.fusion import FusedResult, per_op_nra_classes
+from repro.core.fusion import FusedResult
 from repro.dataflow import FusedChain, FusedMappingKind, fused_memory_access
 from repro.ir import matmul
 
@@ -28,7 +28,6 @@ def fused_result_for_pattern(label, m=128, k=32, l=128, n=32, buffer_elems=30000
         pattern=pattern,
         dataflow=dataflow,
         report=report,
-        per_op_nra=per_op_nra_classes(chain, dataflow),
     )
 
 

@@ -8,7 +8,6 @@ from repro.core import (
     decide_fusion,
     optimize_fused,
     optimize_intra,
-    per_op_nra_classes,
     profitable_patterns,
     solve_pattern,
 )

@@ -20,8 +20,8 @@ materialized-nest counters give:
   operators can charge it differently);
 * ``first_minimum`` keeps the first candidate of least score, skips
   ``None`` scores, and scores trip counts, not tiles;
-* ``reuse_multiplier`` (and ``tensor_multiplier``, which delegates to it)
-  equals the rule written out positionally, on random loop nests.
+* ``reuse_multiplier`` equals the rule written out positionally, on random
+  loop nests.
 """
 
 import itertools
@@ -46,7 +46,6 @@ from repro.core.nra import (
 from repro.dataflow.cost import (
     memory_access,
     reuse_multiplier,
-    tensor_multiplier,
     trip_scorer,
 )
 from repro.dataflow.fusion_nest import FusedChain, FusedDataflow, fused_memory_access
@@ -292,11 +291,9 @@ def positional_multiplier(nest, tensor_dims):
 
 @settings(max_examples=300, deadline=None)
 @given(loop_nests())
-def test_reuse_multiplier_equals_tensor_multiplier(case):
+def test_reuse_multiplier_equals_positional_multiplier(case):
     operator, nest = case
     loops = [(loop.dim, loop.trip) for loop in nest]
     for tensor in operator.tensors:
         dims = operator.dims_of(tensor.name)
-        expected = positional_multiplier(nest, dims)
-        assert reuse_multiplier(loops, dims) == expected
-        assert tensor_multiplier(operator, nest, tensor.name) == expected
+        assert reuse_multiplier(loops, dims) == positional_multiplier(nest, dims)

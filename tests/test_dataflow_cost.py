@@ -22,8 +22,6 @@ from repro.dataflow import (
     UNTILED,
     fits_buffer,
     memory_access,
-    nra_class,
-    tensor_multiplier,
 )
 from repro.ir import matmul
 
@@ -108,21 +106,21 @@ class TestNRAClassification:
     def test_single(self):
         op = matmul("mm", 64, 64, 64)
         df = Dataflow(Tiling({"M": 8, "L": 8, "K": 1}), Schedule(("M", "L", "K")))
-        assert nra_class(op, df) is NRAClass.SINGLE
+        assert memory_access(op, df).nra_class is NRAClass.SINGLE
 
     def test_two(self):
         op = matmul("mm", 64, 64, 64)
         df = Dataflow(
             Tiling({"M": 8, "L": 1, "K": UNTILED}), Schedule(("M", "L", "K"))
         )
-        assert nra_class(op, df) is NRAClass.TWO
+        assert memory_access(op, df).nra_class is NRAClass.TWO
 
     def test_three(self):
         op = matmul("mm", 64, 64, 64)
         df = Dataflow(
             Tiling({"M": 1, "L": UNTILED, "K": UNTILED}), Schedule(("M", "L", "K"))
         )
-        assert nra_class(op, df) is NRAClass.THREE
+        assert memory_access(op, df).nra_class is NRAClass.THREE
 
 
 class TestConventions:
@@ -144,13 +142,6 @@ class TestConventions:
             memory_access(op, df, PartialSumConvention.SINGLE).total
             == memory_access(op, df, PartialSumConvention.READ_WRITE).total
         )
-
-    def test_skip_tensors_elide_traffic(self):
-        op = matmul("mm", 32, 16, 24)
-        df = Dataflow(Tiling({"M": 4, "L": 4, "K": 1}), Schedule(("M", "L", "K")))
-        report = memory_access(op, df, skip_tensors=("mm.C",))
-        assert report.per_tensor["mm.C"].accesses == 0
-        assert report.per_tensor["mm.C"].multiplier == 1
 
 
 class TestMultiplierProperties:

@@ -161,6 +161,21 @@ class TestFusedAccessCounting:
         with pytest.raises(FusionError, match="intermediate"):
             fused_memory_access(chain, dataflow)
 
+    def test_intermediate_elides_traffic(self):
+        """The intermediate is charged nothing but keeps its multiplier,
+        so its non-redundancy can be asserted."""
+        op1, op2 = mm_pair(32, 16, 24, 20)
+        chain = FusedChain.from_ops([op1, op2])
+        dataflow = FusedDataflow(
+            shared_order=("M", "L"),
+            private_orders={"mm1": ("K",), "mm2": ("L1",)},
+            tiling=Tiling({"M": 4, "L": 4, "K": 1, "L1": 1}),
+        )
+        report = fused_memory_access(chain, dataflow)
+        assert report.per_tensor["mm1.C"].accesses == 0
+        assert report.per_tensor["mm1.C"].multiplier == 1
+        assert report.intermediate_multipliers == {"mm1.C": 1}
+
     def test_count_scales_fused_total(self):
         op1 = matmul("mm1", 16, 8, 12, count=4)
         op2 = matmul("mm2", 16, 12, 10, a=op1.output, count=4)

@@ -10,7 +10,6 @@ from repro.cli import main
 from repro.core import optimize_intra
 from repro.experiments import run_grid, run_sweep_grid, sweep_grid_requests
 from repro.ir import matmul
-from repro.search import searched_fusion_decision
 from repro.service import BatchEngine, EngineConfig, intra_request
 
 
@@ -357,25 +356,3 @@ class TestEngineRoutedHarnesses:
             pytest.skip("no non-matmul operator in graph")
         with pytest.raises(ValueError):
             sweep_grid_requests(softmax_like[:1], (1024,))
-
-    def test_searched_fusion_decision(self):
-        op1 = matmul("mm1", 64, 32, 48)
-        op2 = matmul("mm2", 64, 48, 40, a=op1.output)
-        decision = searched_fusion_decision(
-            [op1, op2], 8192, method="exhaustive"
-        )
-        direct = sum(
-            optimize_intra(op, 8192).memory_access for op in (op1, op2)
-        )
-        assert decision.unfused_memory_access == direct
-        assert decision.fused is not None
-        assert decision.profitable == (
-            decision.fused.memory_access < direct
-        )
-        assert "searched-exhaustive" in decision.describe()
-
-    def test_searched_fusion_unknown_method(self):
-        op1 = matmul("mm1", 8, 8, 8)
-        op2 = matmul("mm2", 8, 8, 8, a=op1.output)
-        with pytest.raises(ValueError):
-            searched_fusion_decision([op1, op2], 64, method="quantum")
