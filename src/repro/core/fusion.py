@@ -145,16 +145,6 @@ class FusedResult:
 # ----------------------------------------------------------------------
 # Pattern generation
 # ----------------------------------------------------------------------
-def _private_orders(chain: FusedChain) -> Dict[str, Tuple[str, ...]]:
-    common = set(chain.common_dims)
-    return {
-        op.name: tuple(
-            dim for dim in chain.op_global_dims(index) if dim not in common
-        )
-        for index, op in enumerate(chain.ops)
-    }
-
-
 def profitable_patterns(chain: FusedChain) -> List[FusedPattern]:
     """The five same-NRA patterns of Fig. 4 (green arrows), both orientations."""
     common = chain.common_dims
@@ -163,7 +153,7 @@ def profitable_patterns(chain: FusedChain) -> List[FusedPattern]:
             f"fused patterns require exactly two common dims; chain has "
             f"{common}"
         )
-    privates = [dim for dims in _private_orders(chain).values() for dim in dims]
+    privates = [dim for dims in chain.private_orders.values() for dim in dims]
     first, second = common
     patterns: List[FusedPattern] = []
 
@@ -217,7 +207,7 @@ def cross_patterns(chain: FusedChain) -> List[FusedPattern]:
     if len(common) != 2:
         return []
     first, second = common
-    producer_privates, consumer_privates = _private_orders(chain).values()
+    producer_privates, consumer_privates = chain.private_orders.values()
     patterns: List[FusedPattern] = []
 
     def make(label: str, roles: Dict[str, Role]) -> None:
@@ -289,11 +279,12 @@ def _shared_order(chain: FusedChain, roles: Mapping[str, Role]) -> Tuple[str, ..
 
 class _ChainStructure(NamedTuple):
     """What the fused search reads of a chain, derived once per search:
-    each operator's private loop order, and per concrete medium the index
-    sets of the buffer footprint and of each register-held tile."""
+    each operator's private loop order (the chain's own), and per concrete
+    medium the index sets of the buffer footprint and of each register-held
+    tile."""
 
     chain: FusedChain
-    private_orders: Dict[str, Tuple[str, ...]]
+    private_orders: Mapping[str, Tuple[str, ...]]
     capacity_axes: Dict[FusionMedium, Tuple[List[Tuple[str, ...]], ...]]
 
     def nests(self, shared_order: Sequence[str]) -> Tuple[Nest, ...]:
@@ -323,7 +314,7 @@ def _chain_structure(chain: FusedChain) -> _ChainStructure:
     intermediates = tuple(tensor.name for tensor in chain.intermediates())
     return _ChainStructure(
         chain=chain,
-        private_orders=_private_orders(chain),
+        private_orders=chain.private_orders,
         capacity_axes={
             FusionMedium.MEMORY: (chain.buffered_axes(), []),
             FusionMedium.COMPUTE_UNIT: (

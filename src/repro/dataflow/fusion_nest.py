@@ -8,15 +8,19 @@ the intermediate tensors never travel to memory.  This module provides:
   an intermediate tensor are identified with the producer's dims for the
   same tensor, e.g. MM2's reduction dim *is* MM1's ``L``).  It derives each
   operator's tensors once, with their global index dims, sizes and
-  intermediate flags (:attr:`FusedChain.op_tensors`); the footprint, the
-  counter and the fused search all read that one derivation.
+  intermediate flags (:attr:`FusedChain.op_tensors`), and its private
+  loops (:attr:`FusedChain.private_orders`); the footprint, the counter and
+  the fused searches all read those derivations.
 * :class:`FusedDataflow` -- shared outer loop order + per-operator private
   inner loops + a global tiling.
-* :func:`fused_memory_access` -- one pass over the operators: each one's
-  nest is the shared loops then its private loops, charged through the
-  helper :func:`repro.dataflow.cost.memory_access` uses
-  (:func:`repro.dataflow.cost.charge_tensors`), with intermediate-tensor
-  traffic elided and each operator's NRA class on the report.
+* :func:`fused_memory_access` -- validate the dataflow's structure and
+  resolve its tiling, then :func:`charge_fused`: one pass over the
+  operators, each one's nest the shared loops then its private loops,
+  charged through the helper :func:`repro.dataflow.cost.memory_access`
+  uses (:func:`repro.dataflow.cost.charge_tensors`), with
+  intermediate-tensor traffic elided and each operator's NRA class on the
+  report.  A search over trip counts validates a structure once and calls
+  :func:`charge_fused` per point.
 
 Fusability (paper Sec. III-B1): a fused dataflow is only valid when every
 intermediate tensor is accessed *non-redundantly* (multiplier 1) in both its
@@ -68,6 +72,12 @@ class FusedChain:
     #: Derived from ``ops`` and ``dim_maps``; every per-tensor query of
     #: the chain reads it.
     op_tensors: Tuple[Tuple[NestTensor, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    #: Each operator's private loops, by operator name: its global dims
+    #: minus :attr:`common_dims`, in its canonical local order.  Derived
+    #: once, like ``op_tensors``; every default fused structure reads it.
+    private_orders: Mapping[str, Tuple[str, ...]] = field(
         init=False, repr=False, compare=False
     )
 
@@ -160,6 +170,17 @@ class FusedChain:
                 )
                 for op, mapping in zip(self.ops, self.dim_maps)
             ),
+        )
+        common = set(self.common_dims)
+        object.__setattr__(
+            self,
+            "private_orders",
+            {
+                op.name: tuple(
+                    dim for dim in self.op_global_dims(index) if dim not in common
+                )
+                for index, op in enumerate(self.ops)
+            },
         )
 
     # ------------------------------------------------------------------
@@ -371,25 +392,46 @@ def fused_memory_access(
 ) -> FusedAccessReport:
     """Count memory accesses for a fused chain under a fused dataflow.
 
-    One pass over the operators: each one's nest is the shared loops, then
-    its private loops, and its tensors are charged and classified by
-    :func:`repro.dataflow.cost.charge_tensors`.  Intermediate tensors
-    contribute zero traffic; their worst-case redundancy multiplier across
-    producer and consumer nests is recorded so that
-    :attr:`FusedAccessReport.fusable` can enforce the paper's
-    non-redundant-access requirement.
+    Two steps: :meth:`FusedDataflow.validate` checks the structure and
+    resolves the tiling, and :func:`charge_fused` charges the nests at the
+    tiling's trip counts.
     """
 
     tiling = dataflow.validate(chain)
     trips = {
         dim: -(-extent // tiling[dim]) for dim, extent in chain.global_dims.items()
     }
-    shared = [(dim, trips[dim]) for dim in dataflow.shared_order]
+    return charge_fused(
+        chain, dataflow.shared_order, dataflow.private_orders, trips, convention
+    )
+
+
+def charge_fused(
+    chain: FusedChain,
+    shared_order: Sequence[str],
+    private_orders: Mapping[str, Sequence[str]],
+    trips: Mapping[str, int],
+    convention: PartialSumConvention = PartialSumConvention.SINGLE,
+) -> FusedAccessReport:
+    """Charge a validated fused structure at given trip counts.
+
+    One pass over the operators: each one's nest is the shared loops, then
+    its private loops, and its tensors are charged and classified by
+    :func:`repro.dataflow.cost.charge_tensors`.  Intermediate tensors
+    contribute zero traffic; their worst-case redundancy multiplier across
+    producer and consumer nests is recorded so that
+    :attr:`FusedAccessReport.fusable` can enforce the paper's
+    non-redundant-access requirement.  The structure is not checked here:
+    a search that varies only the trips validates it once and calls this
+    per point.
+    """
+
+    shared = [(dim, trips[dim]) for dim in shared_order]
     per_tensor: Dict[str, TensorAccess] = {}
     held: Dict[str, TensorAccess] = {}
     classes = []
     for op, tensors in zip(chain.ops, chain.op_tensors):
-        loops = shared + [(dim, trips[dim]) for dim in dataflow.private_orders[op.name]]
+        loops = shared + [(dim, trips[dim]) for dim in private_orders[op.name]]
         entries, nra = charge_tensors(loops, tensors, op.output.name, convention)
         classes.append(nra)
         for (name, _, _, resident), entry in zip(tensors, entries):

@@ -13,6 +13,11 @@ bound find the **provably global optimum** of the modeled space:
 * check feasibility at the most-tiled corner (all ``n`` high);
 * prune, or split the widest dimension and recurse.
 
+One box search, :func:`_box_search`, runs both probes: the intra one per
+loop order with the linear cost above, the fused one per shared-loop order
+with the true fused count (:func:`repro.dataflow.fusion_nest.charge_fused`).
+A node is a dict of trip counts; no dataflow is built until a search ends.
+
 Because any tiling is dominated by its trip-count-snapped form (same trip
 counts, no larger footprint), optimizing over trip counts loses nothing.
 The test suite uses this to certify the one-shot principles *exactly*:
@@ -23,16 +28,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.operator import TensorOperator
 from ..dataflow.cost import PartialSumConvention, memory_access
-from ..dataflow.fusion_nest import FusedChain, FusedDataflow, fused_memory_access
-from ..dataflow.scheduling import Schedule, all_schedules
+from ..dataflow.fusion_nest import FusedChain, FusedDataflow, charge_fused
+from ..dataflow.scheduling import all_schedules
 from ..dataflow.spec import Dataflow
 from ..dataflow.tiling import Tiling
 from .space import SearchResult
+
+#: Trip count per dim.
+Trips = Dict[str, int]
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -91,79 +99,76 @@ def _linear_cost(
     return total
 
 
-def _min_footprint(operator: TensorOperator, trips: Dict[str, int]) -> int:
-    tiles = {
-        dim: _ceil_div(extent, trips[dim])
-        for dim, extent in operator.dims.items()
-    }
-    return Tiling(tiles).buffer_footprint(operator)
 
 
-@dataclass
-class _Box:
-    low: Dict[str, int]
-    high: Dict[str, int]
+def _tiles(extents: Mapping[str, int], trips: Trips) -> Trips:
+    """The tile of each dim that runs (at most) its given trip count."""
+    return {dim: _ceil_div(extent, trips[dim]) for dim, extent in extents.items()}
 
 
-def _optimize_order(
-    operator: TensorOperator,
-    order: Tuple[str, ...],
+def _footprint(
+    axes: Sequence[Sequence[str]], extents: Mapping[str, int]
+) -> Callable[[Trips], int]:
+    """Minimal buffer footprint at given trip counts: the sum over the
+    buffered index sets of their tile products, tile ``ceil(D / n)``."""
+
+    def footprint(trips: Trips) -> int:
+        return sum(
+            math.prod(_ceil_div(extents[dim], trips[dim]) for dim in dims)
+            for dims in axes
+        )
+
+    return footprint
+
+
+def _box_search(
+    dims: Sequence[str],
+    extents: Mapping[str, int],
+    cost: Callable[[Trips], Optional[int]],
+    footprint: Callable[[Trips], int],
     buffer_elems: int,
-    convention: PartialSumConvention = PartialSumConvention.SINGLE,
-    budget: Optional[List[int]] = None,
-) -> Optional[Tuple[int, Dict[str, int], int]]:
-    """Global optimum (cost, trips, nodes) for one loop order, or None.
+    budget: Optional[List[int]],
+    incumbent: Optional[int] = None,
+) -> Tuple[Optional[Tuple[int, Trips]], int]:
+    """Branch and bound over the trip-count box ``1 <= n_d <= D_d``.
 
-    ``budget`` is a shared single-element node allowance (mutated in
-    place); when it runs out the search stops expanding and returns the
-    best found so far, which may be suboptimal but is always feasible.
+    ``cost`` is non-decreasing in every trip count (``None`` prunes a
+    point) and ``footprint`` non-increasing, so a box is dropped when its
+    most-tiled corner overflows the buffer, bounded by its least-tiled
+    corner, and solved by that corner when it fits; otherwise its widest
+    dim is split.  Returns the cheapest fitting point cheaper than
+    ``incumbent`` as ``(cost, trips)`` (``None`` if none is), and the nodes
+    expanded.  ``budget`` is a shared single-element node allowance,
+    decremented in place; when it runs out the search stops with the best
+    point found so far.
     """
 
-    mult_dims = _multiplier_dims(operator, order)
-    dims = list(operator.dims)
-    root = _Box(
-        low={d: 1 for d in dims},
-        high={d: operator.dims[d] for d in dims},
-    )
-    best_cost: Optional[int] = None
-    best_trips: Optional[Dict[str, int]] = None
-    stack: List[_Box] = [root]
+    best: Optional[Tuple[int, Trips]] = None
+    stack = [({dim: 1 for dim in dims}, {dim: extents[dim] for dim in dims})]
     nodes = 0
     while stack:
         if budget is not None:
             if budget[0] <= 0:
                 break
             budget[0] -= 1
-        box = stack.pop()
+        low, high = stack.pop()
         nodes += 1
-        # Feasibility: the most-tiled corner has the smallest footprint.
-        if _min_footprint(operator, box.high) > buffer_elems:
+        if footprint(high) > buffer_elems:
             continue
-        # Bound: the least-tiled corner has the smallest cost.
-        bound = _linear_cost(operator, mult_dims, box.low, convention)
-        if best_cost is not None and bound >= best_cost:
+        bound = cost(low)
+        if bound is None or (incumbent is not None and bound >= incumbent):
             continue
-        # Is the cheapest corner itself feasible?  Then it is this box's
-        # optimum (cost increases in every trip count).
-        if _min_footprint(operator, box.low) <= buffer_elems:
-            if best_cost is None or bound < best_cost:
-                best_cost = bound
-                best_trips = dict(box.low)
+        if footprint(low) <= buffer_elems:
+            best = (bound, low)
+            incumbent = bound
             continue
-        # Split the widest dimension.
-        widest = max(dims, key=lambda d: box.high[d] - box.low[d])
-        if box.high[widest] == box.low[widest]:
-            continue  # degenerate box, infeasible cheap corner: dead end
-        mid = (box.low[widest] + box.high[widest]) // 2
-        left = _Box(low=dict(box.low), high=dict(box.high))
-        left.high[widest] = mid
-        right = _Box(low=dict(box.low), high=dict(box.high))
-        right.low[widest] = mid + 1
-        stack.append(left)
-        stack.append(right)
-    if best_cost is None or best_trips is None:
-        return None
-    return best_cost, best_trips, nodes
+        widest = max(dims, key=lambda dim: high[dim] - low[dim])
+        if high[widest] == low[widest]:
+            continue  # a single point, and it does not fit
+        mid = (low[widest] + high[widest]) // 2
+        stack.append((low, {**high, widest: mid}))
+        stack.append(({**low, widest: mid + 1}, high))
+    return best, nodes
 
 
 def branch_and_bound_search(
@@ -174,28 +179,36 @@ def branch_and_bound_search(
 ) -> Optional[SearchResult]:
     """Provably optimal dataflow over the modeled space (all orders).
 
+    Each loop order is searched from scratch with its linear cost.
     Returns ``None`` when no dataflow fits the buffer.  ``max_nodes``
     bounds the total nodes expanded across all loop orders (the
     certification layer's budgeted probe); an exhausted budget returns the
     best feasible dataflow found so far, dropping the optimality proof.
+    ``evaluations`` counts every node expanded.
     """
 
+    dims = list(operator.dims)
+    footprint = _footprint(
+        [operator.dims_of(tensor.name) for tensor in operator.tensors],
+        operator.dims,
+    )
+    budget = [max_nodes] if max_nodes is not None else None
     best: Optional[Tuple[int, Dataflow]] = None
     nodes = 0
-    budget = [max_nodes] if max_nodes is not None else None
     for schedule in all_schedules(operator):
-        outcome = _optimize_order(
-            operator, schedule.order, buffer_elems, convention, budget
+        mult_dims = _multiplier_dims(operator, schedule.order)
+        found, expanded = _box_search(
+            dims,
+            operator.dims,
+            lambda trips: _linear_cost(operator, mult_dims, trips, convention),
+            footprint,
+            buffer_elems,
+            budget,
         )
-        if outcome is None:
+        nodes += expanded
+        if found is None:
             continue
-        cost, trips, visited = outcome
-        nodes += visited
-        tiles = {
-            dim: _ceil_div(extent, trips[dim])
-            for dim, extent in operator.dims.items()
-        }
-        dataflow = Dataflow(Tiling(tiles), schedule)
+        dataflow = Dataflow(Tiling(_tiles(operator.dims, found[1])), schedule)
         total = memory_access(operator, dataflow, convention).total
         if best is None or total < best[0]:
             best = (total, dataflow)
@@ -209,40 +222,29 @@ def branch_and_bound_search(
     )
 
 
-# ----------------------------------------------------------------------
-# Fused-space branch and bound
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FusedBBResult:
-    """Outcome of the fused-space branch and bound."""
-
-    dataflow: object  # FusedDataflow (import-cycle-free annotation)
-    memory_access: int
-    evaluations: int
-    label: str = "branch-and-bound-fused"
-
-
 def branch_and_bound_fused_search(
     ops: List[TensorOperator],
     buffer_elems: int,
     convention: PartialSumConvention = PartialSumConvention.SINGLE,
     max_nodes: Optional[int] = None,
-) -> Optional[FusedBBResult]:
+) -> Optional[SearchResult]:
     """Provably optimal *fused* dataflow for a two-matmul chain.
 
-    Same box-splitting scheme over global trip counts, with two twists that
-    keep it exact for fused nests:
+    The same box search over global trip counts, with two twists that keep
+    it exact for fused nests:
 
-    * the lower bound is the **true** fused cost at the cheapest corner
-      (evaluated through :func:`fused_memory_access`; fused cost is
-      monotone in every trip count, so the corner bounds the box);
+    * the cost is the **true** fused count (:func:`charge_fused`; fused
+      cost is monotone in every trip count, so the cheapest corner bounds
+      the box), and a point whose intermediate is re-fetched is pruned;
     * the structure (shared loops over the intermediate's dims, one private
       loop per operator) is fixed, but every permutation of the shared
       dims is enumerated -- a tensor indexed by only one common dim is
       re-swept by common loops ordered before it, so the order changes
       cost; private loops cannot legally move outside the shared nest.
 
-    Used to certify that the Fig. 4 pattern set plus integer refinement
+    Each structure is validated once; a node only charges it at its trip
+    counts.  The incumbent carries across shared orders.  Used to certify
+    that the Fig. 4 pattern set plus integer refinement
     (`repro.core.fusion.optimize_fused`) covers the global fused optimum.
     ``max_nodes`` bounds the nodes expanded across all shared orders (the
     certification layer's budgeted probe); exhausting it returns the best
@@ -250,76 +252,44 @@ def branch_and_bound_fused_search(
     """
 
     chain = FusedChain.from_ops(ops)
-    dims = list(chain.global_dims)
-    common = list(chain.common_dims)
-    privates = {
-        op.name: tuple(
-            d for d in chain.op_global_dims(i) if d not in common
-        )
-        for i, op in enumerate(chain.ops)
-    }
-
+    extents = chain.global_dims
+    dims = list(extents)
+    footprint = _footprint(chain.buffered_axes(), extents)
+    budget = [max_nodes] if max_nodes is not None else None
     best_cost: Optional[int] = None
     best_dataflow: Optional[FusedDataflow] = None
     nodes = 0
-    # The shared-loop order matters: a tensor indexed by only one common
-    # dim is re-swept by common loops ordered before that dim.  Enumerate
-    # every order of the (two) common dims.
-    for shared_order in itertools.permutations(common):
+    for shared_order in itertools.permutations(chain.common_dims):
+        structure = FusedDataflow(
+            shared_order, chain.private_orders, Tiling(extents)
+        )
+        structure.validate(chain)
 
-        def build(trips: Dict[str, int]) -> FusedDataflow:
-            tiles = {
-                d: _ceil_div(chain.global_dims[d], trips[d]) for d in dims
+        def cost(trips: Trips) -> Optional[int]:
+            # Trip count n runs tile ceil(D/n), which runs ceil(D/tile) trips.
+            snapped = {
+                dim: _ceil_div(extents[dim], tile)
+                for dim, tile in _tiles(extents, trips).items()
             }
-            return FusedDataflow(
-                shared_order=shared_order,
-                private_orders=privates,
-                tiling=Tiling(tiles),
+            report = charge_fused(
+                chain, shared_order, chain.private_orders, snapped, convention
             )
-
-        def true_cost(trips: Dict[str, int]) -> Optional[int]:
-            report = fused_memory_access(chain, build(trips), convention)
             return report.total if report.fusable else None
 
-        def footprint(trips: Dict[str, int]) -> int:
-            return build(trips).buffer_footprint(chain)
-
-        stack: List[Tuple[Dict[str, int], Dict[str, int]]] = [
-            (
-                {d: 1 for d in dims},
-                {d: chain.global_dims[d] for d in dims},
+        found, expanded = _box_search(
+            dims, extents, cost, footprint, buffer_elems, budget, best_cost
+        )
+        nodes += expanded
+        if found is not None:
+            best_cost = found[0]
+            best_dataflow = replace(
+                structure, tiling=Tiling(_tiles(extents, found[1]))
             )
-        ]
-        while stack:
-            if max_nodes is not None and nodes >= max_nodes:
-                break
-            low, high = stack.pop()
-            nodes += 1
-            if footprint(high) > buffer_elems:
-                continue
-            bound = true_cost(low)
-            if bound is None:
-                continue
-            if best_cost is not None and bound >= best_cost:
-                continue
-            if footprint(low) <= buffer_elems:
-                best_cost = bound
-                best_dataflow = build(low)
-                continue
-            widest = max(dims, key=lambda d: high[d] - low[d])
-            if high[widest] == low[widest]:
-                continue
-            mid = (low[widest] + high[widest]) // 2
-            left_high = dict(high)
-            left_high[widest] = mid
-            right_low = dict(low)
-            right_low[widest] = mid + 1
-            stack.append((dict(low), left_high))
-            stack.append((right_low, dict(high)))
     if best_cost is None or best_dataflow is None:
         return None
-    return FusedBBResult(
+    return SearchResult(
         dataflow=best_dataflow,
         memory_access=best_cost,
         evaluations=nodes,
+        label="branch-and-bound-fused",
     )

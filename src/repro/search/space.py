@@ -19,25 +19,27 @@ anywhere in the space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..ir.operator import TensorOperator
+from ..dataflow.fusion_nest import FusedChain, FusedDataflow
 from ..dataflow.spec import Dataflow
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of a search run."""
+    """Outcome of a search run: an operator's dataflow, or a fused
+    chain's (the fused branch and bound)."""
 
-    dataflow: Dataflow
+    dataflow: Union[Dataflow, FusedDataflow]
     memory_access: int
     evaluations: int
     label: str
 
-    def describe(self, operator: TensorOperator) -> str:
+    def describe(self, subject: Union[TensorOperator, FusedChain]) -> str:
         return (
             f"{self.label}: MA={self.memory_access} after {self.evaluations} "
-            f"evaluations [{self.dataflow.describe(operator)}]"
+            f"evaluations [{self.dataflow.describe(subject)}]"
         )
 
 
@@ -73,12 +75,3 @@ def tile_grid(
         else:
             grid[dim] = power_of_two_tiles(extent)
     return grid
-
-
-def space_size(operator: TensorOperator, grid: Dict[str, Tuple[int, ...]]) -> int:
-    """Number of (schedule, tiling) points in a discretized space."""
-    import math
-
-    orders = math.factorial(len(operator.dims))
-    tiles = math.prod(len(candidates) for candidates in grid.values())
-    return orders * tiles

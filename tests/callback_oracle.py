@@ -15,7 +15,13 @@ dataflow and counting it through
 trip-count scorers the library now uses.  :func:`optimize_fused` is the
 fused search's all-recount loop: every pattern, medium and shared order's
 solution is built, recounted and classified, where the library scores
-them all and builds only the winner.
+them all and builds only the winner.  :func:`branch_and_bound_search` and
+:func:`branch_and_bound_fused_search` are the two branch-and-bound probes
+as they were before they shared one box search: each node builds a
+:class:`~repro.dataflow.tiling.Tiling` for its footprint, and each fused
+node a whole validated :class:`~repro.dataflow.fusion_nest.FusedDataflow`
+for its cost.  The intra one keeps its node under-count: an order's nodes
+are added only when that order found a fitting corner.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from repro.core.fusion import (
     FusedResult,
     FusionMedium,
     Role,
-    _private_orders,
     _shared_order,
     cross_patterns,
     profitable_patterns,
@@ -41,7 +46,10 @@ from repro.dataflow.fusion_nest import FusedChain, FusedDataflow, fused_memory_a
 from repro.dataflow.scheduling import Schedule, stationary_schedule
 from repro.dataflow.spec import Dataflow, NRAClass
 from repro.dataflow.tiling import Tiling
+from repro.dataflow.scheduling import all_schedules
 from repro.ir.operator import TensorOperator, validate_buffer_elems
+from repro.search.branch_bound import _linear_cost, _multiplier_dims
+from repro.search.space import SearchResult
 
 
 def max_feasible(
@@ -357,7 +365,7 @@ def solve_pattern(
             free.append(dim)
     if shared_order is None:
         shared_order = _shared_order(chain, roles)
-    private_orders = _private_orders(chain)
+    private_orders = chain.private_orders
     intermediates = tuple(t.name for t in chain.intermediates())
     excluded = intermediates if medium is FusionMedium.COMPUTE_UNIT else ()
 
@@ -473,3 +481,160 @@ def optimize_fused(
                 medium=active_medium,
             )
     return best
+
+
+# ----------------------------------------------------------------------
+# Branch-and-bound probes, one dataflow per node
+# ----------------------------------------------------------------------
+def _min_footprint(operator: TensorOperator, trips: Dict[str, int]) -> int:
+    tiles = {
+        dim: _ceil_div(extent, trips[dim])
+        for dim, extent in operator.dims.items()
+    }
+    return Tiling(tiles).buffer_footprint(operator)
+
+
+def _optimize_order(
+    operator: TensorOperator,
+    order: Tuple[str, ...],
+    buffer_elems: int,
+    convention: PartialSumConvention,
+    budget: Optional[List[int]],
+) -> Optional[Tuple[int, Dict[str, int], int]]:
+    mult_dims = _multiplier_dims(operator, order)
+    dims = list(operator.dims)
+    best_cost: Optional[int] = None
+    best_trips: Optional[Dict[str, int]] = None
+    stack = [({d: 1 for d in dims}, {d: operator.dims[d] for d in dims})]
+    nodes = 0
+    while stack:
+        if budget is not None:
+            if budget[0] <= 0:
+                break
+            budget[0] -= 1
+        low, high = stack.pop()
+        nodes += 1
+        if _min_footprint(operator, high) > buffer_elems:
+            continue
+        bound = _linear_cost(operator, mult_dims, low, convention)
+        if best_cost is not None and bound >= best_cost:
+            continue
+        if _min_footprint(operator, low) <= buffer_elems:
+            if best_cost is None or bound < best_cost:
+                best_cost = bound
+                best_trips = dict(low)
+            continue
+        widest = max(dims, key=lambda d: high[d] - low[d])
+        if high[widest] == low[widest]:
+            continue
+        mid = (low[widest] + high[widest]) // 2
+        left_high = dict(high)
+        left_high[widest] = mid
+        right_low = dict(low)
+        right_low[widest] = mid + 1
+        stack.append((dict(low), left_high))
+        stack.append((right_low, dict(high)))
+    if best_cost is None or best_trips is None:
+        return None
+    return best_cost, best_trips, nodes
+
+
+def branch_and_bound_search(
+    operator: TensorOperator,
+    buffer_elems: int,
+    convention: PartialSumConvention = PartialSumConvention.SINGLE,
+    max_nodes: Optional[int] = None,
+) -> Optional[SearchResult]:
+    """Intra probe: per loop order, a box search over a built tiling's
+    footprint; an order's nodes count only when it found a fitting corner."""
+    best: Optional[Tuple[int, Dataflow]] = None
+    nodes = 0
+    budget = [max_nodes] if max_nodes is not None else None
+    for schedule in all_schedules(operator):
+        outcome = _optimize_order(
+            operator, schedule.order, buffer_elems, convention, budget
+        )
+        if outcome is None:
+            continue
+        _, trips, visited = outcome
+        nodes += visited
+        tiles = {
+            dim: _ceil_div(extent, trips[dim])
+            for dim, extent in operator.dims.items()
+        }
+        dataflow = Dataflow(Tiling(tiles), schedule)
+        total = memory_access(operator, dataflow, convention).total
+        if best is None or total < best[0]:
+            best = (total, dataflow)
+    if best is None:
+        return None
+    return SearchResult(best[1], best[0], nodes, "branch-and-bound")
+
+
+def branch_and_bound_fused_search(
+    ops: Sequence[TensorOperator],
+    buffer_elems: int,
+    convention: PartialSumConvention = PartialSumConvention.SINGLE,
+    max_nodes: Optional[int] = None,
+) -> Optional[SearchResult]:
+    """Fused probe: per shared order, a box search that builds, resolves
+    and (for the cost) validates and counts a fused dataflow per corner."""
+    chain = FusedChain.from_ops(ops)
+    dims = list(chain.global_dims)
+    common = list(chain.common_dims)
+    privates = {
+        op.name: tuple(d for d in chain.op_global_dims(i) if d not in common)
+        for i, op in enumerate(chain.ops)
+    }
+    best_cost: Optional[int] = None
+    best_dataflow: Optional[FusedDataflow] = None
+    nodes = 0
+    for shared_order in itertools.permutations(common):
+
+        def build(trips: Dict[str, int]) -> FusedDataflow:
+            tiles = {d: _ceil_div(chain.global_dims[d], trips[d]) for d in dims}
+            return FusedDataflow(
+                shared_order=shared_order,
+                private_orders=privates,
+                tiling=Tiling(tiles),
+            )
+
+        def true_cost(trips: Dict[str, int]) -> Optional[int]:
+            report = fused_memory_access(chain, build(trips), convention)
+            return report.total if report.fusable else None
+
+        def footprint(trips: Dict[str, int]) -> int:
+            return build(trips).buffer_footprint(chain)
+
+        stack = [
+            ({d: 1 for d in dims}, {d: chain.global_dims[d] for d in dims})
+        ]
+        while stack:
+            if max_nodes is not None and nodes >= max_nodes:
+                break
+            low, high = stack.pop()
+            nodes += 1
+            if footprint(high) > buffer_elems:
+                continue
+            bound = true_cost(low)
+            if bound is None:
+                continue
+            if best_cost is not None and bound >= best_cost:
+                continue
+            if footprint(low) <= buffer_elems:
+                best_cost = bound
+                best_dataflow = build(low)
+                continue
+            widest = max(dims, key=lambda d: high[d] - low[d])
+            if high[widest] == low[widest]:
+                continue
+            mid = (low[widest] + high[widest]) // 2
+            left_high = dict(high)
+            left_high[widest] = mid
+            right_low = dict(low)
+            right_low[widest] = mid + 1
+            stack.append((dict(low), left_high))
+            stack.append((right_low, dict(high)))
+    if best_cost is None or best_dataflow is None:
+        return None
+    return SearchResult(best_dataflow, best_cost, nodes, "branch-and-bound-fused")

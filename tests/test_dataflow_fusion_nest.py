@@ -72,6 +72,11 @@ class TestChainConstruction:
         chain = FusedChain.from_ops([op1, op2])
         assert chain.macs == op1.macs + op2.macs
 
+    def test_private_orders(self):
+        chain = FusedChain.from_ops(list(mm_pair()))
+        assert chain.common_dims == ("M", "L")
+        assert chain.private_orders == {"mm1": ("K",), "mm2": ("L1",)}
+
 
 class TestFusedDataflowValidation:
     def make(self, **tiles):

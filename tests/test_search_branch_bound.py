@@ -8,13 +8,29 @@ statement in the suite: the principles' constant-work construction equals
 the exact optimum on randomized operators and buffers.
 """
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import callback_oracle as oracle
 from conftest import mm_ops
 from repro.core import InfeasibleError, optimize_intra
+from repro.dataflow import (
+    FusedChain,
+    FusedDataflow,
+    PartialSumConvention,
+    Tiling,
+    fused_memory_access,
+)
+from repro.dataflow.fusion_nest import charge_fused
 from repro.ir import matmul
-from repro.search import branch_and_bound_search, exhaustive_search
+from repro.search import (
+    branch_bound,
+    branch_and_bound_fused_search,
+    branch_and_bound_search,
+    exhaustive_search,
+)
 
 
 class TestBranchAndBound:
@@ -52,6 +68,13 @@ class TestBranchAndBound:
         for budget in (20, 200, 2000):
             result = branch_and_bound_search(op, budget)
             assert result.dataflow.buffer_footprint(op) <= budget
+
+    def test_budget_cut_mid_order_counts_every_node(self):
+        """A budget that runs out inside a loop order, before that order
+        finds a fitting corner, still counts the nodes it expanded."""
+        result = branch_and_bound_search(matmul("mm", 24, 9, 249), 2637, max_nodes=4)
+        assert result is not None
+        assert result.evaluations == 4
 
     def test_beats_or_ties_grid_search(self):
         op = matmul("mm", 96, 64, 80)
@@ -178,3 +201,81 @@ class TestFusedPatternsCertifiedOptimal:
         assert report.fusable
         assert report.total == result.memory_access
         assert result.dataflow.buffer_footprint(chain) <= 2000
+
+
+CONVENTIONS = st.sampled_from(list(PartialSumConvention))
+BUDGETS = st.one_of(st.none(), st.integers(1, 3000))
+
+
+class TestProbesEqualPerNodeReference:
+    """The box-search probes equal the per-node-dataflow reference probes
+    kept in ``callback_oracle``: same dataflow, MA and node count, except
+    that a budget cut inside a loop order now counts that order's nodes."""
+
+    @given(
+        mm_ops(min_dim=1, max_dim=40), st.integers(1, 5000), CONVENTIONS, BUDGETS
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_intra_probe_equals_reference(
+        self, op, buffer_elems, convention, max_nodes
+    ):
+        probe = branch_and_bound_search(op, buffer_elems, convention, max_nodes)
+        reference = oracle.branch_and_bound_search(
+            op, buffer_elems, convention, max_nodes
+        )
+        if reference is None:
+            assert probe is None
+            return
+        assert probe.dataflow == reference.dataflow
+        assert probe.memory_access == reference.memory_access
+        unbudgeted = oracle.branch_and_bound_search(op, buffer_elems, convention)
+        if max_nodes is not None and max_nodes < unbudgeted.evaluations:
+            # The budget ran out: every node it allowed was expanded.
+            assert probe.evaluations == max_nodes >= reference.evaluations
+        else:
+            assert probe.evaluations == reference.evaluations
+
+    @given(
+        st.tuples(*[st.integers(1, 16)] * 4),
+        st.booleans(),
+        st.integers(1, 1500),
+        CONVENTIONS,
+        BUDGETS,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_fused_probe_equals_reference(
+        self, dims, consumer_reads_a, buffer_elems, convention, max_nodes
+    ):
+        m, k, l, n = dims
+        op1 = matmul("mm1", m, k, l)
+        if consumer_reads_a:
+            op2 = matmul("mm2", m, l, n, a=op1.output)
+        else:
+            op2 = matmul("mm2", n, m, l, b=op1.output)
+        chain = FusedChain.from_ops([op1, op2])
+        charged = []
+
+        def checked_charge(chain_, shared_order, private_orders, trips, convention_):
+            report = charge_fused(
+                chain_, shared_order, private_orders, trips, convention_
+            )
+            tiles = {d: -(-e // trips[d]) for d, e in chain.global_dims.items()}
+            dataflow = FusedDataflow(shared_order, private_orders, Tiling(tiles))
+            assert report == fused_memory_access(chain, dataflow, convention_)
+            charged.append(report)
+            return report
+
+        with patch.object(branch_bound, "charge_fused", checked_charge):
+            probe = branch_and_bound_fused_search(
+                [op1, op2], buffer_elems, convention, max_nodes
+            )
+        reference = oracle.branch_and_bound_fused_search(
+            [op1, op2], buffer_elems, convention, max_nodes
+        )
+        if reference is None:
+            assert probe is None
+            return
+        assert charged
+        assert probe.dataflow == reference.dataflow
+        assert probe.memory_access == reference.memory_access
+        assert probe.evaluations == reference.evaluations
